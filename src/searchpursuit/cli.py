@@ -7,15 +7,19 @@ result document, or both. Identical inputs produce byte-identical
 output unless --timing is requested.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
-2 invalid input, 3 instance too large for exhaustive enumeration.
+2 invalid input, 3 instance too large for exhaustive enumeration or
+number too large to print back, 141 standard output closed early
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import closed_forms, game_core, learning, lp_solver, oracle
@@ -25,6 +29,7 @@ EXIT_OK = 0
 EXIT_CERTIFICATE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 MODES = ("general", "constant-times", "arithmetic-times", "two-type", "learning")
 
@@ -41,6 +46,11 @@ class CertificateFailure(RuntimeError):
     pass
 
 
+class NumberTooLarge(RuntimeError):
+    """An input number has a numerator or denominator with more digits
+    than ``sys.get_int_max_str_digits()`` lets the program print back."""
+
+
 def _fail(message: str):
     raise InputError(message)
 
@@ -49,10 +59,87 @@ def _fail(message: str):
 # Game file parsing
 
 
+class _HugeLiteral(str):
+    """A JSON number literal kept as text because its value is too long
+    to print back; ``_number`` refuses it with the field's name."""
+
+
+def _past_digit_limit(d: Decimal) -> bool:
+    """Whether the reduced numerator or denominator of ``d`` has more
+    digits than ``sys.get_int_max_str_digits()`` allows.
+
+    Judged from the leading power of ten, 10**a: a nonzero value has a
+    numerator of more than ``limit`` digits when a >= limit and a
+    denominator of more than ``limit`` digits when a < -limit. Values in
+    between are cheap to build exactly and are checked again then. Not
+    building them first matters: 1e-999999999 needs a billion-digit
+    power of ten.
+    """
+    limit = sys.get_int_max_str_digits()
+    return (
+        bool(limit)
+        and d.is_finite()
+        and not d.is_zero()
+        and not -limit <= d.adjusted() < limit
+    )
+
+
+def _json_float(text: str):
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        # The text is valid JSON, so only an exponent past about 10**18
+        # gets here.
+        return _HugeLiteral(text)
+    return _HugeLiteral(text) if _past_digit_limit(d) else Fraction(d)
+
+
+def _json_int(text: str):
+    return _HugeLiteral(text) if _past_digit_limit(Decimal(text)) else int(text)
+
+
+def _printable(q: Fraction) -> bool:
+    try:
+        format_rational(q)
+    except ValueError:
+        return False
+    return True
+
+
+def _unprintable_literal(value) -> bool:
+    """Whether ``value`` is a JSON number literal or decimal string past
+    the digit limit, judged without building its exact value."""
+    if isinstance(value, _HugeLiteral):
+        return True
+    try:
+        return isinstance(value, str) and _past_digit_limit(Decimal(value))
+    except InvalidOperation:  # no decimal literal, such as "2/3"
+        return False
+
+
+def _number(value, where: str) -> Fraction:
+    """``parse_rational`` for input read from outside the program.
+
+    Raises InputError naming ``where`` for anything that is no rational,
+    and NumberTooLarge for a number the program could not print back.
+    """
+    if not _unprintable_literal(value):
+        try:
+            q = parse_rational(value)
+        except (ValueError, TypeError) as exc:
+            _fail(f"{where}: {exc}")
+        if _printable(q):
+            return q
+    raise NumberTooLarge(
+        f"{where}: numerator or denominator has more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
+            return json.load(fh, parse_float=_json_float, parse_int=_json_int)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -62,10 +149,7 @@ def _load_json(path: str):
 def _rational_field(container: dict, key: str, where: str) -> Fraction:
     if key not in container:
         _fail(f"{where}: missing field '{key}'")
-    try:
-        return parse_rational(container[key])
-    except (ValueError, TypeError) as exc:
-        _fail(f"{where}.{key}: {exc}")
+    return _number(container[key], f"{where}.{key}")
 
 
 def _int_field(container: dict, key: str, where: str) -> int:
@@ -522,8 +606,8 @@ def cmd_solve(args) -> int:
 
 
 def _budget_range(args) -> list[Fraction]:
-    lo = parse_rational(args.k_from)
-    hi = parse_rational(args.k_to)
+    lo = _number(args.k_from, "--k-from")
+    hi = _number(args.k_to, "--k-to")
     if lo > hi:
         _fail("--k-from must not exceed --k-to")
     budgets = []
@@ -621,10 +705,9 @@ def _sweep_two_type(doc, args, budgets) -> int:
 
 
 def cmd_learning(args) -> int:
+    low, high = _number(args.low, "--low"), _number(args.high, "--high")
     try:
-        spec = learning.LearningSpec(
-            parse_rational(args.low), parse_rational(args.high)
-        )
+        spec = learning.LearningSpec(low, high)
     except (ValueError, TypeError) as exc:
         _fail(str(exc))
     document, table = _learning_document(spec)
@@ -637,10 +720,7 @@ def cmd_learning(args) -> int:
 
 
 def _distribution_from(values, where) -> list[Fraction]:
-    try:
-        return [parse_rational(v) for v in values]
-    except (ValueError, TypeError) as exc:
-        _fail(f"{where}: {exc}")
+    return [_number(v, where) for v in values]
 
 
 def _report_certificate(cert: oracle.Certificate, row_names, col_names) -> int:
@@ -685,10 +765,7 @@ def _claimed_value(solution, where) -> Fraction:
         value = value.get("fraction")
     if value is None:
         _fail(f"{where}: missing 'value'")
-    try:
-        return parse_rational(value)
-    except (ValueError, TypeError) as exc:
-        _fail(f"{where}.value: {exc}")
+    return _number(value, f"{where}.value")
 
 
 def _verify_general(game_doc, solution, args) -> int:
@@ -712,7 +789,9 @@ def _verify_general(game_doc, solution, args) -> int:
                 f"{args.solution}: searcher set {list(members)} is not an "
                 "undominated feasible set of this game"
             )
-        searcher[index_of[members]] = parse_rational(item["probability"])
+        searcher[index_of[members]] = _number(
+            item["probability"], f"{args.solution}: searcher probability"
+        )
     value = _claimed_value(solution, args.solution)
     cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
     return _report_certificate(
@@ -727,7 +806,7 @@ def _verify_two_type(game_doc, solution, args) -> int:
     hider_block = solution.get("hider")
     if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
         _fail(f"{args.solution}: two-type solutions carry hider.type1_mass")
-    mass = parse_rational(hider_block["type1_mass"])
+    mass = _number(hider_block["type1_mass"], f"{args.solution}: hider.type1_mass")
     searcher = [Fraction(0)] * (m + 1)
     for item in solution.get("searcher", ()):
         if (
@@ -742,7 +821,9 @@ def _verify_two_type(game_doc, solution, args) -> int:
         j = item["type2_searched"]
         if not isinstance(j, int) or not 0 <= j <= m:
             _fail(f"{args.solution}: type2_searched must be an integer in 0..{m}")
-        searcher[j] = parse_rational(item["probability"])
+        searcher[j] = _number(
+            item["probability"], f"{args.solution}: searcher probability"
+        )
     value = _claimed_value(solution, args.solution)
     cert = oracle.verify_equilibrium(matrix, (mass, 1 - mass), searcher, value)
     return _report_certificate(
@@ -755,8 +836,12 @@ def _verify_two_type(game_doc, solution, args) -> int:
 def _verify_learning(game_doc, solution, args) -> int:
     spec = learning_spec_from(game_doc, args.file)
     matrix = learning.payoff_matrix(spec)
-    stay = parse_rational(solution.get("stay_probability", "0"))
-    switch = parse_rational(solution.get("switch_probability", "0"))
+    stay = _number(
+        solution.get("stay_probability", "0"), f"{args.solution}: stay_probability"
+    )
+    switch = _number(
+        solution.get("switch_probability", "0"), f"{args.solution}: switch_probability"
+    )
     value = _claimed_value(solution, args.solution)
     cert = oracle.verify_equilibrium(matrix, (stay, switch), (stay, switch), value)
     return _report_certificate(cert, ["stay", "switch"], ["stay", "switch"])
@@ -832,7 +917,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except game_core.InstanceTooLarge as exc:
+    except (game_core.InstanceTooLarge, NumberTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except oracle.MonotonicityError as exc:
@@ -846,5 +931,23 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> int:
+    """Console entry point: ``main`` on the process's own streams.
+
+    If the reader of standard output goes away early (``... | head``),
+    exits quietly with EXIT_BROKEN_PIPE instead of a traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

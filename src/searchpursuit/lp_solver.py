@@ -11,8 +11,13 @@ multipliers in the final tableau. Matrices with more rows than columns
 are solved through the negated transpose so the tableau always has
 min(m, n) constraint rows.
 
-``hider_uniqueness`` probes the optimal-strategy polytope coordinate by
-coordinate with a two-phase variant of the same tableau machinery.
+``hider_uniqueness`` probes the hider's optimal-strategy polytope
+{y >= 0, sum(y) = 1, My <= v} with the same pivoting code: one phase 1
+makes a tableau of the polytope feasible, and the 2n coordinate
+bounds (max y_j, then min y_j) are phase-2 re-optimizations over that
+tableau, each warm-started from the basis the previous one ended at.
+``_maximize`` is the cold composition of the two phases that
+``solve_zero_sum`` uses.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import parse_rational
+from .rationals import parse_matrix, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,17 +59,6 @@ class UniquenessReport:
 
     ranges: tuple[tuple[Fraction, Fraction], ...]
     unique: bool
-
-
-def _entries(matrix) -> list[list[Fraction]]:
-    raw = getattr(matrix, "entries", matrix)
-    rows = [[parse_rational(v) for v in row] for row in raw]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("matrix rows must have equal length")
-    return rows
 
 
 def _pivot(rows, obj, basis, r, c) -> None:
@@ -115,15 +109,16 @@ def _optimize(rows, obj, basis, width) -> None:
         _pivot(rows, obj, basis, leave, enter)
 
 
-def _maximize(costs, lhs, rhs):
-    """max costs.x subject to lhs.x <= rhs and x >= 0, all exact.
+def _feasible_tableau(lhs, rhs):
+    """Tableau of lhs.x <= rhs, x >= 0 at a feasible basis, all exact.
 
-    Negative right-hand sides trigger a phase-1 start with artificial
-    variables. Returns ``(value, x, duals)``; the dual multipliers are
-    only extracted on the single-phase path (all rhs nonnegative) and
-    are ``None`` otherwise.
+    Each row carries its own slack; rows with a negative right-hand side
+    are negated and started on an artificial variable, which phase 1
+    then drives to zero and out of the basis. Returns ``(rows, basis,
+    phase1_ran)``; the columns are the ``len(lhs[0])`` structural
+    variables then the ``len(lhs)`` slacks.
     """
-    m, n = len(lhs), len(costs)
+    m, n = len(lhs), len(lhs[0])
     neg = [i for i in range(m) if rhs[i] < 0]
     n_art = len(neg)
     width = n + m + n_art
@@ -156,35 +151,54 @@ def _maximize(costs, lhs, rhs):
         _optimize(rows, obj1, basis, width)
         if obj1[-1] != 0:
             raise InfeasibleError("infeasible linear program")
-        # Drive any zero-valued artificial out of the basis; rows whose
-        # structural and slack coefficients all vanished are redundant.
-        drop = []
-        for i in range(len(rows)):
+        # Pivot every artificial still basic (at zero) onto a structural
+        # or slack column. One always has a nonzero entry in its row: the
+        # slack columns give the rows full rank, and pivots keep it, so
+        # no row is ever redundant.
+        for i in range(m):
             if basis[i] >= n + m:
-                col = next((j for j in range(n + m) if rows[i][j] != 0), None)
-                if col is None:
-                    drop.append(i)
-                else:
-                    _pivot(rows, obj1, basis, i, col)
-        for i in reversed(drop):
-            del rows[i]
-            del basis[i]
+                col = next(j for j in range(n + m) if rows[i][j] != 0)
+                _pivot(rows, obj1, basis, i, col)
         for row in rows:
             del row[n + m : n + m + n_art]
+    return rows, basis, bool(n_art)
 
-    obj = [Fraction(c) for c in costs] + [ZERO] * (m + 1)
+
+def _reoptimize(costs, rows, basis):
+    """max costs.x over a feasible tableau, from its current basis.
+
+    Phase 2 only: the tableau and basis are updated in place and stay
+    feasible, so further cost vectors can start from the basis this one
+    ends at. Returns ``(value, x, obj)`` with ``obj`` the final objective
+    row, whose slack entries are the negated dual multipliers.
+    """
+    width = len(rows[0]) - 1
+    obj = [Fraction(c) for c in costs] + [ZERO] * (width + 1 - len(costs))
     for i, row in enumerate(rows):
         f = obj[basis[i]]
         if f:
             obj[:] = [a - f * b for a, b in zip(obj, row)]
-    _optimize(rows, obj, basis, n + m)
+    _optimize(rows, obj, basis, width)
 
-    x = [ZERO] * n
+    x = [ZERO] * len(costs)
     for i, bv in enumerate(basis):
-        if bv < n:
+        if bv < len(costs):
             x[bv] = rows[i][-1]
-    value = -obj[-1]
-    duals = None if n_art else [-obj[n + i] for i in range(m)]
+    return -obj[-1], x, obj
+
+
+def _maximize(costs, lhs, rhs):
+    """max costs.x subject to lhs.x <= rhs and x >= 0, all exact.
+
+    Negative right-hand sides trigger a phase-1 start with artificial
+    variables. Returns ``(value, x, duals)``; the dual multipliers are
+    only extracted on the single-phase path (all rhs nonnegative) and
+    are ``None`` otherwise.
+    """
+    rows, basis, phase1_ran = _feasible_tableau(lhs, rhs)
+    value, x, obj = _reoptimize(costs, rows, basis)
+    n = len(costs)
+    duals = None if phase1_ran else [-obj[n + i] for i in range(len(lhs))]
     return value, x, duals
 
 
@@ -195,7 +209,7 @@ def solve_zero_sum(matrix) -> MixedSolution:
     rectangular nested sequence of rationals. Deterministic: identical
     matrices produce identical strategies.
     """
-    M = _entries(matrix)
+    M = parse_matrix(matrix)
     m, n = len(M), len(M[0])
     if m > n:
         flipped = solve_zero_sum(
@@ -243,8 +257,14 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     empty, a value above it would silently widen the ranges, so both
     directions raise ``ValueError``. The hider strategy is unique
     exactly when every coordinate's range is degenerate.
+
+    The polytope {y >= 0, sum(y) = 1, My <= value} is put into one
+    tableau and made feasible by a single phase 1. Each of the 2n
+    endpoints (max y_j, then min y_j, for each j) is then a phase-2
+    re-optimization that starts from the basis the previous one ended
+    at. Every endpoint is still the exact optimum of its LP.
     """
-    M = _entries(matrix)
+    M = parse_matrix(matrix)
     v = parse_rational(value)
     actual = solve_zero_sum(M).value
     if actual != v:
@@ -254,19 +274,19 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     lhs.append([ONE] * n)
     lhs.append([-ONE] * n)
     rhs = [v] * m + [ONE, -ONE]
+    try:
+        rows, basis, _ = _feasible_tableau(lhs, rhs)
+    except InfeasibleError as exc:
+        raise ValueError(
+            "no column strategy achieves the claimed value; "
+            "it is not the exact game value"
+        ) from exc
     ranges = []
     for j in range(n):
-        lo_cost = [ZERO] * n
-        lo_cost[j] = -ONE
-        hi_cost = [ZERO] * n
-        hi_cost[j] = ONE
-        try:
-            neg_lo, _, _ = _maximize(lo_cost, lhs, rhs)
-            hi, _, _ = _maximize(hi_cost, lhs, rhs)
-        except InfeasibleError as exc:
-            raise ValueError(
-                "no column strategy achieves the claimed value; "
-                "it is not the exact game value"
-            ) from exc
+        cost = [ZERO] * n
+        cost[j] = ONE
+        hi, _, _ = _reoptimize(cost, rows, basis)
+        cost[j] = -ONE
+        neg_lo, _, _ = _reoptimize(cost, rows, basis)
         ranges.append((-neg_lo, hi))
     return UniquenessReport(tuple(ranges), all(a == b for a, b in ranges))

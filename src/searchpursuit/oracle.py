@@ -20,7 +20,7 @@ from itertools import combinations
 
 from . import game_core
 from .lp_solver import MixedSolution, hider_uniqueness, solve_zero_sum
-from .rationals import parse_rational
+from .rationals import parse_matrix, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,19 +48,8 @@ class Certificate:
     ok: bool
 
 
-def _matrix_entries(matrix) -> list[list[Fraction]]:
-    raw = getattr(matrix, "entries", matrix)
-    rows = [[parse_rational(v) for v in row] for row in raw]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("matrix rows must have equal length")
-    return rows
-
-
 def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certificate:
-    M = _matrix_entries(matrix)
+    M = parse_matrix(matrix)
     m, n = len(M), len(M[0])
     hider = [parse_rational(v) for v in hider_mix]
     searcher = [parse_rational(v) for v in searcher_mix]
@@ -148,7 +137,7 @@ def support_enumeration_solve(
     solver; the strategies may legitimately differ when optima are not
     unique.
     """
-    M = _matrix_entries(matrix)
+    M = parse_matrix(matrix)
     m, n = len(M), len(M[0])
     if m > max_dim or n > max_dim:
         raise ValueError(

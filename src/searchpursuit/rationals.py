@@ -30,6 +30,23 @@ def parse_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def parse_matrix(matrix) -> list[list[Fraction]]:
+    """Exact rows of a nonempty rectangular matrix.
+
+    Accepts a :class:`~searchpursuit.game_core.PayoffMatrix` (its
+    ``entries``) or any nested sequence of values ``parse_rational``
+    takes.
+    """
+    raw = getattr(matrix, "entries", matrix)
+    rows = [[parse_rational(v) for v in row] for row in raw]
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("matrix rows must have equal length")
+    return rows
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical text form: reduced, "num/den" or a bare integer."""
     if q.denominator == 1:

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from searchpursuit.cli import main
 
@@ -198,6 +201,45 @@ class TestSolveErrors:
         assert main(["solve", path]) == 2
         assert "general solver" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "capture, budget, field",
+        [
+            ("1e-200000", "1", "locations[1].capture"),
+            ('"1e-999999999"', "1", "locations[1].capture"),
+            ("1e-99999999999999999999999", "1", "locations[1].capture"),
+            ("1e-4300", "1", "locations[1].capture"),
+            ("0.5", "1" * 4301, ".budget"),
+        ],
+        ids=["float", "string", "past-decimal-range", "one-past-limit", "long-int"],
+    )
+    def test_oversized_number_is_resource_error(
+        self, tmp_path, capsys, capture, budget, field
+    ):
+        # Each has a numerator or denominator longer than the int->str
+        # digit limit (4300 by default), so it could not be printed back.
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"locations": [{"time": 1, "capture": %s}, {"time": 2, '
+            '"capture": 0.5}], "budget": %s}' % (capture, budget),
+            encoding="utf-8",
+        )
+        started = time.perf_counter()
+        assert main(["solve", str(path)]) == 3
+        assert time.perf_counter() - started < 0.25
+        assert f"{field}: numerator or denominator has more than" in (
+            capsys.readouterr().err
+        )
+
+    def test_longest_printable_number_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"locations": [{"time": 1, "capture": 1e-4299}], "budget": 1}',
+            encoding="utf-8",
+        )
+        code, doc = run_json(capsys, ["solve", str(path), "--format", "json"])
+        assert code == 0
+        assert doc["value"]["fraction"] == "1/1" + "0" * 4299
+
     def test_wrong_times_for_constant_mode(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["solve", path, "--mode", "constant-times"]) == 2
@@ -333,3 +375,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "value: 6/115" in proc.stdout
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # The output is larger than a 64 KiB pipe buffer, so writing it always
+    # meets the closed pipe.
+    path = write(
+        tmp_path,
+        "g.json",
+        {"locations": [{"time": 1, "capture": "1/2"}, {"time": 2, "capture": "1/4"}],
+         "budget": 1},
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "searchpursuit", "sweep", path,
+         "--k-from", "0", "--k-to", "600", "--format", "both"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_matrix, unit_fraction
+from searchpursuit import lp_solver
 from searchpursuit import (
     GameSpec,
     build_matrix,
@@ -25,6 +26,36 @@ def staircase_matrix():
     spec = GameSpec((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"), 5)
     rows = maximal_feasible_sets(spec)
     return rows, build_matrix(spec, rows)
+
+
+def cold_uniqueness(matrix, value):
+    """Reference probe: 2n independent cold two-phase LPs on the (m+2)-row
+    system {My <= v, sum(y) <= 1, -sum(y) <= -1, y >= 0}."""
+    M = [[F(x) for x in row] for row in getattr(matrix, "entries", matrix)]
+    m, n = len(M), len(M[0])
+    lhs = [list(row) for row in M] + [[F(1)] * n, [F(-1)] * n]
+    rhs = [F(value)] * m + [F(1), F(-1)]
+    ranges = []
+    for j in range(n):
+        cost = [F(0)] * n
+        cost[j] = F(-1)
+        neg_lo, _, _ = lp_solver._maximize(cost, lhs, rhs)
+        cost[j] = F(1)
+        hi, _, _ = lp_solver._maximize(cost, lhs, rhs)
+        ranges.append((-neg_lo, hi))
+    return tuple(ranges), all(a == b for a, b in ranges)
+
+
+def assert_probe_matches_cold(matrix):
+    value = solve_zero_sum(matrix).value
+    report = hider_uniqueness(matrix, value)
+    assert (report.ranges, report.unique) == cold_uniqueness(matrix, value)
+    return report
+
+
+def negated_transpose(matrix):
+    rows = getattr(matrix, "entries", matrix)
+    return [[-F(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
 
 
 def assert_equilibrium(matrix, sol):
@@ -195,7 +226,67 @@ class TestHiderUniqueness:
         assert by_members[(1, 3)][0] == 0
 
     def test_wrong_value_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exact game value 6/115"):
             hider_uniqueness(EXAMPLE_MATRIX, F(7, 115))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exact game value 6/115"):
             hider_uniqueness(EXAMPLE_MATRIX, F(5, 115))
+
+    def test_phase_one_rejects_a_low_value_on_its_own(self, monkeypatch):
+        # With the solve_zero_sum comparison bypassed, a value below the
+        # game value still fails: phase 1 finds the polytope empty.
+        claimed = F(5, 115)
+        monkeypatch.setattr(
+            lp_solver, "solve_zero_sum", lambda M: lp_solver.MixedSolution(claimed, (), ())
+        )
+        with pytest.raises(ValueError, match="no column strategy"):
+            hider_uniqueness(EXAMPLE_MATRIX, claimed)
+
+
+class TestWarmProbeAgainstColdReference:
+    def test_random_games(self):
+        rng = random.Random(31)
+        unique_flags = set()
+        for _ in range(32):
+            n = rng.randint(1, 8)
+            times = tuple(rng.randint(1, 6) for _ in range(n))
+            captures = tuple(F(rng.randint(1, 20), 20) for _ in range(n))
+            spec = GameSpec(times, captures, rng.randint(0, sum(times)))
+            matrix = build_matrix(spec, maximal_feasible_sets(spec))
+            unique_flags.add(assert_probe_matches_cold(matrix).unique)
+        assert unique_flags == {True, False}
+
+    def test_random_matrices_and_their_negated_transposes(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            matrix = random_matrix(rng, max_dim=5)
+            assert_probe_matches_cold(matrix)
+            assert_probe_matches_cold(negated_transpose(matrix))
+
+    def test_duplicated_rows(self):
+        rng = random.Random(33)
+        for _ in range(10):
+            matrix = random_matrix(rng, max_dim=4)
+            doubled = matrix + [row[:] for row in matrix]
+            report = assert_probe_matches_cold(doubled)
+            assert report == hider_uniqueness(matrix, solve_zero_sum(matrix).value)
+
+    def test_negated_transpose_with_negative_value(self):
+        # Every row of My <= v has a negative right-hand side, so phase 1
+        # starts with m + 1 artificials.
+        _, matrix = staircase_matrix()
+        flipped = negated_transpose(matrix)
+        assert solve_zero_sum(flipped).value == -F(3, 55)
+        assert not assert_probe_matches_cold(flipped).unique
+
+    def test_constant_matrix(self):
+        report = assert_probe_matches_cold([[F(1, 3)] * 3] * 2)
+        assert report.ranges == ((F(0), F(1)),) * 3
+        assert not report.unique
+
+    def test_single_row_and_single_column(self):
+        row = assert_probe_matches_cold([[F(1, 2), F(1, 3), F(1, 4)]])
+        assert row.ranges == ((F(0), F(0)), (F(0), F(0)), (F(1), F(1)))
+        assert row.unique
+        column = assert_probe_matches_cold([[F(1, 2)], [F(1, 3)], [F(1, 4)]])
+        assert column.ranges == ((F(1), F(1)),)
+        assert column.unique
