@@ -6,6 +6,11 @@ like "1/3" are fractions). Results go out as a human table, a JSON
 result document, or both. Identical inputs produce byte-identical
 output unless --timing is requested.
 
+The location-list modes share one pipeline: enumerate, build the matrix,
+solve the LP, certify on that matrix; a closed-form mode's value must
+equal the LP's. ``verify`` reads every single-game document into a
+matrix and a strategy pair for the same certificate.
+
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input, 3 instance too large for exhaustive enumeration or
 number too large to print back, 141 standard output closed early
@@ -17,8 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
+from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -106,15 +113,27 @@ def _printable(q: Fraction) -> bool:
     return True
 
 
+# A decimal literal with an exponent, as ``Fraction`` reads one.
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)(\.(\d*|\d+(_\d+)*))?"
+    r"[eE][-+]?\d+(_\d+)*\s*"
+)
+
+
 def _unprintable_literal(value) -> bool:
     """Whether ``value`` is a JSON number literal or decimal string past
     the digit limit, judged without building its exact value."""
     if isinstance(value, _HugeLiteral):
         return True
-    try:
-        return isinstance(value, str) and _past_digit_limit(Decimal(value))
-    except InvalidOperation:  # no decimal literal, such as "2/3"
+    if not isinstance(value, str):
         return False
+    try:
+        return _past_digit_limit(Decimal(value))
+    except InvalidOperation:
+        # Decimal reads every decimal literal but those whose exponent is
+        # past its range, about 10**18; anything else, such as "2/3", is
+        # no decimal literal and is left to parse_rational.
+        return _EXPONENT_LITERAL.fullmatch(value) is not None
 
 
 def _number(value, where: str) -> Fraction:
@@ -159,13 +178,30 @@ def _int_field(container: dict, key: str, where: str) -> int:
     return int(value)
 
 
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        _fail(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
+
+
+def _mode_block(doc: dict, key: str, mode: str, allowed, path: str):
+    """The object under ``key`` that ``mode`` reads its parameters from,
+    with the name to report errors under."""
+    if key not in doc:
+        _fail(f"{path}: mode '{mode}' requires a '{key}' block")
+    block = doc[key]
+    where = f"{path}: {key}"
+    if not isinstance(block, dict):
+        _fail(f"{where} must be an object")
+    _reject_unknown(block, allowed, where)
+    return block, where
+
+
 def load_game_file(path: str) -> dict:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         _fail(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - {"locations", "budget", "mode", "two_type", "learning"}
-    if unknown:
-        _fail(f"{path}: unknown fields: {', '.join(sorted(unknown))}")
+    _reject_unknown(doc, {"locations", "budget", "mode", "two_type", "learning"}, path)
     mode = doc.get("mode", "general")
     if mode not in MODES:
         _fail(f"{path}: mode must be one of: {', '.join(MODES)}")
@@ -187,9 +223,7 @@ def game_spec_from(doc: dict, path: str) -> game_core.GameSpec:
         where = f"{path}: locations[{idx}]"
         if not isinstance(loc, dict):
             _fail(f"{where} must be an object")
-        unknown = set(loc) - {"time", "capture"}
-        if unknown:
-            _fail(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
+        _reject_unknown(loc, {"time", "capture"}, where)
         times.append(_rational_field(loc, "time", where))
         captures.append(_rational_field(loc, "capture", where))
     budget = _rational_field(doc, "budget", path)
@@ -200,15 +234,9 @@ def game_spec_from(doc: dict, path: str) -> game_core.GameSpec:
 
 
 def two_type_spec_from(doc: dict, path: str) -> closed_forms.TwoTypeSpec:
-    if "two_type" not in doc:
-        _fail(f"{path}: mode 'two-type' requires a 'two_type' block")
-    block = doc["two_type"]
-    where = f"{path}: two_type"
-    if not isinstance(block, dict):
-        _fail(f"{where} must be an object")
-    unknown = set(block) - {"a", "b", "tau", "p", "q", "k"}
-    if unknown:
-        _fail(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
+    block, where = _mode_block(
+        doc, "two_type", "two-type", {"a", "b", "tau", "p", "q", "k"}, path
+    )
     try:
         return closed_forms.TwoTypeSpec(
             type1_count=_int_field(block, "a", where),
@@ -223,15 +251,7 @@ def two_type_spec_from(doc: dict, path: str) -> closed_forms.TwoTypeSpec:
 
 
 def learning_spec_from(doc: dict, path: str) -> learning.LearningSpec:
-    if "learning" not in doc:
-        _fail(f"{path}: mode 'learning' requires a 'learning' block")
-    block = doc["learning"]
-    where = f"{path}: learning"
-    if not isinstance(block, dict):
-        _fail(f"{where} must be an object")
-    unknown = set(block) - {"low", "high"}
-    if unknown:
-        _fail(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
+    block, where = _mode_block(doc, "learning", "learning", {"low", "high"}, path)
     try:
         return learning.LearningSpec(
             _rational_field(block, "low", where),
@@ -245,16 +265,29 @@ def learning_spec_from(doc: dict, path: str) -> learning.LearningSpec:
 # Rendering helpers
 
 
+def _text(q: Fraction) -> str:
+    """``format_rational`` for everything the program prints. A result
+    too long to print back is NumberTooLarge; documents and tables are
+    built before anything is printed, so nothing comes out before it."""
+    try:
+        return format_rational(q)
+    except ValueError:
+        raise NumberTooLarge(
+            f"result: numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _value_json(v: Fraction) -> dict:
-    return {"fraction": format_rational(v), "decimal": format_decimal(v)}
+    return {"fraction": _text(v), "decimal": format_decimal(v)}
 
 
 def _value_text(v: Fraction) -> str:
-    return f"{format_rational(v)} (~{format_decimal(v)})"
+    return f"{_text(v)} (~{format_decimal(v)})"
 
 
 def _location_label(spec: game_core.GameSpec, i: int, paper_names: bool) -> str:
-    return format_rational(spec.times[i - 1]) if paper_names else str(i)
+    return _text(spec.times[i - 1]) if paper_names else str(i)
 
 
 def _set_label(spec: game_core.GameSpec, s: game_core.SearchSet, paper_names: bool) -> str:
@@ -277,188 +310,153 @@ def _emit(args, document: dict, table_lines: list[str]) -> None:
 # solve
 
 
-def _solve_general_pipeline(spec: game_core.GameSpec, max_sets: int):
+def _location_matrix(spec: game_core.GameSpec, max_sets: int):
+    """The rows (maximal feasible sets) and payoff matrix of a
+    location-list game; ``solve`` and ``verify`` both use it."""
     rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
-    matrix = game_core.build_matrix(spec, rows)
-    sol = lp_solver.solve_zero_sum(matrix)
-    cert = oracle.verify_equilibrium(
-        matrix, sol.col_strategy, sol.row_strategy, sol.value
-    )
-    if not cert.ok:
-        raise CertificateFailure(
-            "solver output failed its own certificate; this is a bug"
-        )
-    return rows, matrix, sol, cert
+    return rows, game_core.build_matrix(spec, rows)
 
 
 def _location_document(spec: game_core.GameSpec) -> list[dict]:
     return [
-        {"time": format_rational(t), "capture": format_rational(p)}
+        {"time": _text(t), "capture": _text(p)}
         for t, p in zip(spec.times, spec.captures)
     ]
 
 
-def _strategy_table(
-    spec, hider, searcher_pairs, value, cert_ok, paper_names, header_lines
-) -> list[str]:
-    lines = list(header_lines)
-    lines.append(f"value: {_value_text(value)}")
-    lines.append("hider distribution:")
-    for i, prob in enumerate(hider, start=1):
-        lines.append(
-            f"  location {_location_label(spec, i, paper_names)}: "
-            f"{format_rational(prob)}"
-        )
-    lines.append("searcher distribution:")
-    for s, prob in searcher_pairs:
-        lines.append(f"  {_set_label(spec, s, paper_names)}: {format_rational(prob)}")
-    lines.append(f"certificate: {'ok' if cert_ok else 'FAILED'}")
-    return lines
-
-
-def _general_document(spec, mode, provenance, value, hider, searcher_pairs, cert_ok):
-    return {
-        "mode": mode,
-        "locations": _location_document(spec),
-        "budget": format_rational(spec.budget),
-        "value": _value_json(value),
-        "hider": [format_rational(p) for p in hider],
-        "searcher": [
-            {"set": list(s.members), "probability": format_rational(w)}
-            for s, w in searcher_pairs
-        ],
-        "provenance": provenance,
-        "certificate": {"ok": cert_ok},
-    }
-
-
-def _solve_mode_general(doc, path, args):
-    spec = game_spec_from(doc, path)
-    rows, _, sol, cert = _solve_general_pipeline(spec, args.max_subsets)
-    pairs = list(zip(rows, sol.row_strategy))
-    document = _general_document(
-        spec, "general", "lp", sol.value, sol.col_strategy, pairs, cert.ok
-    )
-    header = [
-        f"game: {spec.n} locations, budget {format_rational(spec.budget)}",
-    ]
-    table = _strategy_table(
-        spec, sol.col_strategy, pairs, sol.value, cert.ok, args.paper_names, header
-    )
-    return document, table
-
-
-def _solve_mode_constant(doc, path, args):
-    spec = game_spec_from(doc, path)
+def _constant_times(spec: game_core.GameSpec, path: str):
     if any(t != 1 for t in spec.times):
         _fail(f"{path}: mode 'constant-times' requires every search time to be 1")
     closed = closed_forms.solve_constant_times(spec.captures, spec.budget)
-    rows, matrix, sol, _ = _solve_general_pipeline(spec, args.max_subsets)
-    if closed.value != sol.value:
-        raise CertificateFailure(
-            f"closed form value {closed.value} disagrees with LP value {sol.value}"
-        )
-    cert = oracle.verify_equilibrium(
-        matrix, closed.hider.probs, sol.row_strategy, closed.value
-    )
-    if not cert.ok:
-        raise CertificateFailure("closed-form hider failed the certificate")
-    pairs = list(zip(rows, sol.row_strategy))
-    document = _general_document(
-        spec, "constant-times", "both", closed.value, closed.hider.probs, pairs, cert.ok
-    )
-    document["constant_times"] = {
-        "regime": closed.regime,
-        "inv_capture_sum": format_rational(closed.inv_capture_sum),
-    }
+    extras = {"regime": closed.regime, "inv_capture_sum": _text(closed.inv_capture_sum)}
     header = [
-        f"game: {spec.n} unit-time locations, budget {format_rational(spec.budget)}",
+        f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
         f"regime: {closed.regime}",
     ]
-    table = _strategy_table(
-        spec, closed.hider.probs, pairs, closed.value, cert.ok, args.paper_names, header
-    )
-    return document, table
+    return closed.value, closed.hider.probs, None, ("constant_times", extras), header
 
 
-def _solve_mode_arithmetic(doc, path, args):
-    spec = game_spec_from(doc, path)
+def _arithmetic_times(spec: game_core.GameSpec, path: str):
     expected = tuple(Fraction(i) for i in range(1, spec.n + 1))
     if spec.times != expected:
         _fail(f"{path}: mode 'arithmetic-times' requires search times 1, 2, ..., n")
     if spec.budget != spec.n:
         _fail(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
     try:
-        closed = closed_forms.solve_arithmetic_times(spec.captures)
+        # _solve_locations certifies the solution on the matrix it solves.
+        closed = closed_forms.solve_arithmetic_times(spec.captures, certify=False)
     except ValueError as exc:
         _fail(f"{path}: {exc}")
-    _, _, sol, _ = _solve_general_pipeline(spec, args.max_subsets)
-    if closed.value != sol.value or not closed.verified:
-        raise CertificateFailure(
-            f"closed form value {closed.value} (verified={closed.verified}) "
-            f"disagrees with LP value {sol.value}"
-        )
-    pairs = list(closed.searcher_mix)
-    document = _general_document(
-        spec, "arithmetic-times", "both", closed.value, closed.hider.probs, pairs, True
-    )
-    document["arithmetic_times"] = {
+    extras = {
         "support_start": closed.support_start,
-        "inv_capture_sum": format_rational(closed.inv_capture_sum),
-        "verified": closed.verified,
+        "inv_capture_sum": _text(closed.inv_capture_sum),
+        "verified": None,  # the certificate's verdict, filled in once known
         "uniqueness_expected": closed.uniqueness_expected,
     }
     header = [
         f"game: staircase times 1..{spec.n}, budget {spec.n}",
         f"hider support: locations {closed.support_start}..{spec.n}",
     ]
-    table = _strategy_table(
-        spec, closed.hider.probs, pairs, closed.value, True, args.paper_names, header
-    )
+    mix = closed.searcher_mix
+    return closed.value, closed.hider.probs, mix, ("arithmetic_times", extras), header
+
+
+# Closed forms of the location-list modes. Each returns (value, hider,
+# searcher mix as (set, weight) pairs or None for the LP's, extras block
+# as (key, fields), header lines); "general" has none.
+_CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithmetic_times}
+
+
+def _solve_locations(doc, path, args, mode):
+    """Enumerate, build the matrix, solve the LP and certify the answer on
+    that matrix. In a closed-form mode the closed form's value must equal
+    the LP's, and its hider, with its own searcher mix or else the LP's,
+    is what is certified and reported."""
+    spec = game_spec_from(doc, path)
+    closed = _CLOSED_FORMS[mode](spec, path) if mode in _CLOSED_FORMS else None
+    rows, matrix = _location_matrix(spec, args.max_subsets)
+    sol = lp_solver.solve_zero_sum(matrix)
+    if closed is None:
+        value, hider, mix, extras = sol.value, sol.col_strategy, None, None
+        header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
+    else:
+        value, hider, mix, extras, header = closed
+        if value != sol.value:
+            raise CertificateFailure(
+                f"closed form value {value} disagrees with LP value {sol.value}"
+            )
+    pairs = list(zip(rows, sol.row_strategy)) if mix is None else list(mix)
+    try:
+        searcher = game_core.row_weights(rows, pairs)
+    except ValueError as exc:
+        raise CertificateFailure(f"closed form: {exc}") from None
+    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    if not cert.ok:
+        raise CertificateFailure(f"{mode} solution failed its certificate")
+    document = {
+        "mode": mode,
+        "locations": _location_document(spec),
+        "budget": _text(spec.budget),
+        "value": _value_json(value),
+        "hider": [_text(p) for p in hider],
+        "searcher": [
+            {"set": list(s.members), "probability": _text(w)} for s, w in pairs
+        ],
+        "provenance": "lp" if closed is None else "both",
+        "certificate": {"ok": cert.ok},
+    }
+    if extras is not None:
+        key, fields = extras
+        if "verified" in fields:
+            fields["verified"] = cert.ok
+        document[key] = fields
+    table = [*header, f"value: {_value_text(value)}", "hider distribution:"]
+    for i, prob in enumerate(hider, start=1):
+        table.append(
+            f"  location {_location_label(spec, i, args.paper_names)}: {_text(prob)}"
+        )
+    table.append("searcher distribution:")
+    for s, prob in pairs:
+        table.append(f"  {_set_label(spec, s, args.paper_names)}: {_text(prob)}")
+    table.append(f"certificate: {'ok' if cert.ok else 'FAILED'}")
     return document, table
 
 
-def _two_type_matrix(spec: closed_forms.TwoTypeSpec):
-    """Type-level reduced matrix: rows are j = 0..m slow-type inspections,
-    columns are (hide at a random quick location, hide at a random slow one)."""
-    a, b = Fraction(spec.type1_count), Fraction(spec.type2_count)
-    tau, k = Fraction(spec.type2_time), Fraction(spec.budget)
-    m = spec.budget // spec.type2_time
-    return [
-        [
-            spec.type1_capture * (k - tau * j) / a,
-            spec.type2_capture * j / b,
-        ]
-        for j in range(m + 1)
-    ]
+def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
+    return {
+        "a": spec.type1_count,
+        "b": spec.type2_count,
+        "tau": spec.type2_time,
+        "p": _text(spec.type1_capture),
+        "q": _text(spec.type2_capture),
+        "k": spec.budget,
+    }
 
 
-def _solve_mode_two_type(doc, path, args):
+def _solve_two_type(doc, path, args, mode):
     spec = two_type_spec_from(doc, path)
     try:
         closed = closed_forms.solve_two_type(spec)
     except closed_forms.RegimeError as exc:
         _fail(f"{path}: {exc}")
-    matrix = _two_type_matrix(spec)
     searcher = [Fraction(0)] * (closed.max_type2_searches + 1)
     for j, w in closed.searcher_mix:
         searcher[j] = w
     hider = (closed.type1_mass, 1 - closed.type1_mass)
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, closed.value)
+    cert = oracle.verify_equilibrium(
+        closed_forms.two_type_matrix(spec), hider, searcher, closed.value
+    )
     if not cert.ok:
         raise CertificateFailure("two-type closed form failed the certificate")
-    provenance = "closed-form"
-    expanded = closed_forms.expand_two_type(spec)
     try:
-        rows = game_core.maximal_feasible_sets(
-            expanded, max_sets=min(args.max_subsets, TWO_TYPE_CROSSCHECK_ROWS)
+        _, matrix = _location_matrix(
+            closed_forms.expand_two_type(spec),
+            min(args.max_subsets, TWO_TYPE_CROSSCHECK_ROWS),
         )
     except game_core.InstanceTooLarge:
-        rows = None
-    if rows is not None:
-        lp_value = lp_solver.solve_zero_sum(
-            game_core.build_matrix(expanded, rows)
-        ).value
+        provenance = "closed-form"
+    else:
+        lp_value = lp_solver.solve_zero_sum(matrix).value
         if lp_value != closed.value:
             raise CertificateFailure(
                 f"closed form value {closed.value} disagrees with expanded "
@@ -467,42 +465,35 @@ def _solve_mode_two_type(doc, path, args):
         provenance = "both"
     document = {
         "mode": "two-type",
-        "two_type": {
-            "a": spec.type1_count,
-            "b": spec.type2_count,
-            "tau": spec.type2_time,
-            "p": format_rational(spec.type1_capture),
-            "q": format_rational(spec.type2_capture),
-            "k": spec.budget,
-        },
+        "two_type": _two_type_block(spec),
         "value": _value_json(closed.value),
         "hider": {
-            "type1_mass": format_rational(closed.type1_mass),
-            "type2_mass": format_rational(1 - closed.type1_mass),
+            "type1_mass": _text(closed.type1_mass),
+            "type2_mass": _text(1 - closed.type1_mass),
         },
         "searcher": [
-            {"type2_searched": j, "probability": format_rational(w)}
+            {"type2_searched": j, "probability": _text(w)}
             for j, w in closed.searcher_mix
         ],
-        "mean_type2_searches": format_rational(closed.mean_type2_searches),
+        "mean_type2_searches": _text(closed.mean_type2_searches),
         "max_type2_searches": closed.max_type2_searches,
         "provenance": provenance,
         "certificate": {"ok": cert.ok},
     }
     table = [
         f"game: {spec.type1_count} quick locations (time 1, capture "
-        f"{format_rational(spec.type1_capture)}) and {spec.type2_count} slow "
+        f"{_text(spec.type1_capture)}) and {spec.type2_count} slow "
         f"locations (time {spec.type2_time}, capture "
-        f"{format_rational(spec.type2_capture)}), budget {spec.budget}",
+        f"{_text(spec.type2_capture)}), budget {spec.budget}",
         f"value: {_value_text(closed.value)}",
-        f"hider: quick-type mass {format_rational(closed.type1_mass)}, "
-        f"slow-type mass {format_rational(1 - closed.type1_mass)}",
+        f"hider: quick-type mass {_text(closed.type1_mass)}, "
+        f"slow-type mass {_text(1 - closed.type1_mass)}",
         "searcher (number of slow locations inspected):",
     ]
     for j, w in closed.searcher_mix:
-        table.append(f"  j={j}: {format_rational(w)}")
+        table.append(f"  j={j}: {_text(w)}")
     table.append(
-        f"mean slow inspections: {format_rational(closed.mean_type2_searches)} "
+        f"mean slow inspections: {_text(closed.mean_type2_searches)} "
         f"(max feasible {closed.max_type2_searches})"
     )
     table.append(f"certificate: {'ok' if cert.ok else 'FAILED'}")
@@ -510,91 +501,79 @@ def _solve_mode_two_type(doc, path, args):
 
 
 def _learning_document(spec: learning.LearningSpec) -> tuple[dict, list[str]]:
+    # learning.solve certifies its answer with the oracle or raises.
     sol = learning.solve(spec)
-    cert = oracle.verify_equilibrium(
-        sol.matrix,
-        (sol.stay_probability, sol.switch_probability),
-        (sol.stay_probability, sol.switch_probability),
-        sol.value,
-    )
-    if not cert.ok:
-        raise CertificateFailure("learning solution failed the certificate")
     favored = learning.stay_is_favored(spec)
     posterior = None
     if spec.low + spec.high > 0:
         posterior = learning.posterior_after_escape(spec, sol)
     document = {
         "mode": "learning",
-        "learning": {
-            "low": format_rational(spec.low),
-            "high": format_rational(spec.high),
-        },
-        "matrix": [[format_rational(v) for v in row] for row in sol.matrix],
-        "diagonal": [format_rational(v) for v in sol.diagonal],
+        "learning": {"low": _text(spec.low), "high": _text(spec.high)},
+        "matrix": [[_text(v) for v in row] for row in sol.matrix],
+        "diagonal": [_text(v) for v in sol.diagonal],
         "value": _value_json(sol.value),
-        "stay_probability": format_rational(sol.stay_probability),
-        "switch_probability": format_rational(sol.switch_probability),
+        "stay_probability": _text(sol.stay_probability),
+        "switch_probability": _text(sol.switch_probability),
         "stay_favored": favored,
         "posterior": None
         if posterior is None
         else {
-            "high_escape": format_rational(posterior.high_escape_posterior),
-            "expected_escape": format_rational(posterior.expected_escape),
-            "implied_capture": format_rational(posterior.implied_capture),
-            "low_capture": format_rational(posterior.low_capture_posterior),
+            "high_escape": _text(posterior.high_escape_posterior),
+            "expected_escape": _text(posterior.expected_escape),
+            "implied_capture": _text(posterior.implied_capture),
+            "low_capture": _text(posterior.low_capture_posterior),
         },
         "provenance": "both" if sol.used_shortcut else "lp",
-        "certificate": {"ok": cert.ok},
+        "certificate": {"ok": True},
     }
     a, b = sol.diagonal
     table = [
-        f"escape probabilities: low {format_rational(spec.low)}, "
-        f"high {format_rational(spec.high)}",
+        f"escape probabilities: low {_text(spec.low)}, high {_text(spec.high)}",
         "payoff matrix (rows/cols: stay, switch):",
-        f"  {format_rational(sol.matrix[0][0])}  {format_rational(sol.matrix[0][1])}",
-        f"  {format_rational(sol.matrix[1][0])}  {format_rational(sol.matrix[1][1])}",
-        f"diagonal form: ({format_rational(a)}, {format_rational(b)})",
+        f"  {_text(sol.matrix[0][0])}  {_text(sol.matrix[0][1])}",
+        f"  {_text(sol.matrix[1][0])}  {_text(sol.matrix[1][1])}",
+        f"diagonal form: ({_text(a)}, {_text(b)})",
         f"value: {_value_text(sol.value)}",
-        f"P(stay after escape)   = {format_rational(sol.stay_probability)}",
-        f"P(switch after escape) = {format_rational(sol.switch_probability)}",
+        f"P(stay after escape)   = {_text(sol.stay_probability)}",
+        f"P(switch after escape) = {_text(sol.switch_probability)}",
         f"stay favored: {'yes' if favored else 'no'}",
     ]
     if posterior is not None:
         table += [
             f"posterior P(high escape | escape) = "
-            f"{format_rational(posterior.high_escape_posterior)}",
+            f"{_text(posterior.high_escape_posterior)}",
             f"expected escape probability there = "
-            f"{format_rational(posterior.expected_escape)}",
+            f"{_text(posterior.expected_escape)}",
             f"implied capture probability there = "
-            f"{format_rational(posterior.implied_capture)}",
+            f"{_text(posterior.implied_capture)}",
             f"posterior P(low capture | escape) = "
-            f"{format_rational(posterior.low_capture_posterior)}",
+            f"{_text(posterior.low_capture_posterior)}",
         ]
     else:
         table.append("posterior: escape impossible (both escape probabilities 0)")
-    table.append(f"certificate: {'ok' if cert.ok else 'FAILED'}")
+    table.append("certificate: ok")
     return document, table
 
 
+def _solve_learning(doc, path, args, mode):
+    return _learning_document(learning_spec_from(doc, path))
+
+
 _SOLVE_DISPATCH = {
-    "general": _solve_mode_general,
-    "constant-times": _solve_mode_constant,
-    "arithmetic-times": _solve_mode_arithmetic,
-    "two-type": _solve_mode_two_type,
+    "general": _solve_locations,
+    "constant-times": _solve_locations,
+    "arithmetic-times": _solve_locations,
+    "two-type": _solve_two_type,
+    "learning": _solve_learning,
 }
 
 
 def cmd_solve(args) -> int:
     doc = load_game_file(args.file)
     mode = args.mode or doc["mode"]
-    if mode not in MODES:
-        _fail(f"mode must be one of: {', '.join(MODES)}")
     started = time.perf_counter()
-    if mode == "learning":
-        spec = learning_spec_from(doc, args.file)
-        document, table = _learning_document(spec)
-    else:
-        document, table = _SOLVE_DISPATCH[mode](doc, args.file, args)
+    document, table = _SOLVE_DISPATCH[mode](doc, args.file, args, mode)
     if args.timing:
         document["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     _emit(args, document, table)
@@ -610,12 +589,7 @@ def _budget_range(args) -> list[Fraction]:
     hi = _number(args.k_to, "--k-to")
     if lo > hi:
         _fail("--k-from must not exceed --k-to")
-    budgets = []
-    k = lo
-    while k <= hi:
-        budgets.append(k)
-        k += 1
-    return budgets
+    return [lo + i for i in range(int(hi - lo) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -635,9 +609,9 @@ def cmd_sweep(args) -> int:
         "locations": _location_document(spec),
         "sweep": [
             {
-                "budget": format_rational(e.budget),
+                "budget": _text(e.budget),
                 "value": _value_json(e.value),
-                "hider": [format_rational(p) for p in e.hider],
+                "hider": [_text(p) for p in e.hider],
                 "unique": e.unique,
             }
             for e in entries
@@ -646,9 +620,9 @@ def cmd_sweep(args) -> int:
     header = "k | " + " ".join(f"h{i}" for i in range(1, spec.n + 1)) + " | value | unique hider"
     table = [header]
     for e in entries:
-        hider = " ".join(format_rational(p) for p in e.hider)
+        hider = " ".join(_text(p) for p in e.hider)
         table.append(
-            f"{format_rational(e.budget)} | {hider} | {_value_text(e.value)} | "
+            f"{_text(e.budget)} | {hider} | {_value_text(e.value)} | "
             f"{'yes' if e.unique else 'no'}"
         )
     _emit(args, document, table)
@@ -657,44 +631,30 @@ def cmd_sweep(args) -> int:
 
 def _sweep_two_type(doc, args, budgets) -> int:
     spec = two_type_spec_from(doc, args.file)
-    rows = []
-    previous = None
-    for k in budgets:
-        if k.denominator != 1:
-            _fail("two-type sweeps need integer budgets")
-        per_k = closed_forms.TwoTypeSpec(
-            spec.type1_count,
-            spec.type2_count,
-            spec.type2_time,
-            spec.type1_capture,
-            spec.type2_capture,
-            int(k),
-        )
-        closed = closed_forms.solve_two_type(per_k)
-        if previous is not None and closed.value < previous:
-            raise oracle.MonotonicityError(
-                f"value decreased from {previous} to {closed.value} at budget {k}"
-            )
-        previous = closed.value
-        rows.append((int(k), closed))
+    if any(k.denominator != 1 for k in budgets):
+        _fail("two-type sweeps need integer budgets")
+    solutions = [
+        closed_forms.solve_two_type(replace(spec, budget=int(k))) for k in budgets
+    ]
+    oracle.check_nondecreasing(budgets, [c.value for c in solutions])
     document = {
         "mode": "two-type-sweep",
-        "two_type": doc["two_type"],
+        "two_type": _two_type_block(spec),
         "sweep": [
             {
-                "budget": k,
+                "budget": int(k),
                 "value": _value_json(c.value),
-                "type1_mass": format_rational(c.type1_mass),
-                "mean_type2_searches": format_rational(c.mean_type2_searches),
+                "type1_mass": _text(c.type1_mass),
+                "mean_type2_searches": _text(c.mean_type2_searches),
             }
-            for k, c in rows
+            for k, c in zip(budgets, solutions)
         ],
     }
     table = ["k | type1 mass | mean slow inspections | value"]
-    for k, c in rows:
+    for k, c in zip(budgets, solutions):
         table.append(
-            f"{k} | {format_rational(c.type1_mass)} | "
-            f"{format_rational(c.mean_type2_searches)} | {_value_text(c.value)}"
+            f"{int(k)} | {_text(c.type1_mass)} | "
+            f"{_text(c.mean_type2_searches)} | {_value_text(c.value)}"
         )
     _emit(args, document, table)
     return EXIT_OK
@@ -716,63 +676,14 @@ def cmd_learning(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: a reader per mode turns the game and solution documents into
+# (matrix, hider, searcher, row names, column names) for one certificate.
 
 
-def _distribution_from(values, where) -> list[Fraction]:
-    return [_number(v, where) for v in values]
-
-
-def _report_certificate(cert: oracle.Certificate, row_names, col_names) -> int:
-    if cert.ok:
-        print("certificate: ok")
-        return EXIT_OK
-    for name, slack in zip(row_names, cert.hider_slack):
-        if slack < 0:
-            print(
-                f"certificate FAILED: hider side exceeds the claimed value on "
-                f"row {name} (slack {format_rational(slack)})"
-            )
-            raise CertificateFailure(f"row {name}")
-    for name, slack in zip(col_names, cert.searcher_slack):
-        if slack < 0:
-            print(
-                f"certificate FAILED: searcher mix falls short of the claimed "
-                f"value on column {name} (slack {format_rational(slack)})"
-            )
-            raise CertificateFailure(f"column {name}")
-    raise CertificateFailure("certificate not ok")  # pragma: no cover
-
-
-def cmd_verify(args) -> int:
-    game_doc = load_game_file(args.file)
-    solution = _load_json(args.solution)
-    if not isinstance(solution, dict):
-        _fail(f"{args.solution}: top level must be a JSON object")
-    mode = solution.get("mode", game_doc["mode"])
-    if mode in ("general", "constant-times", "arithmetic-times", "sweep"):
-        return _verify_general(game_doc, solution, args)
-    if mode in ("two-type", "two-type-sweep"):
-        return _verify_two_type(game_doc, solution, args)
-    if mode == "learning":
-        return _verify_learning(game_doc, solution, args)
-    _fail(f"{args.solution}: cannot verify mode {mode!r}")
-
-
-def _claimed_value(solution, where) -> Fraction:
-    value = solution.get("value")
-    if isinstance(value, dict):
-        value = value.get("fraction")
-    if value is None:
-        _fail(f"{where}: missing 'value'")
-    return _number(value, f"{where}.value")
-
-
-def _verify_general(game_doc, solution, args) -> int:
+def _read_locations(game_doc, solution, args):
     spec = game_spec_from(game_doc, args.file)
-    rows = game_core.maximal_feasible_sets(spec, max_sets=args.max_subsets)
-    matrix = game_core.build_matrix(spec, rows)
-    hider = _distribution_from(solution.get("hider", ()), f"{args.solution}: hider")
+    rows, matrix = _location_matrix(spec, args.max_subsets)
+    hider = [_number(v, f"{args.solution}: hider") for v in solution.get("hider", ())]
     if len(hider) != spec.n:
         _fail(
             f"{args.solution}: hider has {len(hider)} entries, game has "
@@ -792,28 +703,21 @@ def _verify_general(game_doc, solution, args) -> int:
         searcher[index_of[members]] = _number(
             item["probability"], f"{args.solution}: searcher probability"
         )
-    value = _claimed_value(solution, args.solution)
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    return _report_certificate(
-        cert, [str(s) for s in rows], [str(i) for i in range(1, spec.n + 1)]
-    )
+    row_names = [str(s) for s in rows]
+    return matrix, hider, searcher, row_names, [str(i) for i in range(1, spec.n + 1)]
 
 
-def _verify_two_type(game_doc, solution, args) -> int:
+def _read_two_type(game_doc, solution, args):
     spec = two_type_spec_from(game_doc, args.file)
-    matrix = _two_type_matrix(spec)
-    m = spec.budget // spec.type2_time
+    matrix = closed_forms.two_type_matrix(spec)
+    m = len(matrix) - 1
     hider_block = solution.get("hider")
     if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
         _fail(f"{args.solution}: two-type solutions carry hider.type1_mass")
     mass = _number(hider_block["type1_mass"], f"{args.solution}: hider.type1_mass")
     searcher = [Fraction(0)] * (m + 1)
     for item in solution.get("searcher", ()):
-        if (
-            not isinstance(item, dict)
-            or "type2_searched" not in item
-            or "probability" not in item
-        ):
+        if not isinstance(item, dict) or not {"type2_searched", "probability"} <= item.keys():
             _fail(
                 f"{args.solution}: searcher entries need 'type2_searched' "
                 "and 'probability'"
@@ -824,27 +728,72 @@ def _verify_two_type(game_doc, solution, args) -> int:
         searcher[j] = _number(
             item["probability"], f"{args.solution}: searcher probability"
         )
-    value = _claimed_value(solution, args.solution)
-    cert = oracle.verify_equilibrium(matrix, (mass, 1 - mass), searcher, value)
-    return _report_certificate(
-        cert,
-        [f"j={j}" for j in range(m + 1)],
-        ["quick-type", "slow-type"],
-    )
+    row_names = [f"j={j}" for j in range(m + 1)]
+    return matrix, (mass, 1 - mass), searcher, row_names, ["quick-type", "slow-type"]
 
 
-def _verify_learning(game_doc, solution, args) -> int:
+def _read_learning(game_doc, solution, args):
     spec = learning_spec_from(game_doc, args.file)
-    matrix = learning.payoff_matrix(spec)
-    stay = _number(
-        solution.get("stay_probability", "0"), f"{args.solution}: stay_probability"
+    # Both players share the one (stay, switch) mix of a learning solution.
+    mix = tuple(
+        _number(solution.get(key, "0"), f"{args.solution}: {key}")
+        for key in ("stay_probability", "switch_probability")
     )
-    switch = _number(
-        solution.get("switch_probability", "0"), f"{args.solution}: switch_probability"
+    names = ["stay", "switch"]
+    return learning.payoff_matrix(spec), mix, mix, names, names
+
+
+# Sweep documents carry no single solution, so they have no reader.
+_VERIFY_READERS = {
+    "general": _read_locations,
+    "constant-times": _read_locations,
+    "arithmetic-times": _read_locations,
+    "two-type": _read_two_type,
+    "learning": _read_learning,
+}
+
+
+def _claimed_value(solution, where) -> Fraction:
+    value = solution.get("value")
+    if isinstance(value, dict):
+        value = value.get("fraction")
+    if value is None:
+        _fail(f"{where}: missing 'value'")
+    return _number(value, f"{where}.value")
+
+
+def _report_certificate(cert: oracle.Certificate, row_names, col_names) -> int:
+    if cert.ok:
+        print("certificate: ok")
+        return EXIT_OK
+    sides = (
+        ("row", row_names, cert.hider_slack, "hider side exceeds"),
+        ("column", col_names, cert.searcher_slack, "searcher mix falls short of"),
     )
+    for kind, names, slacks, failure in sides:
+        for name, slack in zip(names, slacks):
+            if slack < 0:
+                print(
+                    f"certificate FAILED: {failure} the claimed value on "
+                    f"{kind} {name} (slack {_text(slack)})"
+                )
+                raise CertificateFailure(f"{kind} {name}")
+    raise CertificateFailure("certificate not ok")  # pragma: no cover
+
+
+def cmd_verify(args) -> int:
+    game_doc = load_game_file(args.file)
+    solution = _load_json(args.solution)
+    if not isinstance(solution, dict):
+        _fail(f"{args.solution}: top level must be a JSON object")
+    mode = solution.get("mode", game_doc["mode"])
+    reader = _VERIFY_READERS.get(mode) if isinstance(mode, str) else None
+    if reader is None:
+        _fail(f"{args.solution}: cannot verify mode {mode!r}")
+    matrix, hider, searcher, row_names, col_names = reader(game_doc, solution, args)
     value = _claimed_value(solution, args.solution)
-    cert = oracle.verify_equilibrium(matrix, (stay, switch), (stay, switch), value)
-    return _report_certificate(cert, ["stay", "switch"], ["stay", "switch"])
+    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    return _report_certificate(cert, row_names, col_names)
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", help="write the JSON document to this file")
 
+    def max_subsets(p):
+        p.add_argument(
+            "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
+            help="cap on enumerated feasible sets",
+        )
+
     solve = sub.add_parser("solve", help="solve one game file")
     solve.add_argument("file", help="JSON game file")
     solve.add_argument("--mode", choices=MODES, help="override the file's mode")
@@ -872,10 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paper-names", action="store_true",
         help="label locations by their search times instead of 1-based indices",
     )
-    solve.add_argument(
-        "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
-        help="cap on enumerated feasible sets",
-    )
+    max_subsets(solve)
     solve.add_argument(
         "--timing", action="store_true",
         help="include wall-clock timing in the JSON document "
@@ -889,10 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--k-from", required=True, help="first budget")
     sweep.add_argument("--k-to", required=True, help="last budget (inclusive)")
     sweep.add_argument("--mode", choices=MODES, help="override the file's mode")
-    sweep.add_argument(
-        "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
-        help="cap on enumerated feasible sets",
-    )
+    max_subsets(sweep)
     common_output(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -905,10 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a solution document exactly")
     verify.add_argument("file", help="JSON game file")
     verify.add_argument("solution", help="JSON solution document")
-    verify.add_argument(
-        "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
-        help="cap on enumerated feasible sets",
-    )
+    max_subsets(verify)
     verify.set_defaults(func=cmd_verify)
     return parser
 

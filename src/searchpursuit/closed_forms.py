@@ -11,8 +11,10 @@ Four families admit exact solutions without touching the LP:
 
 Each solver returns strategies that the enumeration + LP pipeline can
 re-derive; the staircase solver additionally records in ``verified``
-that its output passed an exact two-sided slack check against the
-pruned matrix, since its even-n variant rests on a direct construction.
+that its output passed the oracle's exact equilibrium certificate on
+the pruned matrix, since its even-n variant rests on a direct
+construction. ``two_type_matrix`` is the two-type game's payoff matrix
+at the level of types, which that game's solutions are certified on.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from . import game_core
 from .game_core import GameSpec, HiderStrategy, SearchSet
 from .lp_solver import solve_zero_sum
+from .oracle import verify_equilibrium
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
@@ -111,21 +114,6 @@ class ArithmeticTimesSolution:
     uniqueness_expected: bool
 
 
-def _two_sided_check(spec, hider_probs, searcher_mix, value, max_sets) -> bool:
-    for row in game_core.maximal_feasible_sets(spec, max_sets=max_sets):
-        payoff = sum(
-            (hider_probs[i - 1] * spec.captures[i - 1] for i in row.members),
-            ZERO,
-        )
-        if payoff > value:
-            return False
-    for i in range(1, spec.n + 1):
-        covered = sum((w for s, w in searcher_mix if i in s), ZERO)
-        if covered * spec.captures[i - 1] < value:
-            return False
-    return True
-
-
 def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSolution:
     """Location i takes i time units, captures never increase with i,
     and the budget equals the location count n.
@@ -135,9 +123,11 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
     that half, and the searcher mixes complementary pairs {j, n-j}
     ({n} alone when j = n). For even n the support extends one slot
     lower, to location n/2, which the pairs miss; one greedily filled
-    feasible set covers it. ``certify=False`` skips the slack check
-    (``verified`` is then False), useful when n is large enough that
-    enumerating the pruned matrix is unwanted.
+    feasible set covers it. ``verified`` is the verdict of the oracle's
+    exact equilibrium certificate on the pruned matrix; ``certify=False``
+    skips it (``verified`` is then False), for callers that certify the
+    solution themselves or when n is large enough that enumerating the
+    pruned matrix is unwanted.
     """
     ps = [parse_rational(p) for p in captures]
     n = len(ps)
@@ -179,11 +169,14 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
                     total += i
             members = tuple(sorted(chosen))
         mix.append((game_core.search_set(spec, members), weight))
-    verified = (
-        _two_sided_check(spec, probs, mix, value, game_core.DEFAULT_MAX_SETS)
-        if certify
-        else False
-    )
+    verified = False
+    if certify:
+        # Every set of the mix fills the budget or is filled greedily, so
+        # each one is a maximal feasible set, hence a row.
+        rows = game_core.maximal_feasible_sets(spec)
+        matrix = game_core.build_matrix(spec, rows)
+        weights = game_core.row_weights(rows, mix)
+        verified = verify_equilibrium(matrix, probs, weights, value).ok
     return ArithmeticTimesSolution(
         n, support_start, inv_sum, HiderStrategy(probs), tuple(mix), value,
         verified, strict,
@@ -330,6 +323,16 @@ def two_type_payoff(spec: TwoTypeSpec, j, type1_mass) -> Fraction:
         y * spec.type1_capture * (k - tau * jq) / a
         + (1 - y) * spec.type2_capture * jq / b
     )
+
+
+def two_type_matrix(spec: TwoTypeSpec) -> list[list[Fraction]]:
+    """Type-level payoff matrix: row j inspects j = 0..floor(budget /
+    type2_time) slow locations, and the columns hide at a random quick
+    location and at a random slow one."""
+    return [
+        [two_type_payoff(spec, j, ONE), two_type_payoff(spec, j, ZERO)]
+        for j in range(spec.budget // spec.type2_time + 1)
+    ]
 
 
 def expand_two_type(spec: TwoTypeSpec) -> GameSpec:

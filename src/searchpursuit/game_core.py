@@ -192,6 +192,18 @@ def build_matrix(spec: GameSpec, rows: Sequence[SearchSet]) -> PayoffMatrix:
     return PayoffMatrix(tuple(rows), tuple(spec.captures), entries)
 
 
+def row_weights(rows: Sequence[SearchSet], mix) -> list[Fraction]:
+    """A searcher mix, given as (set, weight) pairs, as one weight per
+    row of ``rows``. Raises ValueError for a set that is not a row."""
+    index = {s.members: i for i, s in enumerate(rows)}
+    weights = [Fraction(0)] * len(rows)
+    for s, w in mix:
+        if s.members not in index:
+            raise ValueError(f"searcher set {s} is not a row of the matrix")
+        weights[index[s.members]] += w
+    return weights
+
+
 def knapsack_instance(spec: GameSpec, hider: HiderStrategy) -> KnapsackInstance:
     if len(hider.probs) != spec.n:
         raise ValueError("hider strategy length does not match the game")

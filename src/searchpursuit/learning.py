@@ -12,8 +12,10 @@ Shifting 8x the matrix by a constant leaves a diagonal matrix, whose
 game is solved by playing each option inversely proportional to its
 diagonal entry. The shift constant cancels in the strategies and maps
 the value back affinely, which is how ``solve`` gets everything in
-closed form; it cross-checks itself against the LP solver on every
-call.
+closed form; only the degenerate corners, where a diagonal entry
+vanishes, go to the LP solver. Every answer is checked by the oracle's
+exact two-sided equilibrium certificate, which shares no code with the
+simplex.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp_solver import solve_zero_sum
+from .lp_solver import solve_diagonal, solve_zero_sum
+from .oracle import verify_equilibrium
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
@@ -152,30 +155,29 @@ class LearningSolution:
 def solve(spec: LearningSpec) -> LearningSolution:
     matrix = payoff_matrix(spec)
     a, b = diagonal_entries(spec)
-    l, h = spec.low, spec.high
-    lp = solve_zero_sum(matrix)
+    shift = 4 - 2 * spec.high - 2 * spec.low
     if a > 0 and b > 0:
-        diag_value = 1 / (1 / a + 1 / b)
-        stay = diag_value / a
-        switch = diag_value / b
-        value = (diag_value + 4 - 2 * h - 2 * l) / 8
-        if value != lp.value or value != closed_form_value(spec):
-            raise RuntimeError(  # pragma: no cover
-                "diagonal shortcut disagrees with the direct solution"
-            )
-        return LearningSolution(matrix, (a, b), value, diag_value, stay, switch, True)
-    # Degenerate corner: solve the matrix directly and keep the shared
-    # strategy from the hider side, checking it protects the searcher too.
-    stay, switch = lp.col_strategy
-    for j in range(2):
-        if stay * matrix[0][j] + switch * matrix[1][j] < lp.value:
-            raise RuntimeError(  # pragma: no cover
-                "no symmetric optimal strategy in degenerate corner"
-            )
-    diag_value = solve_zero_sum(((a, ZERO), (ZERO, b))).value
-    if lp.value != (diag_value + 4 - 2 * h - 2 * l) / 8:
-        raise RuntimeError("affine reduction identity violated")  # pragma: no cover
-    return LearningSolution(matrix, (a, b), lp.value, diag_value, stay, switch, False)
+        diag = solve_diagonal((a, b))
+        diag_value = diag.value
+        stay, switch = diag.col_strategy
+        value = (diag_value + shift) / 8
+    else:
+        # Degenerate corner: solve the matrix directly and keep the shared
+        # strategy from the hider side; the certificate below checks that
+        # it protects the searcher too.
+        lp = solve_zero_sum(matrix)
+        stay, switch = lp.col_strategy
+        value = lp.value
+        diag_value = solve_zero_sum(((a, ZERO), (ZERO, b))).value
+        if value != (diag_value + shift) / 8:
+            raise RuntimeError("affine reduction identity violated")  # pragma: no cover
+    if not verify_equilibrium(matrix, (stay, switch), (stay, switch), value).ok:
+        raise RuntimeError(  # pragma: no cover
+            "learning solution failed its equilibrium certificate"
+        )
+    return LearningSolution(
+        matrix, (a, b), value, diag_value, stay, switch, a > 0 and b > 0
+    )
 
 
 @dataclass(frozen=True)

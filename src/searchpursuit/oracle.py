@@ -9,7 +9,8 @@ identical bug here.
 
 ``sweep_budget`` is a driver, not a checker: it runs the regular
 enumeration + LP pipeline once per budget and layers the uniqueness
-probe and a value-monotonicity assertion on top.
+probe and a value-monotonicity assertion (``check_nondecreasing``) on
+top.
 """
 
 from __future__ import annotations
@@ -175,19 +176,25 @@ def sweep_budget(
     """
     ks = sorted(set(parse_rational(k) for k in budgets))
     entries = []
-    previous = None
     for k in ks:
         spec = game_core.GameSpec(tuple(times), tuple(captures), k)
         rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
         matrix = game_core.build_matrix(spec, rows)
         sol = solve_zero_sum(matrix)
-        if previous is not None and sol.value < previous:
-            raise MonotonicityError(
-                f"value decreased from {previous} to {sol.value} at budget {k}"
-            )
-        previous = sol.value
         report = hider_uniqueness(matrix, sol.value)
         entries.append(
             SweepEntry(k, sol.value, sol.col_strategy, report.ranges, report.unique)
         )
+    check_nondecreasing(ks, [e.value for e in entries])
     return entries
+
+
+def check_nondecreasing(budgets, values) -> None:
+    """Raise :class:`MonotonicityError` if ``values``, one per budget of
+    the ascending ``budgets``, ever decrease: extra search time can never
+    hurt the searcher."""
+    for k, previous, value in zip(budgets[1:], values, values[1:]):
+        if value < previous:
+            raise MonotonicityError(
+                f"value decreased from {previous} to {value} at budget {k}"
+            )

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -164,6 +165,33 @@ class TestSolve:
         assert doc["value"]["fraction"] == "21/68"
         assert doc["stay_probability"] == "9/17"
 
+    def test_closed_form_mix_off_the_matrix_is_certificate_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A closed-form searcher set that is no row of the solved matrix
+        # ({1} is not maximal at budget 5) must fail the solve, not be
+        # dropped from the certified mix.
+        from dataclasses import replace
+
+        from searchpursuit import closed_forms, game_core
+
+        real = closed_forms.solve_arithmetic_times
+
+        def off_matrix(captures, certify=True):
+            sol = real(captures, certify=certify)
+            spec = game_core.GameSpec(range(1, 6), captures, 5)
+            (_, weight), *rest = sol.searcher_mix
+            moved = ((game_core.search_set(spec, (1,)), weight), *rest)
+            return replace(sol, searcher_mix=moved)
+
+        monkeypatch.setattr(closed_forms, "solve_arithmetic_times", off_matrix)
+        doc = dict(STAIRCASE, mode="arithmetic-times")
+        path = write(tmp_path, "g.json", doc)
+        assert main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "searcher set {1} is not a row of the matrix" in captured.err
+
 
 class TestSolveErrors:
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
@@ -240,6 +268,54 @@ class TestSolveErrors:
         assert code == 0
         assert doc["value"]["fraction"] == "1/1" + "0" * 4299
 
+    def test_string_exponent_past_decimal_range_is_refused_fast(self, tmp_path):
+        # Decimal rejects this exponent; Fraction would build 10**(10**19).
+        # Run in a child process so that a hang fails the test instead of
+        # stalling the suite.
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"locations": [{"time": 1, "capture": "1e-9999999999999999999"}], '
+            '"budget": 1}',
+            encoding="utf-8",
+        )
+        script = (
+            "import sys, time\n"
+            "from searchpursuit.cli import main\n"
+            "started = time.perf_counter()\n"
+            "code = main(['solve', sys.argv[1]])\n"
+            "print(code, time.perf_counter() - started)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        code, seconds = proc.stdout.split()
+        assert code == "3"
+        assert float(seconds) < 0.25
+        assert "locations[1].capture: numerator or denominator has more than" in (
+            proc.stderr
+        )
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "both"])
+    def test_unprintable_result_is_resource_error(self, tmp_path, capsys, fmt):
+        # Each capture has 1500-digit terms and prints back, but the value
+        # 1 / sum(1/p) has a numerator past the 4300-digit limit.
+        rng = random.Random(7)
+        locations = []
+        for _ in range(3):
+            a = rng.randrange(10**1499, 10**1500)
+            b = rng.randrange(10**1499, a)
+            locations.append({"time": 1, "capture": f"{b}/{a}"})
+        path = write(tmp_path, "g.json", {"locations": locations, "budget": 1})
+        assert main(["solve", path, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: result: numerator or denominator has more than 4300 digits"
+        )
+
     def test_wrong_times_for_constant_mode(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["solve", path, "--mode", "constant-times"]) == 2
@@ -280,6 +356,22 @@ class TestSweep:
         path = write(tmp_path, "g.json", TWO_TYPE)
         assert main(["sweep", path, "--k-from", "1", "--k-to", "4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "p", [0.3, "6/20", "0.3"], ids=["json-decimal", "fraction", "decimal-string"]
+    )
+    def test_two_type_sweep_echoes_the_parsed_block(self, tmp_path, capsys, p):
+        doc = {"mode": "two-type", "two_type": dict(TWO_TYPE["two_type"], p=p)}
+        path = write(tmp_path, "g.json", doc)
+        code, result = run_json(
+            capsys,
+            ["sweep", path, "--k-from", "3", "--k-to", "4", "--format", "json"],
+        )
+        assert code == 0
+        assert result["two_type"] == dict(TWO_TYPE["two_type"], p="3/10")
+        code, solved = run_json(capsys, ["solve", path, "--format", "json"])
+        assert code == 0
+        assert solved["two_type"] == result["two_type"]
 
     def test_reversed_range_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
@@ -357,6 +449,19 @@ class TestVerify:
         }
         small_path = write(tmp_path, "small.json", smaller)
         assert main(["verify", small_path, str(sol_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "game, mode",
+        [(EXAMPLE, "sweep"), (TWO_TYPE, "two-type-sweep")],
+        ids=["sweep", "two-type-sweep"],
+    )
+    def test_sweep_documents_are_refused(self, tmp_path, capsys, game, mode):
+        game_path = write(tmp_path, "g.json", game)
+        sweep_path = tmp_path / "sweep.json"
+        argv = ["sweep", game_path, "--k-from", "4", "--k-to", "4"]
+        assert main(argv + ["--format", "json", "--output", str(sweep_path)]) == 0
+        assert main(["verify", game_path, str(sweep_path)]) == 2
+        assert f"cannot verify mode '{mode}'" in capsys.readouterr().err
 
     def test_unknown_searcher_set_is_input_error(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, EXAMPLE, "g")

@@ -18,6 +18,7 @@ from searchpursuit import (
     solve_zero_sum,
     two_type_payoff,
 )
+from searchpursuit.closed_forms import two_type_matrix
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))
 
@@ -192,6 +193,18 @@ class TestTwoType:
         assert sol.searcher_mix == ((1, F(4, 5)), (2, F(1, 5)))
         expanded = expand_two_type(spec)
         assert lp_value(expanded).value == F(3, 25)
+
+    def test_type_level_matrix_is_the_payoff_at_pure_hiding(self):
+        spec = TwoTypeSpec(4, 2, 2, F(3, 10), F(1, 5), 4)
+        matrix = two_type_matrix(spec)
+        assert matrix == [
+            [F(3, 10), F(0)],
+            [F(3, 20), F(1, 10)],
+            [F(0), F(1, 5)],
+        ]
+        for j, (quick, slow) in enumerate(matrix):
+            assert quick == two_type_payoff(spec, j, 1)
+            assert slow == two_type_payoff(spec, j, 0)
 
     def test_integral_mean_gives_pure_searcher(self):
         spec = TwoTypeSpec(2, 2, 1, F(1, 2), F(1, 2), 2)

@@ -121,6 +121,23 @@ class TestSolve:
         assert not mixed.used_shortcut
         assert mixed.stay_probability == 1
 
+    def test_lp_runs_only_in_degenerate_corners(self, monkeypatch):
+        from searchpursuit import learning
+
+        calls = []
+        real = learning.solve_zero_sum
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(learning, "solve_zero_sum", counted)
+        for low, high in ((F(1, 3), F(2, 3)), (F(0), F(1, 2)), (F(1, 2), F(1))):
+            assert solve_learning(LearningSpec(low, high)).used_shortcut
+        assert calls == []
+        assert solve_learning(LearningSpec(0, 1)).value == F(1, 4)
+        assert calls
+
     def test_three_solution_paths_agree(self):
         rng = random.Random(43)
         for _ in range(30):

@@ -18,6 +18,7 @@ from searchpursuit import (
     sweep_budget,
     verify_equilibrium,
 )
+from searchpursuit.oracle import MonotonicityError, check_nondecreasing
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],
@@ -143,6 +144,13 @@ class TestSweep:
     def test_budgets_are_sorted_and_deduplicated(self):
         entries = sweep_budget((1, 2), ("0.5", "0.25"), (3, 0, 3, 1))
         assert [e.budget for e in entries] == [0, 1, 3]
+
+    def test_check_nondecreasing(self):
+        check_nondecreasing([1, 2, 3], [F(1, 5), F(1, 5), F(1, 2)])
+        check_nondecreasing([4], [F(1)])
+        check_nondecreasing([], [])
+        with pytest.raises(MonotonicityError, match="from 1/2 to 1/3 at budget 3"):
+            check_nondecreasing([1, 2, 3], [F(1, 5), F(1, 2), F(1, 3)])
 
     def test_closed_forms_pass_the_slack_certificate(self):
         # Staircase: map the closed-form searcher mix onto the pruned rows.
