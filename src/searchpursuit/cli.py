@@ -226,7 +226,7 @@ def game_spec_from(doc: dict, path: str) -> game_core.GameSpec:
         _reject_unknown(loc, {"time", "capture"}, where)
         times.append(_rational_field(loc, "time", where))
         captures.append(_rational_field(loc, "capture", where))
-    budget = _rational_field(doc, "budget", path)
+    budget = _number(doc["budget"], f"{path}: budget")
     try:
         return game_core.GameSpec(tuple(times), tuple(captures), budget)
     except ValueError as exc:
@@ -237,26 +237,26 @@ def two_type_spec_from(doc: dict, path: str) -> closed_forms.TwoTypeSpec:
     block, where = _mode_block(
         doc, "two_type", "two-type", {"a", "b", "tau", "p", "q", "k"}, path
     )
+    fields = dict(
+        type1_count=_int_field(block, "a", where),
+        type2_count=_int_field(block, "b", where),
+        type2_time=_int_field(block, "tau", where),
+        type1_capture=_rational_field(block, "p", where),
+        type2_capture=_rational_field(block, "q", where),
+        budget=_int_field(block, "k", where),
+    )
     try:
-        return closed_forms.TwoTypeSpec(
-            type1_count=_int_field(block, "a", where),
-            type2_count=_int_field(block, "b", where),
-            type2_time=_int_field(block, "tau", where),
-            type1_capture=_rational_field(block, "p", where),
-            type2_capture=_rational_field(block, "q", where),
-            budget=_int_field(block, "k", where),
-        )
+        return closed_forms.TwoTypeSpec(**fields)
     except ValueError as exc:
         _fail(f"{where}: {exc}")
 
 
 def learning_spec_from(doc: dict, path: str) -> learning.LearningSpec:
     block, where = _mode_block(doc, "learning", "learning", {"low", "high"}, path)
+    low = _rational_field(block, "low", where)
+    high = _rational_field(block, "high", where)
     try:
-        return learning.LearningSpec(
-            _rational_field(block, "low", where),
-            _rational_field(block, "high", where),
-        )
+        return learning.LearningSpec(low, high)
     except ValueError as exc:
         _fail(f"{where}: {exc}")
 
@@ -589,7 +589,15 @@ def _budget_range(args) -> list[Fraction]:
     hi = _number(args.k_to, "--k-to")
     if lo > hi:
         _fail("--k-from must not exceed --k-to")
-    return [lo + i for i in range(int(hi - lo) + 1)]
+    count = int(hi - lo) + 1
+    # Every budget enumerates at least one set, so the set cap bounds
+    # the number of budgets too.
+    if count > args.max_subsets:
+        raise game_core.InstanceTooLarge(
+            f"--k-from..--k-to spans {count} budgets, more than "
+            f"--max-subsets ({args.max_subsets})"
+        )
+    return [lo + i for i in range(count)]
 
 
 def cmd_sweep(args) -> int:

@@ -8,12 +8,17 @@ searcher's undominated pure strategies are the inclusion-maximal
 feasible sets: a strictly larger feasible set finds the hider at least
 as often and sometimes strictly more often.
 
-Everything is kept in exact ``Fraction`` arithmetic so downstream game
-values reproduce bit for bit.
+Every value handed out is an exact ``Fraction``, so downstream game
+values reproduce bit for bit. Enumeration works on integers instead:
+times and budget are scaled by their common denominator, the feasible
+sets are counted by total before any is built (so an instance over the
+cap is refused at once), and one walk lists either every feasible set
+or, testing maximality as it goes, only the maximal ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -129,67 +134,111 @@ class KnapsackInstance:
     capacity: Fraction
 
 
+def _check_count(times: list[int], budget: int, max_sets: int) -> None:
+    """Raise :class:`InstanceTooLarge` if more than ``max_sets`` subsets
+    of the integer ``times`` fit within ``budget``.
+
+    Counts subsets by total with a 0/1 knapsack over a dict of totals,
+    so the refusal comes before any set is built. Each distinct total
+    belongs to at least one set, so the dict never holds more than
+    ``max_sets`` totals either.
+    """
+    counts = {0: 1}
+    found = 1
+    for t in times:
+        if found > max_sets:
+            break
+        for total, c in list(counts.items()):
+            if total + t <= budget:
+                counts[total + t] = counts.get(total + t, 0) + c
+                found += c
+    if found > max_sets:
+        raise InstanceTooLarge(
+            f"more than {max_sets} feasible sets; "
+            "instance too large for exhaustive enumeration"
+        )
+
+
+def _walk(spec: GameSpec, max_sets: int, maximal_only: bool) -> list[SearchSet]:
+    """Feasible sets in lexicographic member order, or only the maximal
+    ones, from one walk in integer arithmetic.
+
+    Times and budget are scaled by the least common multiple of their
+    denominators. A set is maximal when its slack is below the time of
+    every location left out: those skipped earlier on the path and
+    those after its last member.
+    """
+    scale = math.lcm(spec.budget.denominator, *(t.denominator for t in spec.times))
+    times = [t.numerator * (scale // t.denominator) for t in spec.times]
+    budget = spec.budget.numerator * (scale // spec.budget.denominator)
+    _check_count(times, budget, max_sets)
+    n = len(times)
+    # suffix[i] is the least of times[i:]; past the end nothing fits.
+    suffix = [budget + 1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = min(times[i], suffix[i + 1])
+    out: list[SearchSet] = []
+    members: list[int] = []
+
+    def walk(total: int, start: int, skipped: int) -> None:
+        # ``skipped`` is the least time of a location before ``start``
+        # that is not in the set.
+        slack = budget - total
+        if not maximal_only or slack < min(skipped, suffix[start]):
+            out.append(SearchSet(tuple(members), Fraction(total, scale)))
+        for i in range(start, n):
+            if suffix[i] > slack:
+                break
+            t = times[i]
+            if t <= slack:
+                members.append(i + 1)
+                walk(total + t, i + 1, skipped)
+                members.pop()
+            if t < skipped:
+                skipped = t
+
+    walk(0, 0, budget + 1)
+    return out
+
+
 def feasible_sets(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> list[SearchSet]:
     """All inspection sets within budget, in lexicographic member order.
 
     The empty set is always included. Raises :class:`InstanceTooLarge`
     when more than ``max_sets`` sets would be returned.
     """
-    out: list[SearchSet] = []
-    members: list[int] = []
-
-    def walk(total: Fraction, start: int) -> None:
-        if len(out) >= max_sets:
-            raise InstanceTooLarge(
-                f"more than {max_sets} feasible sets; "
-                "instance too large for exhaustive enumeration"
-            )
-        out.append(SearchSet(tuple(members), total))
-        for i in range(start, spec.n + 1):
-            t = spec.times[i - 1]
-            if total + t <= spec.budget:
-                members.append(i)
-                walk(total + t, i + 1)
-                members.pop()
-
-    walk(Fraction(0), 1)
-    return out
+    return _walk(spec, max_sets, maximal_only=False)
 
 
 def maximal_feasible_sets(
     spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS
 ) -> list[SearchSet]:
-    """Feasible sets with no feasible strict superset.
+    """Feasible sets with no feasible strict superset, in the order of
+    :func:`feasible_sets`.
 
     These are the searcher's undominated pure strategies. The empty set
-    only survives when no single location fits the budget.
+    only survives when no single location fits the budget. Raises
+    :class:`InstanceTooLarge` when there are more than ``max_sets``
+    feasible sets, maximal or not.
     """
-    result = []
-    for s in feasible_sets(spec, max_sets=max_sets):
-        slack = spec.budget - s.total_time
-        chosen = set(s.members)
-        if all(
-            spec.times[i - 1] > slack
-            for i in range(1, spec.n + 1)
-            if i not in chosen
-        ):
-            result.append(s)
-    return result
+    return _walk(spec, max_sets, maximal_only=True)
 
 
 def build_matrix(spec: GameSpec, rows: Sequence[SearchSet]) -> PayoffMatrix:
     """Assemble the payoff matrix over ``rows`` in the given order."""
     zero = Fraction(0)
+    n = spec.n
+    entries = []
     for s in rows:
         if s.total_time > spec.budget:
             raise ValueError(f"row {s} is infeasible for budget {spec.budget}")
-    entries = tuple(
-        tuple(
-            spec.captures[i - 1] if i in s else zero for i in range(1, spec.n + 1)
-        )
-        for s in rows
-    )
-    return PayoffMatrix(tuple(rows), tuple(spec.captures), entries)
+        row = [zero] * n
+        for i in s.members:
+            if not 1 <= i <= n:
+                raise ValueError(f"row {s} has location {i} outside 1..{n}")
+            row[i - 1] = spec.captures[i - 1]
+        entries.append(tuple(row))
+    return PayoffMatrix(tuple(rows), tuple(spec.captures), tuple(entries))
 
 
 def row_weights(rows: Sequence[SearchSet], mix) -> list[Fraction]:

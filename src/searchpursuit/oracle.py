@@ -60,12 +60,19 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError(f"{side} mix is not a probability distribution")
     v = parse_rational(claimed_value)
+    # Zero weights and zero entries add nothing to a payoff, so each sum
+    # runs over the other player's support and the nonzero entries only.
+    hider_support = [(j, h) for j, h in enumerate(hider) if h]
     hider_slack = tuple(
-        v - sum(M[i][j] * hider[j] for j in range(n)) for i in range(m)
+        v - sum(row[j] * h for j, h in hider_support if row[j]) for row in M
     )
-    searcher_slack = tuple(
-        sum(searcher[i] * M[i][j] for i in range(m)) - v for j in range(n)
-    )
+    column = [0] * n
+    for w, row in zip(searcher, M):
+        if w:
+            for j, x in enumerate(row):
+                if x:
+                    column[j] += w * x
+    searcher_slack = tuple(c - v for c in column)
     ok = all(s >= 0 for s in hider_slack) and all(s >= 0 for s in searcher_slack)
     return Certificate(v, hider_slack, searcher_slack, ok)
 

@@ -46,6 +46,27 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def timed_main_in_child(argv):
+    """Exit code, seconds and standard error of ``main(argv)`` run in a
+    child process, so that a hang or a runaway allocation fails the test
+    instead of stalling the suite."""
+    script = (
+        "import json, sys, time\n"
+        "from searchpursuit.cli import main\n"
+        "started = time.perf_counter()\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(code, time.perf_counter() - started)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, seconds = proc.stdout.split()
+    return int(code), float(seconds), proc.stderr
+
+
 class TestSolve:
     def test_example_table(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
@@ -220,6 +241,24 @@ class TestSolveErrors:
         assert main(["solve", path, "--max-subsets", "4"]) == 3
         assert "too large" in capsys.readouterr().err
 
+    def test_oversized_instance_is_refused_before_enumerating(self, tmp_path):
+        # 30 unit-time locations at budget 15 have about 6 * 10**8
+        # feasible sets; counting them by total refuses at once.
+        doc = {"locations": [{"time": 1, "capture": "1/2"}] * 30, "budget": 15}
+        path = write(tmp_path, "g.json", doc)
+        code, seconds, err = timed_main_in_child(["solve", path])
+        assert code == 3
+        assert seconds < 0.5
+        assert "more than 4194304 feasible sets" in err
+
+    def test_learning_field_error_names_its_location_once(self, tmp_path, capsys):
+        doc = {"mode": "learning", "learning": {"low": "abc", "high": "2/3"}}
+        path = write(tmp_path, "g.json", doc)
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: learning.low: not a rational: 'abc'\n"
+        )
+
     def test_two_type_out_of_regime_is_input_error(self, tmp_path, capsys):
         doc = {
             "mode": "two-type",
@@ -236,7 +275,7 @@ class TestSolveErrors:
             ('"1e-999999999"', "1", "locations[1].capture"),
             ("1e-99999999999999999999999", "1", "locations[1].capture"),
             ("1e-4300", "1", "locations[1].capture"),
-            ("0.5", "1" * 4301, ".budget"),
+            ("0.5", "1" * 4301, ": budget"),
         ],
         ids=["float", "string", "past-decimal-range", "one-past-limit", "long-int"],
     )
@@ -376,6 +415,23 @@ class TestSweep:
     def test_reversed_range_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["sweep", path, "--k-from", "5", "--k-to", "3"]) == 2
+
+    def test_budget_range_past_the_cap_is_refused_fast(self, tmp_path):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        code, seconds, err = timed_main_in_child(
+            ["sweep", path, "--k-from", "0", "--k-to", "100000000"]
+        )
+        assert code == 3
+        assert seconds < 0.25
+        assert "--k-from..--k-to spans 100000001 budgets" in err
+
+    def test_budget_range_up_to_the_cap_is_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        argv = ["sweep", path, "--k-from", "0", "--k-to", "2", "--max-subsets"]
+        assert main(argv + ["3"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["2"]) == 3
+        assert "more than --max-subsets (2)" in capsys.readouterr().err
 
 
 class TestLearning:

@@ -9,6 +9,7 @@ from searchpursuit import (
     GameSpec,
     HiderStrategy,
     InstanceTooLarge,
+    SearchSet,
     best_response_value,
     build_matrix,
     feasible_sets,
@@ -34,6 +35,56 @@ def brute_feasible(spec):
 
 def members(sets):
     return [s.members for s in sets]
+
+
+def reference_sets(spec, maximal_only=False):
+    """Independent oracle: (members, total time) of every feasible subset,
+    summed as Fractions, in lexicographic order; with ``maximal_only``,
+    only those where no non-member fits in the slack."""
+    out = []
+    for r in range(spec.n + 1):
+        for combo in combinations(range(1, spec.n + 1), r):
+            total = sum((spec.times[i - 1] for i in combo), F(0))
+            if total > spec.budget:
+                continue
+            slack = spec.budget - total
+            if maximal_only and any(
+                spec.times[i - 1] <= slack
+                for i in range(1, spec.n + 1)
+                if i not in combo
+            ):
+                continue
+            out.append((combo, total))
+    return sorted(out)
+
+
+def reference_specs(count=80, seed=41):
+    """Seeded games with rational times (denominators up to about
+    10**30), equal times in every fourth game, and budgets of 0, below
+    every time, exactly a subset's total, a random share of the total
+    time and the total time itself."""
+    rng = random.Random(seed)
+    denominators = (1, 2, 3, 7, 10**30 + 7, 10**30 + 57)
+    specs = []
+    for k in range(count):
+        n = rng.randint(1, 8)
+        if k % 4 == 0:
+            times = (F(rng.randint(1, 35), 7),) * n
+        else:
+            times = tuple(
+                F(rng.randint(1, 5 * d), d)
+                for d in (rng.choice(denominators) for _ in range(n))
+            )
+        subset = [t for t in times if rng.randrange(2)]
+        budget = (
+            F(0),
+            min(times) * F(rng.randint(0, 99), 100),
+            sum(subset, F(0)),
+            sum(times) * F(rng.randint(0, 10**6), 10**6),
+            sum(times),
+        )[k % 5]
+        specs.append(GameSpec(times, ("1/2",) * n, budget))
+    return specs
 
 
 class TestFeasibleSets:
@@ -120,6 +171,28 @@ class TestMaximalSets:
             assert v_all == v_max
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("maximal_only", [False, True])
+    def test_sets_order_and_total_times(self, maximal_only):
+        enumerate_sets = maximal_feasible_sets if maximal_only else feasible_sets
+        for spec in reference_specs():
+            got = enumerate_sets(spec)
+            assert [(s.members, s.total_time) for s in got] == reference_sets(
+                spec, maximal_only
+            )
+            assert all(type(s.total_time) is F for s in got)
+
+    @pytest.mark.parametrize("enumerate_sets", [feasible_sets, maximal_feasible_sets])
+    def test_cap_boundary(self, enumerate_sets):
+        for spec in reference_specs(count=30, seed=42):
+            count = len(reference_sets(spec))
+            assert enumerate_sets(spec, max_sets=count) == enumerate_sets(spec)
+            with pytest.raises(
+                InstanceTooLarge, match=f"more than {count - 1} feasible sets"
+            ):
+                enumerate_sets(spec, max_sets=count - 1)
+
+
 class TestPayoffMatrix:
     def test_example_reduced_matrix(self):
         rows = maximal_feasible_sets(EXAMPLE)
@@ -160,6 +233,11 @@ class TestPayoffMatrix:
         too_big = search_set(EXAMPLE, (1, 4))
         with pytest.raises(ValueError):
             build_matrix(EXAMPLE, [too_big])
+
+    @pytest.mark.parametrize("row", [(0,), (-1,), (5,), (1, 9)])
+    def test_member_outside_the_game_rejected(self, row):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            build_matrix(EXAMPLE, [SearchSet(row, F(0))])
 
 
 class TestBestResponse:

@@ -80,6 +80,55 @@ class TestVerifyEquilibrium:
             )
 
 
+def dense_slacks(matrix, hider, searcher, value):
+    """The certificate's slacks summed over every cell."""
+    m, n = len(matrix), len(matrix[0])
+    hider_slack = tuple(
+        value - sum(matrix[i][j] * hider[j] for j in range(n)) for i in range(m)
+    )
+    searcher_slack = tuple(
+        sum(searcher[i] * matrix[i][j] for i in range(m)) - value for j in range(n)
+    )
+    return hider_slack, searcher_slack
+
+
+def random_mix(rng, size):
+    """A distribution with some zero weights."""
+    weights = [rng.randint(0, 3) for _ in range(size)]
+    weights[rng.randrange(size)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+class TestSparseCertificate:
+    def test_slacks_equal_the_dense_formula(self):
+        rng = random.Random(8)
+        for k in range(300):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            matrix = [
+                [F(rng.randint(-6, 6), rng.randint(1, 5)) * rng.randrange(2)
+                 for _ in range(n)]
+                for _ in range(m)
+            ]
+            matrix[rng.randrange(m)] = [F(0)] * n
+            zero_column = rng.randrange(n)
+            for row in matrix:
+                row[zero_column] = F(0)
+            if k % 2:
+                sol = solve_zero_sum(matrix)
+                hider, searcher, value = sol.col_strategy, sol.row_strategy, sol.value
+            else:
+                hider, searcher = random_mix(rng, n), random_mix(rng, m)
+                value = F(rng.randint(-5, 5), rng.randint(1, 7))
+            cert = verify_equilibrium(matrix, hider, searcher, value)
+            hider_slack, searcher_slack = dense_slacks(matrix, hider, searcher, value)
+            assert cert.hider_slack == hider_slack
+            assert cert.searcher_slack == searcher_slack
+            assert all(type(x) is F for x in cert.hider_slack + cert.searcher_slack)
+            assert cert.ok == (min(hider_slack + searcher_slack) >= 0)
+            if k % 2:
+                assert cert.ok
+
+
 class TestSupportEnumeration:
     def test_example_game(self):
         assert support_enumeration_solve(EXAMPLE_MATRIX).value == F(6, 115)
