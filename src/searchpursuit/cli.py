@@ -688,29 +688,47 @@ def cmd_learning(args) -> int:
 # (matrix, hider, searcher, row names, column names) for one certificate.
 
 
+def _json_array(solution, key: str, where: str) -> list:
+    value = solution.get(key, [])
+    if not isinstance(value, list):
+        _fail(f"{where}: {key} must be a JSON array")
+    return value
+
+
+def _set_members(value, where: str) -> tuple[int, ...]:
+    """The sorted members of a searcher set given as a JSON array of
+    location numbers."""
+    if not isinstance(value, list):
+        _fail(f"{where}: searcher set must be a JSON array of locations")
+    if not all(type(i) is int for i in value):  # not isinstance: true is an int
+        _fail(f"{where}: searcher set members must be integers")
+    return tuple(sorted(value))
+
+
 def _read_locations(game_doc, solution, args):
     spec = game_spec_from(game_doc, args.file)
     rows, matrix = _location_matrix(spec, args.max_subsets)
-    hider = [_number(v, f"{args.solution}: hider") for v in solution.get("hider", ())]
+    where = args.solution
+    hider = [
+        _number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)
+    ]
     if len(hider) != spec.n:
-        _fail(
-            f"{args.solution}: hider has {len(hider)} entries, game has "
-            f"{spec.n} locations"
-        )
-    index_of = {s.members: i for i, s in enumerate(rows)}
-    searcher = [Fraction(0)] * len(rows)
-    for item in solution.get("searcher", ()):
+        _fail(f"{where}: hider has {len(hider)} entries, game has {spec.n} locations")
+    row_of = {s.members: s for s in rows}
+    mix = []
+    for item in _json_array(solution, "searcher", where):
         if not isinstance(item, dict) or "set" not in item or "probability" not in item:
-            _fail(f"{args.solution}: searcher entries need 'set' and 'probability'")
-        members = tuple(sorted(item["set"]))
-        if members not in index_of:
+            _fail(f"{where}: searcher entries need 'set' and 'probability'")
+        members = _set_members(item["set"], where)
+        if members not in row_of:
             _fail(
-                f"{args.solution}: searcher set {list(members)} is not an "
+                f"{where}: searcher set {list(members)} is not an "
                 "undominated feasible set of this game"
             )
-        searcher[index_of[members]] = _number(
-            item["probability"], f"{args.solution}: searcher probability"
-        )
+        prob = _number(item["probability"], f"{where}: searcher probability")
+        mix.append((row_of[members], prob))
+    # A set listed more than once gets the sum of its probabilities.
+    searcher = game_core.row_weights(rows, mix)
     row_names = [str(s) for s in rows]
     return matrix, hider, searcher, row_names, [str(i) for i in range(1, spec.n + 1)]
 
@@ -724,16 +742,16 @@ def _read_two_type(game_doc, solution, args):
         _fail(f"{args.solution}: two-type solutions carry hider.type1_mass")
     mass = _number(hider_block["type1_mass"], f"{args.solution}: hider.type1_mass")
     searcher = [Fraction(0)] * (m + 1)
-    for item in solution.get("searcher", ()):
+    for item in _json_array(solution, "searcher", args.solution):
         if not isinstance(item, dict) or not {"type2_searched", "probability"} <= item.keys():
             _fail(
                 f"{args.solution}: searcher entries need 'type2_searched' "
                 "and 'probability'"
             )
         j = item["type2_searched"]
-        if not isinstance(j, int) or not 0 <= j <= m:
+        if type(j) is not int or not 0 <= j <= m:
             _fail(f"{args.solution}: type2_searched must be an integer in 0..{m}")
-        searcher[j] = _number(
+        searcher[j] += _number(
             item["probability"], f"{args.solution}: searcher probability"
         )
     row_names = [f"j={j}" for j in range(m + 1)]

@@ -12,10 +12,12 @@ are solved through the negated transpose so the tableau always has
 min(m, n) constraint rows.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
-{y >= 0, sum(y) = 1, My <= v} with the same pivoting code: one phase 1
-makes a tableau of the polytope feasible, and the 2n coordinate
-bounds (max y_j, then min y_j) are phase-2 re-optimizations over that
-tableau, each warm-started from the basis the previous one ended at.
+{y >= 0, sum(y) = 1, My <= v} with the same pivoting code. One phase 1
+makes a tableau of the polytope with a margin column feasible, and
+every later step is a phase-2 re-optimization over that tableau,
+warm-started from the basis the previous one ended at: the margin
+checks the claimed value, then come the n maxima of the y_j, and the
+minima only when the maxima do not already prove the hider unique.
 ``_maximize`` is the cold composition of the two phases that
 ``solve_zero_sum`` uses.
 """
@@ -249,6 +251,15 @@ def solve_diagonal(diag) -> MixedSolution:
     return MixedSolution(value, probs, probs)
 
 
+def _value_error(M, v, fallback: str) -> ValueError:
+    """The error for a claimed value the probe found wrong; it names the
+    exact game value, which ``solve_zero_sum`` computes only here."""
+    actual = solve_zero_sum(M).value
+    if actual != v:
+        return ValueError(f"claimed value {v} is not the exact game value {actual}")
+    return ValueError(fallback)
+
+
 def hider_uniqueness(matrix, value) -> UniquenessReport:
     """Range of each hider coordinate over the optimal-strategy polytope.
 
@@ -258,35 +269,65 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     directions raise ``ValueError``. The hider strategy is unique
     exactly when every coordinate's range is degenerate.
 
-    The polytope {y >= 0, sum(y) = 1, My <= value} is put into one
-    tableau and made feasible by a single phase 1. Each of the 2n
-    endpoints (max y_j, then min y_j, for each j) is then a phase-2
-    re-optimization that starts from the basis the previous one ended
-    at. Every endpoint is still the exact optimum of its LP.
+    One tableau holds {y >= 0, t >= 0, sum(y) = 1, My + t <= value}
+    with a margin column t. Phase 1 fails on it exactly when the value
+    is too low, and max t, a phase-2 re-optimization, is the claimed
+    value minus the game value, so it checks the value from above. With
+    t at zero its column is dropped, which leaves a feasible tableau of
+    the polytope. The n maxima of the y_j come next, each warm-started
+    from the basis the previous one ended at. If they sum to 1, every
+    point of the polytope is the vector of maxima, and each range is
+    (max y_j, max y_j). Otherwise each min y_j is re-optimized too,
+    except where a vertex already found has y_j = 0. Every endpoint is
+    the exact optimum of its LP.
     """
     M = parse_matrix(matrix)
     v = parse_rational(value)
-    actual = solve_zero_sum(M).value
-    if actual != v:
-        raise ValueError(f"claimed value {v} is not the exact game value {actual}")
     m, n = len(M), len(M[0])
-    lhs = [list(row) for row in M]
-    lhs.append([ONE] * n)
-    lhs.append([-ONE] * n)
+    lhs = [list(row) + [ONE] for row in M]
+    lhs.append([ONE] * n + [ZERO])
+    lhs.append([-ONE] * n + [ZERO])
     rhs = [v] * m + [ONE, -ONE]
     try:
         rows, basis, _ = _feasible_tableau(lhs, rhs)
     except InfeasibleError as exc:
-        raise ValueError(
+        raise _value_error(
+            M,
+            v,
             "no column strategy achieves the claimed value; "
-            "it is not the exact game value"
+            "it is not the exact game value",
         ) from exc
-    ranges = []
-    for j in range(n):
+    margin, point, _ = _reoptimize([ZERO] * n + [ONE], rows, basis)
+    if margin:
+        raise _value_error(M, v, f"claimed value {v} is {margin} above the game value")
+    # Drop the margin column n, pivoting it out first if it is basic (at
+    # zero); its row has another nonzero entry for the reason phase 1's
+    # artificials do.
+    if n in basis:
+        i = basis.index(n)
+        width = len(rows[i]) - 1
+        col = next(j for j in range(width) if j != n and rows[i][j] != 0)
+        _pivot(rows, [ZERO] * (width + 1), basis, i, col)
+    for row in rows:
+        del row[n]
+    basis[:] = [b - 1 if b > n else b for b in basis]
+
+    seen_zero = {j for j in range(n) if point[j] == 0}
+
+    def bound(j, sign):
+        """max y_j for sign 1, min y_j for sign -1."""
         cost = [ZERO] * n
-        cost[j] = ONE
-        hi, _, _ = _reoptimize(cost, rows, basis)
-        cost[j] = -ONE
-        neg_lo, _, _ = _reoptimize(cost, rows, basis)
-        ranges.append((-neg_lo, hi))
-    return UniquenessReport(tuple(ranges), all(a == b for a, b in ranges))
+        cost[j] = sign
+        best, point, _ = _reoptimize(cost, rows, basis)
+        seen_zero.update(k for k in range(n) if point[k] == 0)
+        return sign * best
+
+    highs = [bound(j, ONE) for j in range(n)]
+    if sum(highs) == 1:
+        return UniquenessReport(tuple((hi, hi) for hi in highs), True)
+    # min y_j is 0 once any vertex found so far has y_j = 0.
+    ranges = tuple(
+        (ZERO if j in seen_zero else bound(j, -ONE), highs[j]) for j in range(n)
+    )
+    # The maxima sum past 1, so some coordinate takes two values.
+    return UniquenessReport(ranges, False)

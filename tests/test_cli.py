@@ -526,6 +526,64 @@ class TestVerify:
         sol_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", game_path, str(sol_path)]) == 2
 
+    def test_repeated_searcher_set_adds_its_probabilities(self, tmp_path, capsys):
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, EXAMPLE, "g")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        assert doc["searcher"][0] == {"set": [1], "probability": "12/23"}
+        doc["searcher"][0]["probability"] = "6/23"
+        doc["searcher"].append({"set": [1], "probability": "6/23"})
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", game_path, str(sol_path)]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
+
+    def test_repeated_type2_count_adds_its_probabilities(self, tmp_path, capsys):
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        assert doc["searcher"][0] == {"type2_searched": 1, "probability": "4/5"}
+        doc["searcher"][0]["probability"] = "2/5"
+        doc["searcher"].append({"type2_searched": 1, "probability": "2/5"})
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", game_path, str(sol_path)]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hider", 5, "hider must be a JSON array"),
+            ("hider", "12/23", "hider must be a JSON array"),
+            ("searcher", {"set": [1], "probability": 1}, "searcher must be a JSON array"),
+            ("set", [1, "a"], "searcher set members must be integers"),
+            ("set", [[1]], "searcher set members must be integers"),
+            ("set", [True], "searcher set members must be integers"),
+            ("set", [1.0], "searcher set members must be integers"),
+            ("set", "1", "searcher set must be a JSON array of locations"),
+        ],
+        ids=[
+            "hider-number", "hider-string", "searcher-object", "set-string-member",
+            "set-nested-list", "set-bool-member", "set-float-member", "set-string",
+        ],
+    )
+    def test_malformed_solution_shape_names_its_field(
+        self, tmp_path, capsys, key, value, message
+    ):
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, EXAMPLE, "g")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        if key == "set":
+            doc["searcher"][0]["set"] = value
+        else:
+            doc[key] = value
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", game_path, str(sol_path)]) == 2
+        assert capsys.readouterr().err == f"error: {sol_path}: {message}\n"
+
+    def test_bool_type2_count_is_input_error(self, tmp_path, capsys):
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        doc["searcher"][0]["type2_searched"] = True
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", game_path, str(sol_path)]) == 2
+        assert "type2_searched must be an integer" in capsys.readouterr().err
+
 
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "g.json", EXAMPLE)

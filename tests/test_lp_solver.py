@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matrix, unit_fraction
 from searchpursuit import lp_solver
@@ -242,6 +244,82 @@ class TestHiderUniqueness:
             hider_uniqueness(EXAMPLE_MATRIX, claimed)
 
 
+class TestProbeSteps:
+    """How many phase-2 re-optimizations the probe runs, and when it
+    calls ``solve_zero_sum``."""
+
+    @staticmethod
+    def count_reoptimizations(monkeypatch):
+        calls = []
+        real = lp_solver._reoptimize
+
+        def counted(costs, rows, basis):
+            calls.append(len(costs))
+            return real(costs, rows, basis)
+
+        monkeypatch.setattr(lp_solver, "_reoptimize", counted)
+        return calls
+
+    @staticmethod
+    def forbid_solve_zero_sum(monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("solve_zero_sum called on a correct value")
+
+        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
+
+    @pytest.mark.parametrize(
+        "matrix, value",
+        [(EXAMPLE_MATRIX, F(6, 115)), (staircase_matrix()[1], F(3, 55))],
+        ids=["worked-example", "staircase"],
+    )
+    def test_unique_hider_needs_only_the_margin_and_the_maxima(
+        self, monkeypatch, matrix, value
+    ):
+        expected = cold_uniqueness(matrix, value)
+        calls = self.count_reoptimizations(monkeypatch)
+        self.forbid_solve_zero_sum(monkeypatch)
+        report = hider_uniqueness(matrix, value)
+        assert (report.ranges, report.unique) == expected
+        assert report.unique
+        n = len(report.ranges)
+        # The margin LP carries one cost per hider coordinate plus t.
+        assert calls == [n + 1] + [n] * n
+
+    def test_minima_are_skipped_where_a_vertex_has_a_zero(self, monkeypatch):
+        # Every maximum of a constant game is a pure strategy, whose other
+        # coordinates are 0, so no minimum LP is needed.
+        matrix = [[F(1, 3)] * 3] * 2
+        expected = cold_uniqueness(matrix, F(1, 3))
+        calls = self.count_reoptimizations(monkeypatch)
+        report = hider_uniqueness(matrix, F(1, 3))
+        assert (report.ranges, report.unique) == expected
+        assert calls == [4, 3, 3, 3]
+
+    def test_skipped_and_solved_minima_together(self, monkeypatch):
+        _, matrix = staircase_matrix()
+        flipped = negated_transpose(matrix)
+        value = -F(3, 55)
+        expected = cold_uniqueness(flipped, value)
+        calls = self.count_reoptimizations(monkeypatch)
+        self.forbid_solve_zero_sum(monkeypatch)
+        report = hider_uniqueness(flipped, value)
+        assert (report.ranges, report.unique) == expected
+        n = len(flipped[0])
+        minima = len(calls) - 1 - n
+        assert 0 < minima < n
+        assert sum(lo > 0 for lo, _ in report.ranges) <= minima
+
+    def test_margin_rejects_a_high_value_on_its_own(self, monkeypatch):
+        # With solve_zero_sum agreeing with the claim, a value above the
+        # game value still fails: max t is the excess.
+        claimed = F(7, 115)
+        monkeypatch.setattr(
+            lp_solver, "solve_zero_sum", lambda M: lp_solver.MixedSolution(claimed, (), ())
+        )
+        with pytest.raises(ValueError, match="7/115 is 1/115 above the game value"):
+            hider_uniqueness(EXAMPLE_MATRIX, claimed)
+
+
 class TestWarmProbeAgainstColdReference:
     def test_random_games(self):
         rng = random.Random(31)
@@ -290,3 +368,26 @@ class TestWarmProbeAgainstColdReference:
         column = assert_probe_matches_cold([[F(1, 2)], [F(1, 3)], [F(1, 4)]])
         assert column.ranges == ((F(1), F(1)),)
         assert column.unique
+
+
+@st.composite
+def small_games(draw):
+    """A game with n <= 6 locations, integer times and captures k/20."""
+    n = draw(st.integers(1, 6))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    captures = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    budget = draw(st.integers(0, sum(times)))
+    return GameSpec(tuple(times), tuple(F(c, 20) for c in captures), budget)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_games())
+def test_probe_properties_on_random_games(spec):
+    matrix = build_matrix(spec, maximal_feasible_sets(spec))
+    sol = solve_zero_sum(matrix)
+    report = hider_uniqueness(matrix, sol.value)
+    assert (report.ranges, report.unique) == cold_uniqueness(matrix, sol.value)
+    assert all(lo <= y <= hi for (lo, hi), y in zip(report.ranges, sol.col_strategy))
+    for wrong in (sol.value - F(1, 1000), sol.value + F(1, 1000)):
+        with pytest.raises(ValueError, match="not the exact game value"):
+            hider_uniqueness(matrix, wrong)
