@@ -695,6 +695,15 @@ def _json_array(solution, key: str, where: str) -> list:
     return value
 
 
+def _solution_number(container: dict, key: str, where: str, name: str = "") -> Fraction:
+    """The number under ``key``, reported as ``name`` (default ``key``);
+    a missing one is named."""
+    name = name or key
+    if key not in container:
+        _fail(f"{where}: missing '{name}'")
+    return _number(container[key], f"{where}: {name}")
+
+
 def _set_members(value, where: str) -> tuple[int, ...]:
     """The sorted members of a searcher set given as a JSON array of
     location numbers."""
@@ -740,7 +749,11 @@ def _read_two_type(game_doc, solution, args):
     hider_block = solution.get("hider")
     if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
         _fail(f"{args.solution}: two-type solutions carry hider.type1_mass")
-    mass = _number(hider_block["type1_mass"], f"{args.solution}: hider.type1_mass")
+    # Both masses are certified as written, so they must sum to 1.
+    hider = tuple(
+        _solution_number(hider_block, key, args.solution, f"hider.{key}")
+        for key in ("type1_mass", "type2_mass")
+    )
     searcher = [Fraction(0)] * (m + 1)
     for item in _json_array(solution, "searcher", args.solution):
         if not isinstance(item, dict) or not {"type2_searched", "probability"} <= item.keys():
@@ -755,14 +768,14 @@ def _read_two_type(game_doc, solution, args):
             item["probability"], f"{args.solution}: searcher probability"
         )
     row_names = [f"j={j}" for j in range(m + 1)]
-    return matrix, (mass, 1 - mass), searcher, row_names, ["quick-type", "slow-type"]
+    return matrix, hider, searcher, row_names, ["quick-type", "slow-type"]
 
 
 def _read_learning(game_doc, solution, args):
     spec = learning_spec_from(game_doc, args.file)
     # Both players share the one (stay, switch) mix of a learning solution.
     mix = tuple(
-        _number(solution.get(key, "0"), f"{args.solution}: {key}")
+        _solution_number(solution, key, args.solution)
         for key in ("stay_probability", "switch_probability")
     )
     names = ["stay", "switch"]

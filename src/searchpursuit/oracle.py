@@ -7,9 +7,14 @@ enumerating square supports and solving the indifference systems with
 plain Gaussian elimination. A bug in the simplex cannot hide behind an
 identical bug here.
 
+``certify_unique`` proves a hider strategy the only optimal one from
+the equilibrium certificate and the rank of the complementary-slackness
+system, with the same elimination.
+
 ``sweep_budget`` is a driver, not a checker: it runs the regular
-enumeration + LP pipeline once per budget and layers the uniqueness
-probe and a value-monotonicity assertion (``check_nondecreasing``) on
+enumeration + LP pipeline once per budget, settles uniqueness with
+``certify_unique`` or, when that proves nothing, the uniqueness probe,
+and layers a value-monotonicity assertion (``check_nondecreasing``) on
 top.
 """
 
@@ -77,22 +82,33 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
     return Certificate(v, hider_slack, searcher_slack, ok)
 
 
-def _solve_linear(system: list[list[Fraction]]):
-    """Solve a square augmented system [A | b] exactly; None if singular."""
-    size = len(system)
+def _reduce(system: list[list[Fraction]], width: int):
+    """Gauss-Jordan elimination of the augmented rows ``system`` over
+    their first ``width`` columns, exactly.
+
+    Returns the reduced rows, whose first ``width`` rows then read
+    [I | solution], or None when those columns have rank below
+    ``width``.
+    """
     rows = [row[:] for row in system]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+    for col in range(width):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         lead = rows[col][col]
         rows[col] = [v / lead for v in rows[col]]
-        for r in range(size):
+        for r in range(len(rows)):
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[r][-1] for r in range(size)]
+    return rows
+
+
+def _solve_linear(system: list[list[Fraction]]):
+    """Solve a square augmented system [A | b] exactly; None if singular."""
+    rows = _reduce(system, len(system))
+    return None if rows is None else [row[-1] for row in rows]
 
 
 def _square_equilibrium(S, m, n, rows_sel, cols_sel):
@@ -163,6 +179,35 @@ def support_enumeration_solve(
     raise RuntimeError("no square support yielded an equilibrium")  # pragma: no cover
 
 
+def certify_unique(matrix, hider, searcher, value) -> bool:
+    """True only when ``hider`` is provably the one optimal hider mix.
+
+    Every optimal hider y meets complementary slackness with an optimal
+    searcher mix x: (My)_A = v on each row A that x plays, and y_j = 0 on
+    each column that x covers above v. When ``verify_equilibrium``
+    accepts the triple, and that system with sum(y) = 1 has rank n, its
+    one solution is the whole optimal set, and it is checked to equal
+    ``hider``. False proves nothing either way. The rank comes from the
+    elimination above, not from the simplex.
+    """
+    cert = verify_equilibrium(matrix, hider, searcher, value)
+    if not cert.ok:
+        return False
+    # y_j = 0 on the over-covered columns: drop them from the system.
+    free = [j for j, s in enumerate(cert.searcher_slack) if s == 0]
+    system = [[ONE] * len(free) + [ONE]]
+    for w, row in zip(searcher, parse_matrix(matrix)):
+        if parse_rational(w):
+            system.append([row[j] for j in free] + [cert.claimed_value])
+    rows = _reduce(system, len(free))
+    if rows is None:
+        return False
+    y = [ZERO] * len(cert.searcher_slack)
+    for j, row in zip(free, rows):
+        y[j] = row[-1]
+    return y == [parse_rational(h) for h in hider]
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     budget: Fraction
@@ -177,6 +222,9 @@ def sweep_budget(
 ) -> list[SweepEntry]:
     """Solve one game per budget; report value and hider uniqueness.
 
+    Uniqueness comes from ``certify_unique`` on the LP's own answer, and
+    from ``hider_uniqueness`` only where that proves nothing.
+
     Budgets are evaluated in ascending order and the value is asserted
     to be nondecreasing (extra search time can never hurt the searcher);
     a violation raises :class:`MonotonicityError`.
@@ -188,10 +236,13 @@ def sweep_budget(
         rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
         matrix = game_core.build_matrix(spec, rows)
         sol = solve_zero_sum(matrix)
-        report = hider_uniqueness(matrix, sol.value)
-        entries.append(
-            SweepEntry(k, sol.value, sol.col_strategy, report.ranges, report.unique)
-        )
+        hider = sol.col_strategy
+        if certify_unique(matrix, hider, sol.row_strategy, sol.value):
+            ranges, unique = tuple((h, h) for h in hider), True
+        else:
+            report = hider_uniqueness(matrix, sol.value)
+            ranges, unique = report.ranges, report.unique
+        entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
     check_nondecreasing(ks, [e.value for e in entries])
     return entries
 

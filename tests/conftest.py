@@ -1,10 +1,28 @@
-"""Shared test helpers: seeded rational generators and the acceptance
-report that gets echoed into the terminal summary."""
+"""Shared test helpers: seeded rational generators, the ``hypothesis``
+profile and game strategy, and the acceptance report that gets echoed
+into the terminal summary."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Every property test runs the same examples on every run, writes no
+# example database and has no per-example deadline; each test sets its
+# own max_examples.
+settings.register_profile("exact", derandomize=True, database=None, deadline=None)
+settings.load_profile("exact")
+
+
+def pytest_configure(config):
+    # Even without an example database, hypothesis caches the constants
+    # it reads from the source files; keep them in pytest's cache.
+    if getattr(config, "cache", None) is not None:
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -58,3 +76,34 @@ def random_game(rng: random.Random, max_n: int = 5, max_time: int = 6, max_den: 
     captures = tuple(unit_fraction(rng, max_den=max_den, positive=True) for _ in range(n))
     budget = Fraction(rng.randint(0, sum(times)))
     return GameSpec(times, captures, budget)
+
+
+def negated_transpose(matrix):
+    """The game with the players' roles swapped: its hider is the
+    original searcher."""
+    rows = getattr(matrix, "entries", matrix)
+    return [[-Fraction(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
+
+
+@st.composite
+def small_games(draw):
+    """A GameSpec with n <= 6 locations, integer times 1..6 and captures
+    k/20."""
+    from searchpursuit import GameSpec
+
+    n = draw(st.integers(1, 6))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    captures = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    budget = draw(st.integers(0, sum(times)))
+    return GameSpec(tuple(times), tuple(Fraction(c, 20) for c in captures), budget)
+
+
+def roadmap_game(seed: int, n: int):
+    """The benchmark's random game: times 1..6, captures k/20 and budget
+    floor(sum of times / 3), all drawn from ``random.Random(seed)``."""
+    from searchpursuit import GameSpec
+
+    rng = random.Random(seed)
+    times = tuple(rng.randint(1, 6) for _ in range(n))
+    captures = tuple(Fraction(rng.randint(1, 20), 20) for _ in range(n))
+    return GameSpec(times, captures, sum(times) // 3)

@@ -487,6 +487,44 @@ class TestVerify:
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, LEARNING, "l")
         assert main(["verify", game_path, str(sol_path)]) == 0
 
+    def altered_solution(self, tmp_path, capsys, game, change):
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, game, "x")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        change(doc)
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        return main(["verify", game_path, str(sol_path)]), capsys.readouterr()
+
+    def test_two_type_masses_are_certified_as_written(self, tmp_path, capsys):
+        # 2/5 and 9/10 sum to 13/10; the type-2 mass used to be read as 3/5.
+        code, out = self.altered_solution(
+            tmp_path, capsys, TWO_TYPE, lambda d: d["hider"].update(type2_mass="9/10")
+        )
+        assert code == 2
+        assert "certificate: ok" not in out.out
+        assert out.err == "error: hider mix is not a probability distribution\n"
+
+    def test_two_type_missing_type2_mass_is_named(self, tmp_path, capsys):
+        code, out = self.altered_solution(
+            tmp_path, capsys, TWO_TYPE, lambda d: d["hider"].pop("type2_mass")
+        )
+        assert code == 2
+        assert out.err == f"error: {tmp_path / 'x-sol.json'}: missing 'hider.type2_mass'\n"
+
+    def test_two_type_bad_type2_mass_is_input_error(self, tmp_path, capsys):
+        code, out = self.altered_solution(
+            tmp_path, capsys, TWO_TYPE, lambda d: d["hider"].update(type2_mass="x")
+        )
+        assert code == 2
+        assert out.err.startswith(f"error: {tmp_path / 'x-sol.json'}: hider.type2_mass: ")
+
+    @pytest.mark.parametrize("key", ["stay_probability", "switch_probability"])
+    def test_learning_missing_probability_is_named(self, tmp_path, capsys, key):
+        code, out = self.altered_solution(
+            tmp_path, capsys, LEARNING, lambda d: d.pop(key)
+        )
+        assert code == 2
+        assert out.err == f"error: {tmp_path / 'x-sol.json'}: missing '{key}'\n"
+
     def test_tampered_value_fails_with_slack(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, EXAMPLE, "g")
         doc = json.loads(sol_path.read_text(encoding="utf-8"))

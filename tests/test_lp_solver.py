@@ -3,9 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_matrix, unit_fraction
+from conftest import negated_transpose, random_matrix, small_games, unit_fraction
 from searchpursuit import lp_solver
 from searchpursuit import (
     GameSpec,
@@ -53,11 +52,6 @@ def assert_probe_matches_cold(matrix):
     report = hider_uniqueness(matrix, value)
     assert (report.ranges, report.unique) == cold_uniqueness(matrix, value)
     return report
-
-
-def negated_transpose(matrix):
-    rows = getattr(matrix, "entries", matrix)
-    return [[-F(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
 
 
 def assert_equilibrium(matrix, sol):
@@ -370,17 +364,7 @@ class TestWarmProbeAgainstColdReference:
         assert column.unique
 
 
-@st.composite
-def small_games(draw):
-    """A game with n <= 6 locations, integer times and captures k/20."""
-    n = draw(st.integers(1, 6))
-    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    captures = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
-    budget = draw(st.integers(0, sum(times)))
-    return GameSpec(tuple(times), tuple(F(c, 20) for c in captures), budget)
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(small_games())
 def test_probe_properties_on_random_games(spec):
     matrix = build_matrix(spec, maximal_feasible_sets(spec))

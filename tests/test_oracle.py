@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_matrix
+from conftest import negated_transpose, random_matrix, roadmap_game, small_games
+from searchpursuit import lp_solver, oracle
 from searchpursuit import (
     GameSpec,
     TwoTypeSpec,
     build_matrix,
     expand_two_type,
+    hider_uniqueness,
     maximal_feasible_sets,
     solve_arithmetic_times,
     solve_constant_times,
@@ -18,7 +21,7 @@ from searchpursuit import (
     sweep_budget,
     verify_equilibrium,
 )
-from searchpursuit.oracle import MonotonicityError, check_nondecreasing
+from searchpursuit.oracle import MonotonicityError, certify_unique, check_nondecreasing
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],
@@ -27,6 +30,19 @@ EXAMPLE_MATRIX = [
 ]
 EXAMPLE_HIDER = (F(12, 23), 0, F(8, 23), F(3, 23))
 EXAMPLE_SEARCHER = (F(12, 23), F(3, 23), F(8, 23))
+STAIRCASE = ((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"))
+
+
+def assert_certificate_implies_probe(matrix):
+    """Run both uniqueness tests on the LP's answer; return the
+    certificate's verdict."""
+    sol = solve_zero_sum(matrix)
+    certified = certify_unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+    if certified:
+        report = hider_uniqueness(matrix, sol.value)
+        assert report.unique
+        assert report.ranges == tuple((h, h) for h in sol.col_strategy)
+    return certified
 
 
 class TestVerifyEquilibrium:
@@ -224,3 +240,110 @@ class TestSweep:
             cmatrix, const.hider.probs, lp.row_strategy, const.value
         )
         assert ccert.ok
+
+
+class TestCertifyUnique:
+    def test_worked_example_is_certified(self):
+        assert certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
+        # Inputs in any form parse_rational takes.
+        assert certify_unique(
+            EXAMPLE_MATRIX, ("12/23", 0, "8/23", "3/23"), ("12/23", "3/23", "8/23"), "6/115"
+        )
+
+    def test_failed_equilibrium_proves_nothing(self):
+        assert not certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115))
+        assert not certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(5, 115))
+        assert not certify_unique(
+            EXAMPLE_MATRIX, (F(1, 4),) * 4, EXAMPLE_SEARCHER, F(6, 115)
+        )
+
+    def test_rank_deficient_system_proves_nothing(self):
+        # Every hider of a constant game is optimal.
+        assert not certify_unique([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3))
+        # The staircase's searcher side is not unique, so the hider of its
+        # negated transpose is not either.
+        spec = GameSpec(*STAIRCASE, 5)
+        flipped = negated_transpose(build_matrix(spec, maximal_feasible_sets(spec)))
+        assert not assert_certificate_implies_probe(flipped)
+
+    def test_single_location_and_single_set(self):
+        assert certify_unique([[F(1, 2)], [F(1, 3)]], (1,), (1, 0), F(1, 2))
+        assert certify_unique([[F(1, 2), F(1, 3)]], (0, 1), (1,), F(1, 3))
+
+    def test_needs_no_simplex(self, monkeypatch):
+        spec = GameSpec(*STAIRCASE, 5)
+        matrix = build_matrix(spec, maximal_feasible_sets(spec))
+        sol = solve_zero_sum(matrix)
+
+        def refuse(*args):
+            raise AssertionError("simplex code called")
+
+        for module, name in (
+            (lp_solver, "solve_zero_sum"),
+            (lp_solver, "_pivot"),
+            (oracle, "solve_zero_sum"),
+            (oracle, "hider_uniqueness"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert certify_unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+        assert certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
+
+    def test_random_matrices_and_their_negated_transposes(self):
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(30):
+            matrix = random_matrix(rng, max_dim=5)
+            verdicts.add(assert_certificate_implies_probe(matrix))
+            verdicts.add(assert_certificate_implies_probe(negated_transpose(matrix)))
+        assert verdicts == {True, False}
+
+
+@settings(max_examples=60)
+@given(small_games())
+def test_certificate_implies_the_probe_on_random_games(spec):
+    matrix = build_matrix(spec, maximal_feasible_sets(spec))
+    assert_certificate_implies_probe(matrix)
+
+
+class TestSweepShortcut:
+    """Which sweep entries run the probe."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap both uniqueness tests; returns the certificate's verdicts
+        and, per probe call, how many verdicts preceded it."""
+        verdicts, probes = [], []
+        real_certify, real_probe = oracle.certify_unique, oracle.hider_uniqueness
+
+        def certify(*args):
+            verdicts.append(real_certify(*args))
+            return verdicts[-1]
+
+        def probe(matrix, value):
+            probes.append(len(verdicts))
+            return real_probe(matrix, value)
+
+        monkeypatch.setattr(oracle, "certify_unique", certify)
+        monkeypatch.setattr(oracle, "hider_uniqueness", probe)
+        return verdicts, probes
+
+    def test_worked_example_budgets(self, monkeypatch):
+        times, captures = (5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4")
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "certify_unique", lambda *args: False)
+            probed = sweep_budget(times, captures, range(5, 11))
+        verdicts, probes = self.record(monkeypatch)
+        entries = sweep_budget(times, captures, range(5, 11))
+        assert entries == probed
+        assert len(verdicts) == 6 and True in verdicts
+        # The probe runs right after each failed certificate, and only then.
+        assert probes == [i + 1 for i, ok in enumerate(verdicts) if not ok]
+
+    def test_n14_entry_needs_no_probe(self, monkeypatch):
+        # The probe alone runs past a minute on this game.
+        spec = roadmap_game(2, 14)
+        verdicts, probes = self.record(monkeypatch)
+        (entry,) = sweep_budget(spec.times, spec.captures, [spec.budget])
+        assert (verdicts, probes) == ([True], [])
+        assert entry.unique
+        assert entry.hider_ranges == tuple((h, h) for h in entry.hider)
