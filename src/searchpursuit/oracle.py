@@ -7,15 +7,17 @@ enumerating square supports and solving the indifference systems with
 plain Gaussian elimination. A bug in the simplex cannot hide behind an
 identical bug here.
 
-``certify_unique`` proves a hider strategy the only optimal one from
-the equilibrium certificate and the rank of the complementary-slackness
-system, with the same elimination.
+``certified_ranges`` bounds every optimal hider strategy from one
+optimal pair, the equilibrium certificate and the rank of the
+complementary-slackness system, with the same elimination: a point at
+full rank, a segment one below it. ``certify_unique`` asks whether
+those ranges are single values.
 
 ``sweep_budget`` is a driver, not a checker: it runs the regular
-enumeration + LP pipeline once per budget, settles uniqueness with
-``certify_unique`` or, when that proves nothing, the uniqueness probe,
-and layers a value-monotonicity assertion (``check_nondecreasing``) on
-top.
+enumeration + LP pipeline once per budget, takes the hider's ranges
+from ``certified_ranges`` or, when that tells nothing, the uniqueness
+probe, and layers a value-monotonicity assertion
+(``check_nondecreasing``) on top.
 """
 
 from __future__ import annotations
@@ -82,33 +84,40 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
     return Certificate(v, hider_slack, searcher_slack, ok)
 
 
-def _reduce(system: list[list[Fraction]], width: int):
+def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
     """Gauss-Jordan elimination of the augmented rows ``system`` over
     their first ``width`` columns, exactly.
 
-    Returns the reduced rows, whose first ``width`` rows then read
-    [I | solution], or None when those columns have rank below
-    ``width``.
+    Returns ``(rows, pivots)``: row i of the reduced rows has its leading
+    1 in column ``pivots[i]``, and the rows past ``len(pivots)`` are zero
+    over the first ``width`` columns. With full rank the first ``width``
+    rows read [I | solution]. Returns None as soon as more than
+    ``nullity`` columns lack a pivot.
     """
     rows = [row[:] for row in system]
+    pivots: list[int] = []
     for col in range(width):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
+            if col - top >= nullity:
+                return None
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        lead = rows[top][col]
+        rows[top] = [v / lead for v in rows[top]]
         for r in range(len(rows)):
-            if r != col and rows[r][col] != 0:
+            if r != top and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return rows
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def _solve_linear(system: list[list[Fraction]]):
     """Solve a square augmented system [A | b] exactly; None if singular."""
-    rows = _reduce(system, len(system))
-    return None if rows is None else [row[-1] for row in rows]
+    reduced = _reduce(system, len(system))
+    return None if reduced is None else [row[-1] for row in reduced[0]]
 
 
 def _square_equilibrium(S, m, n, rows_sel, cols_sel):
@@ -179,33 +188,68 @@ def support_enumeration_solve(
     raise RuntimeError("no square support yielded an equilibrium")  # pragma: no cover
 
 
-def certify_unique(matrix, hider, searcher, value) -> bool:
-    """True only when ``hider`` is provably the one optimal hider mix.
+def certified_ranges(matrix, hider, searcher, value):
+    """Exact (min, max) of each coordinate over the optimal hider set,
+    from one optimal pair, or None when this test cannot tell.
 
     Every optimal hider y meets complementary slackness with an optimal
     searcher mix x: (My)_A = v on each row A that x plays, and y_j = 0 on
-    each column that x covers above v. When ``verify_equilibrium``
-    accepts the triple, and that system with sum(y) = 1 has rank n, its
-    one solution is the whole optimal set, and it is checked to equal
-    ``hider``. False proves nothing either way. The rank comes from the
-    elimination above, not from the simplex.
+    each column that x covers above v; and any hider mix that meets those
+    equations, y >= 0 and My <= v is optimal. When ``verify_equilibrium``
+    accepts the triple, ``hider`` solves that system with sum(y) = 1. If
+    the system has rank n, ``hider`` is its one solution and the only
+    optimal hider. If it has rank n - 1, its solutions are the line
+    through ``hider`` along the one null direction d, and the optimal
+    hiders are the segment of it where y >= 0 and My <= v; a ratio test
+    on those inequalities gives the segment's two ends, and each
+    coordinate's range is read off them. With a lower rank, or a failed
+    certificate, the result is None. The rank comes from the elimination
+    above, not from the simplex.
     """
     cert = verify_equilibrium(matrix, hider, searcher, value)
     if not cert.ok:
-        return False
+        return None
+    y = [parse_rational(h) for h in hider]
     # y_j = 0 on the over-covered columns: drop them from the system.
     free = [j for j, s in enumerate(cert.searcher_slack) if s == 0]
+    M = parse_matrix(matrix)
     system = [[ONE] * len(free) + [ONE]]
-    for w, row in zip(searcher, parse_matrix(matrix)):
+    for w, row in zip(searcher, M):
         if parse_rational(w):
             system.append([row[j] for j in free] + [cert.claimed_value])
-    rows = _reduce(system, len(free))
-    if rows is None:
-        return False
-    y = [ZERO] * len(cert.searcher_slack)
-    for j, row in zip(free, rows):
-        y[j] = row[-1]
-    return y == [parse_rational(h) for h in hider]
+    reduced = _reduce(system, len(free), nullity=1)
+    if reduced is None:
+        return None
+    rows, pivots = reduced
+    if len(pivots) == len(free):
+        return tuple((h, h) for h in y)
+    # The column without a pivot spans the null direction: d = 1 there,
+    # and minus its entry in each pivot row at that row's pivot column.
+    (spare,) = set(range(len(free))) - set(pivots)
+    d = [ZERO] * len(y)
+    d[free[spare]] = ONE
+    for row, col in zip(rows, pivots):
+        d[free[col]] = -row[spare]
+    # y + z*d stays optimal while each y_j + z*d_j >= 0 and each row's
+    # payoff (My)_A + z*(Md)_A <= v, that is while g*z <= h for every
+    # (g, h) below. sum(d) = 0 and d != 0, so both ends are finite.
+    limits = [(-dj, yj) for dj, yj in zip(d, y)]
+    limits += [
+        (sum(row[j] * dj for j, dj in enumerate(d) if dj), slack)
+        for row, slack in zip(M, cert.hider_slack)
+    ]
+    z_hi = min(h / g for g, h in limits if g > 0)
+    z_lo = max(h / g for g, h in limits if g < 0)
+    ends = [(yj + z_lo * dj, yj + z_hi * dj) for yj, dj in zip(y, d)]
+    return tuple((min(a, b), max(a, b)) for a, b in ends)
+
+
+def certify_unique(matrix, hider, searcher, value) -> bool:
+    """True only when ``hider`` is provably the one optimal hider mix:
+    ``certified_ranges`` gives every coordinate a single value. False
+    proves nothing either way."""
+    ranges = certified_ranges(matrix, hider, searcher, value)
+    return ranges is not None and all(lo == hi for lo, hi in ranges)
 
 
 @dataclass(frozen=True)
@@ -222,8 +266,10 @@ def sweep_budget(
 ) -> list[SweepEntry]:
     """Solve one game per budget; report value and hider uniqueness.
 
-    Uniqueness comes from ``certify_unique`` on the LP's own answer, and
-    from ``hider_uniqueness`` only where that proves nothing.
+    The hider's ranges, and with them uniqueness, come from
+    ``certified_ranges`` on the LP's own answer, and from
+    ``hider_uniqueness`` only where that returns None; both give the
+    exact ranges, so the entries do not depend on which one ran.
 
     Budgets are evaluated in ascending order and the value is asserted
     to be nondecreasing (extra search time can never hurt the searcher);
@@ -237,11 +283,10 @@ def sweep_budget(
         matrix = game_core.build_matrix(spec, rows)
         sol = solve_zero_sum(matrix)
         hider = sol.col_strategy
-        if certify_unique(matrix, hider, sol.row_strategy, sol.value):
-            ranges, unique = tuple((h, h) for h in hider), True
-        else:
-            report = hider_uniqueness(matrix, sol.value)
-            ranges, unique = report.ranges, report.unique
+        ranges = certified_ranges(matrix, hider, sol.row_strategy, sol.value)
+        if ranges is None:
+            ranges = hider_uniqueness(matrix, sol.value).ranges
+        unique = all(lo == hi for lo, hi in ranges)
         entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
     check_nondecreasing(ks, [e.value for e in entries])
     return entries

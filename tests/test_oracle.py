@@ -21,7 +21,12 @@ from searchpursuit import (
     sweep_budget,
     verify_equilibrium,
 )
-from searchpursuit.oracle import MonotonicityError, certify_unique, check_nondecreasing
+from searchpursuit.oracle import (
+    MonotonicityError,
+    certified_ranges,
+    certify_unique,
+    check_nondecreasing,
+)
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],
@@ -34,14 +39,18 @@ STAIRCASE = ((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"))
 
 
 def assert_certificate_implies_probe(matrix):
-    """Run both uniqueness tests on the LP's answer; return the
-    certificate's verdict."""
+    """Run both uniqueness tests on the LP's answer; whenever the
+    certificate gives ranges, the probe must give the same ones. Returns
+    the certificate's uniqueness verdict."""
     sol = solve_zero_sum(matrix)
-    certified = certify_unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
-    if certified:
+    args = (matrix, sol.col_strategy, sol.row_strategy, sol.value)
+    ranges, certified = certified_ranges(*args), certify_unique(*args)
+    if ranges is not None:
         report = hider_uniqueness(matrix, sol.value)
-        assert report.unique
-        assert report.ranges == tuple((h, h) for h in sol.col_strategy)
+        assert report.ranges == ranges
+        assert report.unique == certified
+    if certified:
+        assert ranges == tuple((h, h) for h in sol.col_strategy)
     return certified
 
 
@@ -266,6 +275,24 @@ class TestCertifyUnique:
         flipped = negated_transpose(build_matrix(spec, maximal_feasible_sets(spec)))
         assert not assert_certificate_implies_probe(flipped)
 
+    def test_rank_one_below_full_gives_the_segment(self):
+        # One set covering both locations: every hider mix is optimal.
+        args = ([[F(1, 2), F(1, 2)]], (F(1, 3), F(2, 3)), (1,), F(1, 2))
+        assert certified_ranges(*args) == ((0, 1), (0, 1))
+        assert not certify_unique(*args)
+        # A segment cut short by a row's payoff at one end: the searcher
+        # plays only the first row, and the second caps y_2 at 1/3.
+        matrix = [[1, 1, 2], [0, 3, 0]]
+        ranges = ((F(2, 3), 1), (0, F(1, 3)), (0, 0))
+        assert certified_ranges(matrix, (1, 0, 0), (1, 0), 1) == ranges
+        assert certified_ranges(matrix, ("5/6", "1/6", 0), (1, 0), 1) == ranges
+        assert hider_uniqueness(matrix, 1).ranges == ranges
+
+    def test_lower_rank_gives_nothing(self):
+        # Three locations, one row played: nullity 2.
+        assert certified_ranges([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3)) is None
+        assert certified_ranges(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115)) is None
+
     def test_single_location_and_single_set(self):
         assert certify_unique([[F(1, 2)], [F(1, 3)]], (1,), (1, 0), F(1, 2))
         assert certify_unique([[F(1, 2), F(1, 3)]], (0, 1), (1,), F(1, 3))
@@ -287,6 +314,7 @@ class TestCertifyUnique:
             monkeypatch.setattr(module, name, refuse)
         assert certify_unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
         assert certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
+        assert certified_ranges([[1, 1, 2], [0, 3, 0]], (1, 0, 0), (1, 0), 1)[1] == (0, F(1, 3))
 
     def test_random_matrices_and_their_negated_transposes(self):
         rng = random.Random(61)
@@ -310,34 +338,60 @@ class TestSweepShortcut:
 
     @staticmethod
     def record(monkeypatch):
-        """Wrap both uniqueness tests; returns the certificate's verdicts
-        and, per probe call, how many verdicts preceded it."""
+        """Wrap both range tests; returns, per certificate call, whether it
+        gave ranges and, per probe call, how many certificate calls
+        preceded it."""
         verdicts, probes = [], []
-        real_certify, real_probe = oracle.certify_unique, oracle.hider_uniqueness
+        real_ranges, real_probe = oracle.certified_ranges, oracle.hider_uniqueness
 
-        def certify(*args):
-            verdicts.append(real_certify(*args))
-            return verdicts[-1]
+        def ranges(*args):
+            found = real_ranges(*args)
+            verdicts.append(found is not None)
+            return found
 
         def probe(matrix, value):
             probes.append(len(verdicts))
             return real_probe(matrix, value)
 
-        monkeypatch.setattr(oracle, "certify_unique", certify)
+        monkeypatch.setattr(oracle, "certified_ranges", ranges)
         monkeypatch.setattr(oracle, "hider_uniqueness", probe)
         return verdicts, probes
 
+    @staticmethod
+    def probed(monkeypatch, times, captures, budgets):
+        """The sweep with every entry's ranges from the probe."""
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "certified_ranges", lambda *args: None)
+            return sweep_budget(times, captures, budgets)
+
     def test_worked_example_budgets(self, monkeypatch):
         times, captures = (5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4")
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "certify_unique", lambda *args: False)
-            probed = sweep_budget(times, captures, range(5, 11))
+        probed = self.probed(monkeypatch, times, captures, range(5, 11))
         verdicts, probes = self.record(monkeypatch)
         entries = sweep_budget(times, captures, range(5, 11))
         assert entries == probed
-        assert len(verdicts) == 6 and True in verdicts
+        # Budgets 5 and 6 leave two null directions.
+        assert verdicts == [False, False, True, True, True, True]
         # The probe runs right after each failed certificate, and only then.
-        assert probes == [i + 1 for i, ok in enumerate(verdicts) if not ok]
+        assert probes == [1, 2]
+
+    @pytest.mark.parametrize(
+        "seed, budgets, unique",
+        [
+            # A segment of optimal hiders: y_4 and y_5 trade 15/43.
+            (28, (8, 9, 10), [True, True, False]),
+            # One null direction that y >= 0 and My <= v cut to a point.
+            (38, (9, 10, 11), [True, True, True]),
+        ],
+    )
+    def test_one_null_direction_needs_no_probe(self, monkeypatch, seed, budgets, unique):
+        spec = roadmap_game(seed, 8)
+        probed = self.probed(monkeypatch, spec.times, spec.captures, budgets)
+        verdicts, probes = self.record(monkeypatch)
+        entries = sweep_budget(spec.times, spec.captures, budgets)
+        assert (verdicts, probes) == ([True] * 3, [])
+        assert entries == probed
+        assert [e.unique for e in entries] == unique
 
     def test_n14_entry_needs_no_probe(self, monkeypatch):
         # The probe alone runs past a minute on this game.
