@@ -1,111 +1,23 @@
-"""Exact rational solvers for budgeted search-and-pursuit games."""
+"""Exact rational solvers for budgeted search-and-pursuit games.
 
-from .closed_forms import (
-    ArithmeticTimesSolution,
-    ConstantTimeSolution,
-    RegimeError,
-    TwoTypeSolution,
-    TwoTypeSpec,
-    ValueFloorCheck,
-    check_value_floor,
-    expand_two_type,
-    solve_arithmetic_times,
-    solve_constant_times,
-    solve_two_type,
-    two_type_payoff,
-)
-from .game_core import (
-    GameSpec,
-    HiderStrategy,
-    InstanceTooLarge,
-    KnapsackInstance,
-    PayoffMatrix,
-    SearchSet,
-    best_response_value,
-    build_matrix,
-    feasible_sets,
-    knapsack_instance,
-    maximal_feasible_sets,
-    search_set,
-)
-from .learning import (
-    LearningSolution,
-    LearningSpec,
-    PosteriorResult,
-    StatePayoffs,
-    diagonal_entries,
-    payoff_matrix,
-    per_state_payoffs,
-    posterior_after_escape,
-    same_location_payoff,
-    stay_is_favored,
-)
-from .learning import solve as solve_learning
-from .lp_solver import (
-    MixedSolution,
-    UniquenessReport,
-    hider_uniqueness,
-    solve_diagonal,
-    solve_zero_sum,
-)
-from .oracle import (
-    Certificate,
-    MonotonicityError,
-    SweepEntry,
-    support_enumeration_solve,
-    sweep_budget,
-    verify_equilibrium,
-)
-from .rationals import format_decimal, format_rational, parse_rational
+The package exports the pipeline of the README's Library example and the
+errors those calls raise; everything else is imported from its module
+(``searchpursuit.closed_forms``, ``searchpursuit.learning``,
+``searchpursuit.oracle``, ``searchpursuit.rationals``, ...).
+"""
+
+from .game_core import GameSpec, InstanceTooLarge, build_matrix, maximal_feasible_sets
+from .lp_solver import hider_uniqueness, solve_zero_sum
+from .oracle import verify_equilibrium
+from .rationals import NumberTooLarge
 
 __all__ = [
-    "ArithmeticTimesSolution",
-    "Certificate",
-    "ConstantTimeSolution",
     "GameSpec",
-    "HiderStrategy",
     "InstanceTooLarge",
-    "KnapsackInstance",
-    "LearningSolution",
-    "LearningSpec",
-    "MixedSolution",
-    "MonotonicityError",
-    "PayoffMatrix",
-    "PosteriorResult",
-    "RegimeError",
-    "SearchSet",
-    "StatePayoffs",
-    "SweepEntry",
-    "TwoTypeSolution",
-    "TwoTypeSpec",
-    "UniquenessReport",
-    "ValueFloorCheck",
-    "best_response_value",
+    "NumberTooLarge",
     "build_matrix",
-    "check_value_floor",
-    "diagonal_entries",
-    "expand_two_type",
-    "feasible_sets",
-    "format_decimal",
-    "format_rational",
     "hider_uniqueness",
-    "knapsack_instance",
     "maximal_feasible_sets",
-    "parse_rational",
-    "payoff_matrix",
-    "per_state_payoffs",
-    "posterior_after_escape",
-    "same_location_payoff",
-    "search_set",
-    "solve_arithmetic_times",
-    "solve_constant_times",
-    "solve_diagonal",
-    "solve_learning",
-    "solve_two_type",
     "solve_zero_sum",
-    "stay_is_favored",
-    "support_enumeration_solve",
-    "sweep_budget",
-    "two_type_payoff",
     "verify_equilibrium",
 ]

@@ -1,10 +1,11 @@
 """Command-line front end: solve, sweep, learning, verify.
 
-Game files are JSON; every number is read exactly (JSON floats are
-re-parsed as decimal literals, so 0.15 means exactly 3/20, and strings
-like "1/3" are fractions). Results go out as a human table, a JSON
-result document, or both. Identical inputs produce byte-identical
-output unless --timing is requested.
+Game files are JSON; every number is read exactly: JSON decimals are
+read as their literal text, so 0.15 means exactly 3/20, and strings
+like "1/3" are fractions. ``rationals`` parses them and refuses one too
+long to print back. Results go out as a human table, a JSON result
+document, or both, in one layout for every mode. Identical inputs
+produce byte-identical output unless --timing is requested.
 
 The location-list modes share one pipeline: enumerate, build the matrix,
 solve the LP, certify on that matrix; a closed-form mode's value must
@@ -22,23 +23,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import replace
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import closed_forms, game_core, learning, lp_solver, oracle
-from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
-
-MODES = ("general", "constant-times", "arithmetic-times", "two-type", "learning")
 
 # Expanded two-type games are cross-checked against the LP only while
 # the pruned matrix stays small; beyond this the closed form stands alone.
@@ -53,11 +50,6 @@ class CertificateFailure(RuntimeError):
     pass
 
 
-class NumberTooLarge(RuntimeError):
-    """An input number has a numerator or denominator with more digits
-    than ``sys.get_int_max_str_digits()`` lets the program print back."""
-
-
 def _fail(message: str):
     raise InputError(message)
 
@@ -66,99 +58,29 @@ def _fail(message: str):
 # Game file parsing
 
 
-class _HugeLiteral(str):
-    """A JSON number literal kept as text because its value is too long
-    to print back; ``_number`` refuses it with the field's name."""
-
-
-def _past_digit_limit(d: Decimal) -> bool:
-    """Whether the reduced numerator or denominator of ``d`` has more
-    digits than ``sys.get_int_max_str_digits()`` allows.
-
-    Judged from the leading power of ten, 10**a: a nonzero value has a
-    numerator of more than ``limit`` digits when a >= limit and a
-    denominator of more than ``limit`` digits when a < -limit. Values in
-    between are cheap to build exactly and are checked again then. Not
-    building them first matters: 1e-999999999 needs a billion-digit
-    power of ten.
-    """
-    limit = sys.get_int_max_str_digits()
-    return (
-        bool(limit)
-        and d.is_finite()
-        and not d.is_zero()
-        and not -limit <= d.adjusted() < limit
-    )
-
-
-def _json_float(text: str):
-    try:
-        d = Decimal(text)
-    except InvalidOperation:
-        # The text is valid JSON, so only an exponent past about 10**18
-        # gets here.
-        return _HugeLiteral(text)
-    return _HugeLiteral(text) if _past_digit_limit(d) else Fraction(d)
-
-
 def _json_int(text: str):
-    return _HugeLiteral(text) if _past_digit_limit(Decimal(text)) else int(text)
-
-
-def _printable(q: Fraction) -> bool:
     try:
-        format_rational(q)
+        return int(text)
     except ValueError:
-        return False
-    return True
-
-
-# A decimal literal with an exponent, as ``Fraction`` reads one.
-_EXPONENT_LITERAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)(\.(\d*|\d+(_\d+)*))?"
-    r"[eE][-+]?\d+(_\d+)*\s*"
-)
-
-
-def _unprintable_literal(value) -> bool:
-    """Whether ``value`` is a JSON number literal or decimal string past
-    the digit limit, judged without building its exact value."""
-    if isinstance(value, _HugeLiteral):
-        return True
-    if not isinstance(value, str):
-        return False
-    try:
-        return _past_digit_limit(Decimal(value))
-    except InvalidOperation:
-        # Decimal reads every decimal literal but those whose exponent is
-        # past its range, about 10**18; anything else, such as "2/3", is
-        # no decimal literal and is left to parse_rational.
-        return _EXPONENT_LITERAL.fullmatch(value) is not None
+        # Past the digit limit: kept as text for parse_rational to refuse.
+        return text
 
 
 def _number(value, where: str) -> Fraction:
-    """``parse_rational`` for input read from outside the program.
-
-    Raises InputError naming ``where`` for anything that is no rational,
-    and NumberTooLarge for a number the program could not print back.
-    """
-    if not _unprintable_literal(value):
-        try:
-            q = parse_rational(value)
-        except (ValueError, TypeError) as exc:
-            _fail(f"{where}: {exc}")
-        if _printable(q):
-            return q
-    raise NumberTooLarge(
-        f"{where}: numerator or denominator has more than "
-        f"{sys.get_int_max_str_digits()} digits"
-    )
+    """``parse_rational`` for input read from outside the program, with
+    ``where`` named in the InputError or NumberTooLarge it raises."""
+    try:
+        return parse_rational(value)
+    except NumberTooLarge as exc:
+        raise NumberTooLarge(f"{where}: {exc}") from None
+    except (ValueError, TypeError) as exc:
+        _fail(f"{where}: {exc}")
 
 
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_json_float, parse_int=_json_int)
+            return json.load(fh, parse_float=str, parse_int=_json_int)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -203,11 +125,9 @@ def load_game_file(path: str) -> dict:
         _fail(f"{path}: top level must be a JSON object")
     _reject_unknown(doc, {"locations", "budget", "mode", "two_type", "learning"}, path)
     mode = doc.get("mode", "general")
-    if mode not in MODES:
-        _fail(f"{path}: mode must be one of: {', '.join(MODES)}")
-    doc = dict(doc)
-    doc["mode"] = mode
-    return doc
+    if not isinstance(mode, str) or mode not in _MODES:
+        _fail(f"{path}: mode must be one of: {', '.join(_MODES)}")
+    return {**doc, "mode": mode}
 
 
 def game_spec_from(doc: dict, path: str) -> game_core.GameSpec:
@@ -266,16 +186,12 @@ def learning_spec_from(doc: dict, path: str) -> learning.LearningSpec:
 
 
 def _text(q: Fraction) -> str:
-    """``format_rational`` for everything the program prints. A result
-    too long to print back is NumberTooLarge; documents and tables are
-    built before anything is printed, so nothing comes out before it."""
+    """``format_rational`` for everything printed. Documents and tables are
+    built before any output, so a NumberTooLarge comes before all of it."""
     try:
         return format_rational(q)
-    except ValueError:
-        raise NumberTooLarge(
-            f"result: numerator or denominator has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+    except NumberTooLarge as exc:
+        raise NumberTooLarge(f"result: {exc}") from None
 
 
 def _value_json(v: Fraction) -> dict:
@@ -306,6 +222,23 @@ def _emit(args, document: dict, table_lines: list[str]) -> None:
             sys.stdout.write(payload)
 
 
+def _result(game: dict, value: Fraction, answer: dict, provenance: str,
+            head: list[str], body: list[str], extras: dict | None = None):
+    """The JSON document and table of one solve, in every mode's layout:
+    game fields, value, the mode's answer, provenance, certificate, extras;
+    head lines, value line, body, certificate line. A failed certificate
+    raises before anything is rendered, so here it always holds."""
+    document = {
+        **game,
+        "value": _value_json(value),
+        **answer,
+        "provenance": provenance,
+        "certificate": {"ok": True},
+        **(extras or {}),
+    }
+    return document, [*head, f"value: {_value_text(value)}", *body, "certificate: ok"]
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -333,7 +266,7 @@ def _constant_times(spec: game_core.GameSpec, path: str):
         f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
         f"regime: {closed.regime}",
     ]
-    return closed.value, closed.hider.probs, None, ("constant_times", extras), header
+    return closed.value, closed.hider.probs, None, {"constant_times": extras}, header
 
 
 def _arithmetic_times(spec: game_core.GameSpec, path: str):
@@ -343,27 +276,29 @@ def _arithmetic_times(spec: game_core.GameSpec, path: str):
     if spec.budget != spec.n:
         _fail(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
     try:
-        # _solve_locations certifies the solution on the matrix it solves.
+        # _solve_locations certifies the solution on the matrix it solves
+        # and raises before rendering if it fails, so "verified" is true
+        # wherever it is printed.
         closed = closed_forms.solve_arithmetic_times(spec.captures, certify=False)
     except ValueError as exc:
         _fail(f"{path}: {exc}")
     extras = {
         "support_start": closed.support_start,
         "inv_capture_sum": _text(closed.inv_capture_sum),
-        "verified": None,  # the certificate's verdict, filled in once known
+        "verified": True,
         "uniqueness_expected": closed.uniqueness_expected,
     }
     header = [
         f"game: staircase times 1..{spec.n}, budget {spec.n}",
         f"hider support: locations {closed.support_start}..{spec.n}",
     ]
-    mix = closed.searcher_mix
-    return closed.value, closed.hider.probs, mix, ("arithmetic_times", extras), header
+    mix, extras = closed.searcher_mix, {"arithmetic_times": extras}
+    return closed.value, closed.hider.probs, mix, extras, header
 
 
 # Closed forms of the location-list modes. Each returns (value, hider,
-# searcher mix as (set, weight) pairs or None for the LP's, extras block
-# as (key, fields), header lines); "general" has none.
+# searcher mix as (set, weight) pairs or None for the LP's, extras,
+# header lines); "general" has none.
 _CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithmetic_times}
 
 
@@ -390,36 +325,24 @@ def _solve_locations(doc, path, args, mode):
         searcher = game_core.row_weights(rows, pairs)
     except ValueError as exc:
         raise CertificateFailure(f"closed form: {exc}") from None
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    if not cert.ok:
+    if not oracle.verify_equilibrium(matrix, hider, searcher, value).ok:
         raise CertificateFailure(f"{mode} solution failed its certificate")
-    document = {
-        "mode": mode,
-        "locations": _location_document(spec),
-        "budget": _text(spec.budget),
-        "value": _value_json(value),
+    game = {"mode": mode, "locations": _location_document(spec), "budget": _text(spec.budget)}
+    answer = {
         "hider": [_text(p) for p in hider],
-        "searcher": [
-            {"set": list(s.members), "probability": _text(w)} for s, w in pairs
-        ],
-        "provenance": "lp" if closed is None else "both",
-        "certificate": {"ok": cert.ok},
+        "searcher": [{"set": list(s.members), "probability": _text(w)} for s, w in pairs],
     }
-    if extras is not None:
-        key, fields = extras
-        if "verified" in fields:
-            fields["verified"] = cert.ok
-        document[key] = fields
-    table = [*header, f"value: {_value_text(value)}", "hider distribution:"]
-    for i, prob in enumerate(hider, start=1):
-        table.append(
-            f"  location {_location_label(spec, i, args.paper_names)}: {_text(prob)}"
-        )
-    table.append("searcher distribution:")
-    for s, prob in pairs:
-        table.append(f"  {_set_label(spec, s, args.paper_names)}: {_text(prob)}")
-    table.append(f"certificate: {'ok' if cert.ok else 'FAILED'}")
-    return document, table
+    body = [
+        "hider distribution:",
+        *(
+            f"  location {_location_label(spec, i, args.paper_names)}: {_text(p)}"
+            for i, p in enumerate(hider, start=1)
+        ),
+        "searcher distribution:",
+        *(f"  {_set_label(spec, s, args.paper_names)}: {_text(p)}" for s, p in pairs),
+    ]
+    provenance = "lp" if closed is None else "both"
+    return _result(game, value, answer, provenance, header, body, extras)
 
 
 def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
@@ -433,20 +356,25 @@ def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
     }
 
 
+def _two_type_searcher(pairs, m: int) -> list[Fraction]:
+    """The searcher's weights on inspecting j = 0..m slow locations, from
+    (j, weight) pairs; a count listed more than once carries the sum."""
+    searcher = [Fraction(0)] * (m + 1)
+    for j, w in pairs:
+        searcher[j] += w
+    return searcher
+
+
 def _solve_two_type(doc, path, args, mode):
     spec = two_type_spec_from(doc, path)
     try:
         closed = closed_forms.solve_two_type(spec)
     except closed_forms.RegimeError as exc:
         _fail(f"{path}: {exc}")
-    searcher = [Fraction(0)] * (closed.max_type2_searches + 1)
-    for j, w in closed.searcher_mix:
-        searcher[j] = w
+    searcher = _two_type_searcher(closed.searcher_mix, closed.max_type2_searches)
     hider = (closed.type1_mass, 1 - closed.type1_mass)
-    cert = oracle.verify_equilibrium(
-        closed_forms.two_type_matrix(spec), hider, searcher, closed.value
-    )
-    if not cert.ok:
+    matrix = closed_forms.two_type_matrix(spec)
+    if not oracle.verify_equilibrium(matrix, hider, searcher, closed.value).ok:
         raise CertificateFailure("two-type closed form failed the certificate")
     try:
         _, matrix = _location_matrix(
@@ -463,117 +391,89 @@ def _solve_two_type(doc, path, args, mode):
                 f"LP value {lp_value}"
             )
         provenance = "both"
-    document = {
-        "mode": "two-type",
-        "two_type": _two_type_block(spec),
-        "value": _value_json(closed.value),
-        "hider": {
-            "type1_mass": _text(closed.type1_mass),
-            "type2_mass": _text(1 - closed.type1_mass),
-        },
+    quick, slow = (_text(mass) for mass in hider)
+    mean = _text(closed.mean_type2_searches)
+    answer = {
+        "hider": {"type1_mass": quick, "type2_mass": slow},
         "searcher": [
-            {"type2_searched": j, "probability": _text(w)}
-            for j, w in closed.searcher_mix
+            {"type2_searched": j, "probability": _text(w)} for j, w in closed.searcher_mix
         ],
-        "mean_type2_searches": _text(closed.mean_type2_searches),
+        "mean_type2_searches": mean,
         "max_type2_searches": closed.max_type2_searches,
-        "provenance": provenance,
-        "certificate": {"ok": cert.ok},
     }
-    table = [
+    head = [
         f"game: {spec.type1_count} quick locations (time 1, capture "
         f"{_text(spec.type1_capture)}) and {spec.type2_count} slow "
         f"locations (time {spec.type2_time}, capture "
         f"{_text(spec.type2_capture)}), budget {spec.budget}",
-        f"value: {_value_text(closed.value)}",
-        f"hider: quick-type mass {_text(closed.type1_mass)}, "
-        f"slow-type mass {_text(1 - closed.type1_mass)}",
-        "searcher (number of slow locations inspected):",
     ]
-    for j, w in closed.searcher_mix:
-        table.append(f"  j={j}: {_text(w)}")
-    table.append(
-        f"mean slow inspections: {_text(closed.mean_type2_searches)} "
-        f"(max feasible {closed.max_type2_searches})"
-    )
-    table.append(f"certificate: {'ok' if cert.ok else 'FAILED'}")
-    return document, table
+    body = [
+        f"hider: quick-type mass {quick}, slow-type mass {slow}",
+        "searcher (number of slow locations inspected):",
+        *(f"  j={j}: {_text(w)}" for j, w in closed.searcher_mix),
+        f"mean slow inspections: {mean} (max feasible {closed.max_type2_searches})",
+    ]
+    game = {"mode": "two-type", "two_type": _two_type_block(spec)}
+    return _result(game, closed.value, answer, provenance, head, body)
 
 
 def _learning_document(spec: learning.LearningSpec) -> tuple[dict, list[str]]:
     # learning.solve certifies its answer with the oracle or raises.
     sol = learning.solve(spec)
     favored = learning.stay_is_favored(spec)
-    posterior = None
-    if spec.low + spec.high > 0:
-        posterior = learning.posterior_after_escape(spec, sol)
-    document = {
+    game = {
         "mode": "learning",
         "learning": {"low": _text(spec.low), "high": _text(spec.high)},
         "matrix": [[_text(v) for v in row] for row in sol.matrix],
         "diagonal": [_text(v) for v in sol.diagonal],
-        "value": _value_json(sol.value),
+    }
+    answer = {
         "stay_probability": _text(sol.stay_probability),
         "switch_probability": _text(sol.switch_probability),
         "stay_favored": favored,
-        "posterior": None
-        if posterior is None
-        else {
+        "posterior": None,
+    }
+    head = [
+        f"escape probabilities: low {_text(spec.low)}, high {_text(spec.high)}",
+        "payoff matrix (rows/cols: stay, switch):",
+        *(f"  {_text(row[0])}  {_text(row[1])}" for row in sol.matrix),
+        f"diagonal form: ({', '.join(game['diagonal'])})",
+    ]
+    body = [
+        f"P(stay after escape)   = {answer['stay_probability']}",
+        f"P(switch after escape) = {answer['switch_probability']}",
+        f"stay favored: {'yes' if favored else 'no'}",
+    ]
+    if spec.low + spec.high > 0:
+        posterior = learning.posterior_after_escape(spec, sol)
+        answer["posterior"] = {
             "high_escape": _text(posterior.high_escape_posterior),
             "expected_escape": _text(posterior.expected_escape),
             "implied_capture": _text(posterior.implied_capture),
             "low_capture": _text(posterior.low_capture_posterior),
-        },
-        "provenance": "both" if sol.used_shortcut else "lp",
-        "certificate": {"ok": True},
-    }
-    a, b = sol.diagonal
-    table = [
-        f"escape probabilities: low {_text(spec.low)}, high {_text(spec.high)}",
-        "payoff matrix (rows/cols: stay, switch):",
-        f"  {_text(sol.matrix[0][0])}  {_text(sol.matrix[0][1])}",
-        f"  {_text(sol.matrix[1][0])}  {_text(sol.matrix[1][1])}",
-        f"diagonal form: ({_text(a)}, {_text(b)})",
-        f"value: {_value_text(sol.value)}",
-        f"P(stay after escape)   = {_text(sol.stay_probability)}",
-        f"P(switch after escape) = {_text(sol.switch_probability)}",
-        f"stay favored: {'yes' if favored else 'no'}",
-    ]
-    if posterior is not None:
-        table += [
-            f"posterior P(high escape | escape) = "
-            f"{_text(posterior.high_escape_posterior)}",
-            f"expected escape probability there = "
-            f"{_text(posterior.expected_escape)}",
-            f"implied capture probability there = "
-            f"{_text(posterior.implied_capture)}",
-            f"posterior P(low capture | escape) = "
-            f"{_text(posterior.low_capture_posterior)}",
+        }
+        shown = answer["posterior"]
+        body += [
+            f"posterior P(high escape | escape) = {shown['high_escape']}",
+            f"expected escape probability there = {shown['expected_escape']}",
+            f"implied capture probability there = {shown['implied_capture']}",
+            f"posterior P(low capture | escape) = {shown['low_capture']}",
         ]
     else:
-        table.append("posterior: escape impossible (both escape probabilities 0)")
-    table.append("certificate: ok")
-    return document, table
+        body.append("posterior: escape impossible (both escape probabilities 0)")
+    provenance = "both" if sol.used_shortcut else "lp"
+    return _result(game, sol.value, answer, provenance, head, body)
 
 
 def _solve_learning(doc, path, args, mode):
     return _learning_document(learning_spec_from(doc, path))
 
 
-_SOLVE_DISPATCH = {
-    "general": _solve_locations,
-    "constant-times": _solve_locations,
-    "arithmetic-times": _solve_locations,
-    "two-type": _solve_two_type,
-    "learning": _solve_learning,
-}
-
-
 def cmd_solve(args) -> int:
     doc = load_game_file(args.file)
     mode = args.mode or doc["mode"]
     started = time.perf_counter()
-    document, table = _SOLVE_DISPATCH[mode](doc, args.file, args, mode)
+    document, table = _MODES[mode][0](doc, args.file, args, mode)
     if args.timing:
         document["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     _emit(args, document, table)
@@ -600,6 +500,14 @@ def _budget_range(args) -> list[Fraction]:
     return [lo + i for i in range(count)]
 
 
+def _emit_sweep(args, head: dict, columns: str, rows) -> int:
+    """Emit ``head`` with the entries under "sweep", and the ``columns``
+    line with the lines, from one (entry, line) pair per budget."""
+    entries, lines = zip(*rows)
+    _emit(args, {**head, "sweep": list(entries)}, [columns, *lines])
+    return EXIT_OK
+
+
 def cmd_sweep(args) -> int:
     doc = load_game_file(args.file)
     mode = args.mode or doc["mode"]
@@ -612,29 +520,20 @@ def cmd_sweep(args) -> int:
     entries = oracle.sweep_budget(
         spec.times, spec.captures, budgets, max_sets=args.max_subsets
     )
-    document = {
-        "mode": "sweep",
-        "locations": _location_document(spec),
-        "sweep": [
-            {
-                "budget": _text(e.budget),
-                "value": _value_json(e.value),
-                "hider": [_text(p) for p in e.hider],
-                "unique": e.unique,
-            }
-            for e in entries
-        ],
-    }
-    header = "k | " + " ".join(f"h{i}" for i in range(1, spec.n + 1)) + " | value | unique hider"
-    table = [header]
-    for e in entries:
-        hider = " ".join(_text(p) for p in e.hider)
-        table.append(
-            f"{_text(e.budget)} | {hider} | {_value_text(e.value)} | "
-            f"{'yes' if e.unique else 'no'}"
-        )
-    _emit(args, document, table)
-    return EXIT_OK
+
+    def row(e):
+        budget, hider = _text(e.budget), [_text(p) for p in e.hider]
+        unique = "yes" if e.unique else "no"
+        entry = dict(budget=budget, value=_value_json(e.value), hider=hider, unique=e.unique)
+        return entry, f"{budget} | {' '.join(hider)} | {_value_text(e.value)} | {unique}"
+
+    hiders = " ".join(f"h{i}" for i in range(1, spec.n + 1))
+    return _emit_sweep(
+        args,
+        {"mode": "sweep", "locations": _location_document(spec)},
+        f"k | {hiders} | value | unique hider",
+        [row(e) for e in entries],
+    )
 
 
 def _sweep_two_type(doc, args, budgets) -> int:
@@ -645,27 +544,23 @@ def _sweep_two_type(doc, args, budgets) -> int:
         closed_forms.solve_two_type(replace(spec, budget=int(k))) for k in budgets
     ]
     oracle.check_nondecreasing(budgets, [c.value for c in solutions])
-    document = {
-        "mode": "two-type-sweep",
-        "two_type": _two_type_block(spec),
-        "sweep": [
-            {
-                "budget": int(k),
-                "value": _value_json(c.value),
-                "type1_mass": _text(c.type1_mass),
-                "mean_type2_searches": _text(c.mean_type2_searches),
-            }
-            for k, c in zip(budgets, solutions)
-        ],
-    }
-    table = ["k | type1 mass | mean slow inspections | value"]
-    for k, c in zip(budgets, solutions):
-        table.append(
-            f"{int(k)} | {_text(c.type1_mass)} | "
-            f"{_text(c.mean_type2_searches)} | {_value_text(c.value)}"
-        )
-    _emit(args, document, table)
-    return EXIT_OK
+
+    def row(k, c):
+        mass, mean = _text(c.type1_mass), _text(c.mean_type2_searches)
+        entry = {
+            "budget": int(k),
+            "value": _value_json(c.value),
+            "type1_mass": mass,
+            "mean_type2_searches": mean,
+        }
+        return entry, f"{int(k)} | {mass} | {mean} | {_value_text(c.value)}"
+
+    return _emit_sweep(
+        args,
+        {"mode": "two-type-sweep", "two_type": _two_type_block(spec)},
+        "k | type1 mass | mean slow inspections | value",
+        [row(k, c) for k, c in zip(budgets, solutions)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +573,7 @@ def cmd_learning(args) -> int:
         spec = learning.LearningSpec(low, high)
     except (ValueError, TypeError) as exc:
         _fail(str(exc))
-    document, table = _learning_document(spec)
-    _emit(args, document, table)
+    _emit(args, *_learning_document(spec))
     return EXIT_OK
 
 
@@ -754,7 +648,7 @@ def _read_two_type(game_doc, solution, args):
         _solution_number(hider_block, key, args.solution, f"hider.{key}")
         for key in ("type1_mass", "type2_mass")
     )
-    searcher = [Fraction(0)] * (m + 1)
+    pairs = []
     for item in _json_array(solution, "searcher", args.solution):
         if not isinstance(item, dict) or not {"type2_searched", "probability"} <= item.keys():
             _fail(
@@ -764,10 +658,11 @@ def _read_two_type(game_doc, solution, args):
         j = item["type2_searched"]
         if type(j) is not int or not 0 <= j <= m:
             _fail(f"{args.solution}: type2_searched must be an integer in 0..{m}")
-        searcher[j] += _number(
-            item["probability"], f"{args.solution}: searcher probability"
+        pairs.append(
+            (j, _number(item["probability"], f"{args.solution}: searcher probability"))
         )
     row_names = [f"j={j}" for j in range(m + 1)]
+    searcher = _two_type_searcher(pairs, m)
     return matrix, hider, searcher, row_names, ["quick-type", "slow-type"]
 
 
@@ -782,13 +677,14 @@ def _read_learning(game_doc, solution, args):
     return learning.payoff_matrix(spec), mix, mix, names, names
 
 
-# Sweep documents carry no single solution, so they have no reader.
-_VERIFY_READERS = {
-    "general": _read_locations,
-    "constant-times": _read_locations,
-    "arithmetic-times": _read_locations,
-    "two-type": _read_two_type,
-    "learning": _read_learning,
+# Every mode's solver and verify reader. Sweep documents carry no single
+# solution, so they have no entry and ``verify`` refuses them.
+_MODES = {
+    "general": (_solve_locations, _read_locations),
+    "constant-times": (_solve_locations, _read_locations),
+    "arithmetic-times": (_solve_locations, _read_locations),
+    "two-type": (_solve_two_type, _read_two_type),
+    "learning": (_solve_learning, _read_learning),
 }
 
 
@@ -826,12 +722,15 @@ def cmd_verify(args) -> int:
     if not isinstance(solution, dict):
         _fail(f"{args.solution}: top level must be a JSON object")
     mode = solution.get("mode", game_doc["mode"])
-    reader = _VERIFY_READERS.get(mode) if isinstance(mode, str) else None
-    if reader is None:
+    if not isinstance(mode, str) or mode not in _MODES:
         _fail(f"{args.solution}: cannot verify mode {mode!r}")
-    matrix, hider, searcher, row_names, col_names = reader(game_doc, solution, args)
+    read = _MODES[mode][1]
+    matrix, hider, searcher, row_names, col_names = read(game_doc, solution, args)
     value = _claimed_value(solution, args.solution)
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    try:
+        cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    except ValueError as exc:  # a mix that is no probability distribution
+        _fail(f"{args.solution}: {exc}")
     return _report_certificate(cert, row_names, col_names)
 
 
@@ -861,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one game file")
     solve.add_argument("file", help="JSON game file")
-    solve.add_argument("--mode", choices=MODES, help="override the file's mode")
+    solve.add_argument("--mode", choices=_MODES, help="override the file's mode")
     solve.add_argument(
         "--paper-names", action="store_true",
         help="label locations by their search times instead of 1-based indices",
@@ -879,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("file", help="JSON game file")
     sweep.add_argument("--k-from", required=True, help="first budget")
     sweep.add_argument("--k-to", required=True, help="last budget (inclusive)")
-    sweep.add_argument("--mode", choices=MODES, help="override the file's mode")
+    sweep.add_argument("--mode", choices=_MODES, help="override the file's mode")
     max_subsets(sweep)
     common_output(sweep)
     sweep.set_defaults(func=cmd_sweep)

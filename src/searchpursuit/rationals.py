@@ -1,8 +1,58 @@
-"""Exact rational parsing and rendering shared by the solvers and the CLI."""
+"""Exact rational parsing and rendering shared by the solvers and the CLI,
+and the one place that bounds a number by the digits it prints with."""
 
 from __future__ import annotations
 
+import re
+import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+
+
+class NumberTooLarge(ValueError):
+    """A numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default, 0 for no limit)
+    lets the program print back."""
+
+    def __init__(self, message: str = ""):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(message or f"numerator or denominator has more than {limit} digits")
+
+
+# A decimal literal, in the grammar ``Fraction`` reads one.
+_DECIMAL_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)(\.(\d*|\d+(_\d+)*))?"
+    r"([eE][-+]?\d+(_\d+)*)?\s*"
+)
+
+
+def _decimal(text: str) -> Fraction:
+    """The exact value of the decimal literal ``text``, or NumberTooLarge.
+
+    Judged first from the leading power of ten, 10**a: a nonzero value has
+    a numerator of more than ``limit`` digits when a >= limit and a
+    denominator of more than ``limit`` digits when a < -limit, so
+    1e-999999999 is refused without building its billion-digit power of
+    ten. Values in between are cheap to build, through Decimal, which
+    unlike ``Fraction``'s parser reads digit runs of any length, and are
+    checked again then.
+    """
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        # Only an exponent past Decimal's range, about 10**18, gets here.
+        raise NumberTooLarge() from None
+    limit = sys.get_int_max_str_digits()
+    if not d.is_finite() or (
+        limit and not d.is_zero() and not -limit <= d.adjusted() < limit
+    ):
+        raise NumberTooLarge()
+    q = Fraction(d)
+    # At most 3 * limit bits is fewer than limit digits, so only a longer
+    # value is printed to find out.
+    if limit and max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * limit:
+        format_rational(q)
+    return q
 
 
 def parse_rational(value) -> Fraction:
@@ -10,7 +60,9 @@ def parse_rational(value) -> Fraction:
 
     Accepts ints, Fractions, and strings in either "num/den" or decimal
     form ("0.15" means exactly 3/20). Binary floats are rejected so a
-    caller can never smuggle rounding error into an exact pipeline.
+    caller can never smuggle rounding error into an exact pipeline. A
+    decimal string whose value could not be printed back raises
+    NumberTooLarge, before the value is built when its exponent shows it.
     """
     if isinstance(value, Fraction):
         return value
@@ -19,6 +71,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _DECIMAL_LITERAL.fullmatch(value):
+            return _decimal(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -48,10 +102,14 @@ def parse_matrix(matrix) -> list[list[Fraction]]:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text form: reduced, "num/den" or a bare integer."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical text form: reduced, "num/den" or a bare integer;
+    NumberTooLarge if that is past the digit limit."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise NumberTooLarge() from None
 
 
 def format_decimal(q: Fraction, digits: int = 6) -> str:

@@ -12,25 +12,29 @@ from math import comb
 from conftest import report, strictly_decreasing_captures, unit_fraction
 from searchpursuit import (
     GameSpec,
-    check_value_floor,
-    TwoTypeSpec,
     build_matrix,
-    expand_two_type,
     hider_uniqueness,
     maximal_feasible_sets,
-    payoff_matrix,
-    posterior_after_escape,
-    solve_arithmetic_times,
-    solve_constant_times,
-    solve_learning,
-    solve_two_type,
     solve_zero_sum,
-    support_enumeration_solve,
-    sweep_budget,
-    two_type_payoff,
     verify_equilibrium,
 )
-from searchpursuit.learning import LearningSpec, closed_form_value
+from searchpursuit.closed_forms import (
+    TwoTypeSpec,
+    check_value_floor,
+    expand_two_type,
+    solve_arithmetic_times,
+    solve_constant_times,
+    solve_two_type,
+    two_type_payoff,
+)
+from searchpursuit.learning import (
+    LearningSpec,
+    closed_form_value,
+    payoff_matrix,
+    posterior_after_escape,
+)
+from searchpursuit.learning import solve as solve_learning
+from searchpursuit.oracle import support_enumeration_solve, sweep_budget
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))
 

@@ -501,7 +501,8 @@ class TestVerify:
         )
         assert code == 2
         assert "certificate: ok" not in out.out
-        assert out.err == "error: hider mix is not a probability distribution\n"
+        sol_path = tmp_path / "x-sol.json"
+        assert out.err == f"error: {sol_path}: hider mix is not a probability distribution\n"
 
     def test_two_type_missing_type2_mass_is_named(self, tmp_path, capsys):
         code, out = self.altered_solution(

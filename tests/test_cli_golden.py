@@ -384,6 +384,21 @@ def _solution_files(workdir) -> dict[str, str]:
     return files
 
 
+def _changed(old: dict, new: dict) -> list[str]:
+    """The cases, then the corpus files, that differ between two corpora
+    or are in only one of them."""
+    cases = [
+        {c["name"]: (c["argv"], c["exit"], c["stdout"], c["stderr"], c["written"])
+         for c in corpus["cases"]}
+        for corpus in (old, new)
+    ]
+    changed = []
+    for kind, (before, after) in (("case", cases), ("file", (old["files"], new["files"]))):
+        names = before.keys() | after.keys()
+        changed += [f"{kind} {k}" for k in sorted(names) if before.get(k) != after.get(k)]
+    return changed
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -402,6 +417,8 @@ def regenerate() -> None:
             cases.append({"name": name, "argv": argv, **result})
     names = [case["name"] for case in cases]
     assert len(names) == len(set(names)), "case names must be unique"
+    for name in _changed(_GOLDEN, {"files": files, "cases": cases}):
+        print(f"changed: {name}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"files": files, "cases": cases}, fh, indent=1, sort_keys=True)

@@ -4,21 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import unit_fraction
-from searchpursuit import (
-    GameSpec,
+from searchpursuit import GameSpec, build_matrix, maximal_feasible_sets, solve_zero_sum
+from searchpursuit.closed_forms import (
     RegimeError,
     TwoTypeSpec,
-    build_matrix,
     check_value_floor,
     expand_two_type,
-    maximal_feasible_sets,
     solve_arithmetic_times,
     solve_constant_times,
     solve_two_type,
-    solve_zero_sum,
+    two_type_matrix,
     two_type_payoff,
 )
-from searchpursuit.closed_forms import two_type_matrix
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))
 

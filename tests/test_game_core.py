@@ -7,16 +7,18 @@ import pytest
 from conftest import random_game
 from searchpursuit import (
     GameSpec,
-    HiderStrategy,
     InstanceTooLarge,
+    build_matrix,
+    maximal_feasible_sets,
+    solve_zero_sum,
+)
+from searchpursuit.game_core import (
+    HiderStrategy,
     SearchSet,
     best_response_value,
-    build_matrix,
     feasible_sets,
     knapsack_instance,
-    maximal_feasible_sets,
     search_set,
-    solve_zero_sum,
 )
 
 EXAMPLE = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)

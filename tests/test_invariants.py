@@ -1,13 +1,29 @@
 """Invariants of the game value that the paper implies, as properties
 over random games."""
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_games
 from searchpursuit import GameSpec, build_matrix, maximal_feasible_sets, solve_zero_sum
+from searchpursuit.cli import main
+from searchpursuit.closed_forms import (
+    RegimeError,
+    TwoTypeSpec,
+    expand_two_type,
+    solve_arithmetic_times,
+    solve_constant_times,
+    solve_two_type,
+)
+from searchpursuit.oracle import certified_ranges
+from searchpursuit.rationals import format_rational
 
 
 def game_value(spec: GameSpec) -> F:
@@ -37,3 +53,118 @@ def test_value_is_nondecreasing_in_each_capture(spec, data):
     captures[i] = F(raised, 20)
     higher = GameSpec(spec.times, tuple(captures), spec.budget)
     assert game_value(higher) >= game_value(spec)
+
+
+def solved(spec: GameSpec):
+    matrix = build_matrix(spec, maximal_feasible_sets(spec))
+    return matrix, solve_zero_sum(matrix)
+
+
+@settings(max_examples=60)
+@given(small_games(), st.data())
+def test_permuting_the_locations_permutes_the_answer(spec, data):
+    order = data.draw(st.permutations(range(spec.n)), label="order")
+    permuted = GameSpec(
+        tuple(spec.times[i] for i in order),
+        tuple(spec.captures[i] for i in order),
+        spec.budget,
+    )
+    matrix, sol = solved(spec)
+    _, permuted_sol = solved(permuted)
+    assert permuted_sol.value == sol.value
+    ranges = certified_ranges(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+    if ranges is not None and all(lo == hi for lo, hi in ranges):
+        # The one optimal hider of a relabelled game is the relabelled one.
+        assert list(permuted_sol.col_strategy) == [sol.col_strategy[i] for i in order]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=6), st.data())
+def test_constant_times_closed_form_is_the_lp_value(captures, data):
+    k = data.draw(st.integers(1, len(captures)), label="budget")
+    ps = tuple(F(c, 20) for c in captures)
+    closed = solve_constant_times(ps, k)
+    assert closed.value == game_value(GameSpec((1,) * len(ps), ps, k))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=7))
+def test_arithmetic_times_closed_form_is_the_lp_value(captures):
+    ps = tuple(F(c, 20) for c in sorted(captures, reverse=True))
+    n = len(ps)
+    closed = solve_arithmetic_times(ps, certify=False)
+    assert closed.value == game_value(GameSpec(tuple(range(1, n + 1)), ps, n))
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(1, 5), st.integers(1, 4), st.integers(1, 3),
+    st.integers(1, 20), st.integers(1, 20), st.integers(1, 5),
+)
+def test_two_type_closed_form_is_the_lp_value(a, b, tau, p, q, k):
+    spec = TwoTypeSpec(a, b, tau, F(p, 20), F(q, 20), k)
+    try:
+        closed = solve_two_type(spec)
+    except RegimeError:
+        assume(False)
+    assert closed.value == game_value(expand_two_type(spec))
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def solve_and_alter(spec: GameSpec, alter):
+    """Exit code and standard output of ``verify`` on the ``solve --format
+    json`` document of ``spec`` after ``alter`` has changed it."""
+    game = {
+        "locations": [
+            {"time": format_rational(t), "capture": format_rational(p)}
+            for t, p in zip(spec.times, spec.captures)
+        ],
+        "budget": format_rational(spec.budget),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path, solution_path = Path(tmp, "game.json"), Path(tmp, "solution.json")
+        game_path.write_text(json.dumps(game), encoding="utf-8")
+        code, out = run_main(["solve", str(game_path), "--format", "json"])
+        assert code == 0
+        document = json.loads(out)
+        alter(document)
+        solution_path.write_text(json.dumps(document), encoding="utf-8")
+        return run_main(["verify", str(game_path), str(solution_path)])
+
+
+nonzero_deltas = st.fractions(-2, 2, max_denominator=50).filter(bool)
+
+
+@settings(max_examples=30)
+@given(small_games(), nonzero_deltas)
+def test_verify_fails_a_moved_value(spec, delta):
+    def move(document):
+        value = document["value"]
+        value["fraction"] = format_rational(F(value["fraction"]) + delta)
+
+    code, out = solve_and_alter(spec, move)
+    assert code == 1
+    assert "certificate: ok" not in out
+
+
+@settings(max_examples=30)
+@given(small_games(), st.sampled_from(["hider", "searcher"]), st.data(), nonzero_deltas)
+def test_verify_fails_a_changed_probability(spec, side, data, delta):
+    def change(document):
+        entries = document[side]
+        i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        if side == "hider":
+            entries[i] = format_rational(F(entries[i]) + delta)
+        else:
+            entry = entries[i]
+            entry["probability"] = format_rational(F(entry["probability"]) + delta)
+
+    code, out = solve_and_alter(spec, change)
+    assert code != 0
+    assert "certificate: ok" not in out

@@ -4,18 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import unit_fraction
-from searchpursuit import (
+from searchpursuit import solve_zero_sum
+from searchpursuit.learning import (
     LearningSpec,
+    closed_form_value,
     diagonal_entries,
     payoff_matrix,
     per_state_payoffs,
     posterior_after_escape,
     same_location_payoff,
-    solve_learning,
-    solve_zero_sum,
     stay_is_favored,
 )
-from searchpursuit.learning import closed_form_value
+from searchpursuit.learning import solve as solve_learning
 
 
 def random_pair(rng, max_den=20, strict=False):

@@ -11,10 +11,10 @@ from searchpursuit import (
     build_matrix,
     hider_uniqueness,
     maximal_feasible_sets,
-    solve_diagonal,
     solve_zero_sum,
-    support_enumeration_solve,
 )
+from searchpursuit.lp_solver import solve_diagonal
+from searchpursuit.oracle import support_enumeration_solve
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],

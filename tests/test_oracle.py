@@ -8,24 +8,26 @@ from conftest import negated_transpose, random_matrix, roadmap_game, small_games
 from searchpursuit import lp_solver, oracle
 from searchpursuit import (
     GameSpec,
-    TwoTypeSpec,
     build_matrix,
-    expand_two_type,
     hider_uniqueness,
     maximal_feasible_sets,
+    solve_zero_sum,
+    verify_equilibrium,
+)
+from searchpursuit.closed_forms import (
+    TwoTypeSpec,
+    expand_two_type,
     solve_arithmetic_times,
     solve_constant_times,
     solve_two_type,
-    solve_zero_sum,
-    support_enumeration_solve,
-    sweep_budget,
-    verify_equilibrium,
 )
 from searchpursuit.oracle import (
     MonotonicityError,
     certified_ranges,
     certify_unique,
     check_nondecreasing,
+    support_enumeration_solve,
+    sweep_budget,
 )
 
 EXAMPLE_MATRIX = [

@@ -1,8 +1,15 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from searchpursuit.rationals import format_decimal, format_rational, parse_rational
+from searchpursuit.rationals import (
+    NumberTooLarge,
+    format_decimal,
+    format_rational,
+    parse_rational,
+)
 
 
 def test_parse_decimal_is_exact():
@@ -42,3 +49,76 @@ def test_format_rational_canonical():
 def test_format_decimal_display():
     assert format_decimal(Fraction(1, 2)) == "0.5"
     assert format_decimal(Fraction(6, 115)) == "0.0521739"
+
+
+def timed_call_in_child(call: str):
+    """What evaluating ``call`` raised ("returned" if nothing) and the
+    seconds it took, in a child process, so that a hang or a runaway
+    allocation fails the test instead of stalling the suite."""
+    script = (
+        "import sys, time\n"
+        "from searchpursuit.game_core import GameSpec\n"
+        "from searchpursuit.rationals import parse_rational\n"
+        "started = time.perf_counter()\n"
+        "try:\n"
+        "    eval(sys.argv[1])\n"
+        "    outcome = 'returned'\n"
+        "except Exception as exc:\n"
+        "    outcome = type(exc).__name__\n"
+        "print(outcome, time.perf_counter() - started)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, call], capture_output=True, text=True, timeout=30
+    )
+    outcome, seconds = proc.stdout.split()
+    return outcome, float(seconds)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # An exponent past Decimal's range: 10**(10**19) cannot be built.
+        'parse_rational("1e-9999999999999999999")',
+        # A library caller, not only the CLI, is refused before the
+        # thirty-million-digit power of ten is built.
+        'GameSpec(times=("1e-30000000",), captures=("1/2",), budget=1)',
+        'parse_rational("1e30000000")',
+    ],
+)
+def test_unprintable_decimal_strings_are_refused_fast(call):
+    outcome, seconds = timed_call_in_child(call)
+    assert outcome == "NumberTooLarge"
+    assert seconds < 0.25
+
+
+def test_parse_refuses_a_value_one_digit_past_the_limit():
+    # 10**4300 has 4301 digits; the exponent alone does not show it.
+    with pytest.raises(NumberTooLarge):
+        parse_rational("1e-4300")
+    with pytest.raises(NumberTooLarge):
+        parse_rational("1" * 4301)
+
+
+def test_number_too_large_is_a_value_error():
+    assert issubclass(NumberTooLarge, ValueError)
+
+
+def test_format_refuses_an_unprintable_result():
+    with pytest.raises(NumberTooLarge, match="more than 4300 digits"):
+        format_rational(Fraction(1, 10**4300))  # a 4301-digit denominator
+
+
+def test_values_at_the_limit_still_parse():
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+    assert parse_rational("12/23") == Fraction(12, 23)
+    digits = "7" * 4300
+    assert parse_rational(digits) == int(digits)
+    assert format_rational(parse_rational(digits)) == digits
+
+
+def test_long_digit_runs_parse_by_their_value():
+    # Fraction's own parser refuses any run of more than 4300 digits;
+    # a decimal is judged by the digits of its reduced value instead.
+    assert parse_rational("1." + "0" * 5000) == 1
+    with pytest.raises(NumberTooLarge):
+        parse_rational("0." + "1" * 5000)
