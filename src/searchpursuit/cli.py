@@ -9,8 +9,12 @@ produce byte-identical output unless --timing is requested.
 
 The location-list modes share one pipeline: enumerate, build the matrix,
 solve the LP, certify on that matrix; a closed-form mode's value must
-equal the LP's. ``verify`` reads every single-game document into a
-matrix and a strategy pair for the same certificate.
+equal the LP's. ``verify`` reads each single-game document into the
+check for its mode. A location-list solution is certified without its
+matrix, by ``oracle.location_certificate``; only when that fails are the
+rows enumerated, so that the matrix certificate can name the row or
+column that fails. Two-type and learning solutions are certified on
+their small matrices.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input, 3 instance too large for exhaustive enumeration or
@@ -27,6 +31,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from . import closed_forms, game_core, learning, lp_solver, oracle
 from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
@@ -578,8 +583,8 @@ def cmd_learning(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: a reader per mode turns the game and solution documents into
-# (matrix, hider, searcher, row names, column names) for one certificate.
+# verify: a reader per mode checks the game and solution documents and
+# returns the check that finishes the work with the claimed value.
 
 
 def _json_array(solution, key: str, where: str) -> list:
@@ -610,30 +615,60 @@ def _set_members(value, where: str) -> tuple[int, ...]:
 
 def _read_locations(game_doc, solution, args):
     spec = game_spec_from(game_doc, args.file)
-    rows, matrix = _location_matrix(spec, args.max_subsets)
+    game_core.check_size(spec, args.max_subsets)
     where = args.solution
     hider = [
         _number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)
     ]
     if len(hider) != spec.n:
         _fail(f"{where}: hider has {len(hider)} entries, game has {spec.n} locations")
-    row_of = {s.members: s for s in rows}
     mix = []
     for item in _json_array(solution, "searcher", where):
         if not isinstance(item, dict) or "set" not in item or "probability" not in item:
             _fail(f"{where}: searcher entries need 'set' and 'probability'")
         members = _set_members(item["set"], where)
-        if members not in row_of:
+        if not game_core.is_maximal(spec, members):
             _fail(
                 f"{where}: searcher set {list(members)} is not an "
                 "undominated feasible set of this game"
             )
         prob = _number(item["probability"], f"{where}: searcher probability")
-        mix.append((row_of[members], prob))
-    # A set listed more than once gets the sum of its probabilities.
-    searcher = game_core.row_weights(rows, mix)
+        mix.append((members, prob))
+    return partial(_verify_locations, args, spec, hider, mix)
+
+
+def _verify_locations(args, spec, hider, mix, value) -> int:
+    """Certify a location-list solution without its matrix. Only when that
+    fails are the rows enumerated, for the matrix certificate to name the
+    first failing row or column; it must fail too."""
+    try:
+        ok = oracle.location_certificate(spec, hider, mix, value)
+    except ValueError as exc:  # a mix that is no probability distribution
+        _fail(f"{args.solution}: {exc}")
+    if ok:
+        print("certificate: ok")
+        return EXIT_OK
+    rows, matrix = _location_matrix(spec, args.max_subsets)
+    try:
+        # A set listed more than once gets the sum of its probabilities.
+        searcher = game_core.row_weights(
+            rows, [(game_core.search_set(spec, s), w) for s, w in mix]
+        )
+    except ValueError as exc:
+        raise CertificateFailure(f"row test: {exc}") from None
     row_names = [str(s) for s in rows]
-    return matrix, hider, searcher, row_names, [str(i) for i in range(1, spec.n + 1)]
+    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    if cert.ok:
+        raise CertificateFailure("location certificate failed where the matrix one holds")
+    return _report_certificate(cert, row_names, [str(i) for i in range(1, spec.n + 1)])
+
+
+def _verify_matrix(where, matrix, hider, searcher, row_names, col_names, value) -> int:
+    try:
+        cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    except ValueError as exc:  # a mix that is no probability distribution
+        _fail(f"{where}: {exc}")
+    return _report_certificate(cert, row_names, col_names)
 
 
 def _read_two_type(game_doc, solution, args):
@@ -663,7 +698,10 @@ def _read_two_type(game_doc, solution, args):
         )
     row_names = [f"j={j}" for j in range(m + 1)]
     searcher = _two_type_searcher(pairs, m)
-    return matrix, hider, searcher, row_names, ["quick-type", "slow-type"]
+    col_names = ["quick-type", "slow-type"]
+    return partial(
+        _verify_matrix, args.solution, matrix, hider, searcher, row_names, col_names
+    )
 
 
 def _read_learning(game_doc, solution, args):
@@ -674,7 +712,8 @@ def _read_learning(game_doc, solution, args):
         for key in ("stay_probability", "switch_probability")
     )
     names = ["stay", "switch"]
-    return learning.payoff_matrix(spec), mix, mix, names, names
+    matrix = learning.payoff_matrix(spec)
+    return partial(_verify_matrix, args.solution, matrix, mix, mix, names, names)
 
 
 # Every mode's solver and verify reader. Sweep documents carry no single
@@ -724,14 +763,8 @@ def cmd_verify(args) -> int:
     mode = solution.get("mode", game_doc["mode"])
     if not isinstance(mode, str) or mode not in _MODES:
         _fail(f"{args.solution}: cannot verify mode {mode!r}")
-    read = _MODES[mode][1]
-    matrix, hider, searcher, row_names, col_names = read(game_doc, solution, args)
-    value = _claimed_value(solution, args.solution)
-    try:
-        cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    except ValueError as exc:  # a mix that is no probability distribution
-        _fail(f"{args.solution}: {exc}")
-    return _report_certificate(cert, row_names, col_names)
+    check = _MODES[mode][1](game_doc, solution, args)
+    return check(_claimed_value(solution, args.solution))
 
 
 # ---------------------------------------------------------------------------

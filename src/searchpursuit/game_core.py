@@ -13,7 +13,10 @@ values reproduce bit for bit. Enumeration works on integers instead:
 times and budget are scaled by their common denominator, the feasible
 sets are counted by total before any is built (so an instance over the
 cap is refused at once), and one walk lists either every feasible set
-or, testing maximality as it goes, only the maximal ones.
+or, testing maximality as it goes, only the maximal ones. Two checks
+need no walk: ``is_maximal`` tests one set, and ``max_payoff`` solves
+the searcher's best reply to a hider mix as a knapsack on the same
+integers.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .rationals import parse_rational
@@ -67,6 +71,21 @@ class GameSpec:
     @property
     def n(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int], int]:
+        """(scale, times, budget): the times and budget multiplied by
+        ``scale``, the least common multiple of their denominators, as
+        integers. Computed once per instance, for enumeration, the
+        count, the row test and the knapsack alike."""
+        scale = math.lcm(self.budget.denominator, *(t.denominator for t in self.times))
+        times = [t.numerator * (scale // t.denominator) for t in self.times]
+        return scale, times, self.budget.numerator * (scale // self.budget.denominator)
+
+    @cached_property
+    def _by_time(self) -> list[int]:
+        """Location numbers in increasing order of search time."""
+        return sorted(range(1, self.n + 1), key=lambda i: self.times[i - 1])
 
 
 @dataclass(frozen=True, order=True)
@@ -159,18 +178,23 @@ def _check_count(times: list[int], budget: int, max_sets: int) -> None:
         )
 
 
+def check_size(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> None:
+    """Raise :class:`InstanceTooLarge` if more than ``max_sets`` sets of
+    ``spec`` are feasible, the refusal :func:`feasible_sets` and
+    :func:`maximal_feasible_sets` give, without building any set."""
+    _, times, budget = spec._scaled
+    _check_count(times, budget, max_sets)
+
+
 def _walk(spec: GameSpec, max_sets: int, maximal_only: bool) -> list[SearchSet]:
     """Feasible sets in lexicographic member order, or only the maximal
     ones, from one walk in integer arithmetic.
 
-    Times and budget are scaled by the least common multiple of their
-    denominators. A set is maximal when its slack is below the time of
-    every location left out: those skipped earlier on the path and
-    those after its last member.
+    Times and budget are scaled to integers. A set is maximal when its
+    slack is below the time of every location left out: those skipped
+    earlier on the path and those after its last member.
     """
-    scale = math.lcm(spec.budget.denominator, *(t.denominator for t in spec.times))
-    times = [t.numerator * (scale // t.denominator) for t in spec.times]
-    budget = spec.budget.numerator * (scale // spec.budget.denominator)
+    scale, times, budget = spec._scaled
     _check_count(times, budget, max_sets)
     n = len(times)
     # suffix[i] is the least of times[i:]; past the end nothing fits.
@@ -222,6 +246,48 @@ def maximal_feasible_sets(
     feasible sets, maximal or not.
     """
     return _walk(spec, max_sets, maximal_only=True)
+
+
+def is_maximal(spec: GameSpec, members: Sequence[int]) -> bool:
+    """True exactly when ``members``, a list of location numbers, lists
+    the members of a set in :func:`maximal_feasible_sets`: they are
+    distinct, lie in 1..n and fit the budget, and every location left
+    out takes longer than the time that is left."""
+    _, times, budget = spec._scaled
+    chosen = set(members)
+    if len(chosen) != len(members) or not all(1 <= i <= spec.n for i in chosen):
+        return False
+    slack = budget - sum(times[i - 1] for i in chosen)
+    if slack < 0:
+        return False
+    for i in spec._by_time:
+        if i not in chosen:
+            # The quickest location left out decides; the rest take longer.
+            return times[i - 1] > slack
+    return True
+
+
+def max_payoff(spec: GameSpec, hider: Sequence[Fraction]) -> Fraction:
+    """The most any feasible set pays against the hider mix ``hider``:
+    max of sum(p_i * h_i) over the members i of a set within budget.
+
+    An exact 0/1 knapsack over a dict from each reachable scaled total to
+    the best payoff that reaches it, in integers over the payoffs' common
+    denominator. Locations the hider never uses add nothing and are
+    skipped, so the dict holds at most as many totals as there are
+    feasible sets, the count :func:`check_size` bounds.
+    """
+    _, times, budget = spec._scaled
+    used = [(t, p * h) for t, p, h in zip(times, spec.captures, hider) if h]
+    den = math.lcm(*(b.denominator for _, b in used))
+    best = {0: 0}
+    for t, b in used:
+        gain = b.numerator * (den // b.denominator)
+        for total, payoff in list(best.items()):
+            reached, reward = total + t, payoff + gain
+            if reached <= budget and (reached not in best or best[reached] < reward):
+                best[reached] = reward
+    return Fraction(max(best.values()), den)
 
 
 def build_matrix(spec: GameSpec, rows: Sequence[SearchSet]) -> PayoffMatrix:

@@ -7,6 +7,11 @@ enumerating square supports and solving the indifference systems with
 plain Gaussian elimination. A bug in the simplex cannot hide behind an
 identical bug here.
 
+``location_certificate`` gives ``verify_equilibrium``'s verdict for a
+location game without its matrix: the hider side is one exact knapsack
+optimum from ``game_core``, the searcher side a sum over the listed
+sets only.
+
 ``certified_ranges`` bounds every optimal hider strategy from one
 optimal pair, the equilibrium certificate and the rank of the
 complementary-slackness system, with the same elimination: a point at
@@ -82,6 +87,44 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
     searcher_slack = tuple(c - v for c in column)
     ok = all(s >= 0 for s in hider_slack) and all(s >= 0 for s in searcher_slack)
     return Certificate(v, hider_slack, searcher_slack, ok)
+
+
+def location_certificate(spec, hider_mix, searcher_mix, claimed_value) -> bool:
+    """The verdict of :func:`verify_equilibrium` on the payoff matrix of
+    the location game ``spec`` over its maximal feasible sets, found
+    without enumerating a row or building the matrix.
+
+    ``searcher_mix`` holds (members, weight) pairs, the members being
+    location numbers of a set in ``game_core.maximal_feasible_sets``; a
+    set listed more than once carries the sum of its weights. Both mixes
+    are checked to be probability distributions first, with the same
+    errors as ``verify_equilibrium``. Then every benefit p_i * h_i is
+    nonnegative, so every feasible set lies in a maximal one that pays
+    at least as much: no row pays more than v exactly when the best
+    feasible set, an exact knapsack optimum, does not. Column j pays p_j
+    times the weight of the listed sets that hold j, which must reach v.
+    """
+    n = spec.n
+    hider = [parse_rational(h) for h in hider_mix]
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for members, w in searcher_mix:
+        members = tuple(sorted(members))
+        if not game_core.is_maximal(spec, members):
+            raise ValueError(f"searcher set {list(members)} is not a row of the game")
+        weights[members] = weights.get(members, ZERO) + parse_rational(w)
+    if len(hider) != n:
+        raise ValueError("hider mix length does not match the game")
+    for probs, side in ((hider, "hider"), (weights.values(), "searcher")):
+        if any(p < 0 for p in probs) or sum(probs) != 1:
+            raise ValueError(f"{side} mix is not a probability distribution")
+    v = parse_rational(claimed_value)
+    if game_core.max_payoff(spec, hider) > v:
+        return False
+    covered = [ZERO] * n
+    for members, w in weights.items():
+        for i in members:
+            covered[i - 1] += w
+    return all(p * c >= v for p, c in zip(spec.captures, covered))
 
 
 def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):

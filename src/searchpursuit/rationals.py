@@ -37,12 +37,19 @@ def _decimal(text: str) -> Fraction:
     unlike ``Fraction``'s parser reads digit runs of any length, and are
     checked again then.
     """
+    limit = sys.get_int_max_str_digits()
     try:
         d = Decimal(text)
     except InvalidOperation:
-        # Only an exponent past Decimal's range, about 10**18, gets here.
-        raise NumberTooLarge() from None
-    limit = sys.get_int_max_str_digits()
+        # Only an exponent past Decimal's range, about 10**18, gets here;
+        # times a zero mantissa it still gives 0.
+        mantissa, exponent = re.split("[eE]", text.strip())
+        if not any(c in mantissa for c in "123456789"):
+            return Fraction(0)
+        # With no digit limit set, the exponent is what is out of range.
+        raise NumberTooLarge(
+            "" if limit else f"exponent {exponent} is out of range"
+        ) from None
     if not d.is_finite() or (
         limit and not d.is_zero() and not -limit <= d.adjusted() < limit
     ):

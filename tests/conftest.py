@@ -98,6 +98,20 @@ def small_games(draw):
     return GameSpec(tuple(times), tuple(Fraction(c, 20) for c in captures), budget)
 
 
+@st.composite
+def rational_games(draw, max_n: int = 7):
+    """A GameSpec with n <= ``max_n`` locations, times k/d with k in
+    1..12 and d in 1..4, captures k/20 and a budget of j/24 of the total
+    time."""
+    from searchpursuit import GameSpec
+
+    n = draw(st.integers(1, max_n))
+    times = [Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4))) for _ in range(n)]
+    captures = [Fraction(draw(st.integers(1, 20)), 20) for _ in range(n)]
+    budget = sum(times) * Fraction(draw(st.integers(0, 24)), 24)
+    return GameSpec(tuple(times), tuple(captures), budget)
+
+
 def roadmap_game(seed: int, n: int):
     """The benchmark's random game: times 1..6, captures k/20 and budget
     floor(sum of times / 3), all drawn from ``random.Random(seed)``."""

@@ -1,8 +1,10 @@
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -337,6 +339,35 @@ class TestSolveErrors:
             proc.stderr
         )
 
+    def test_exponent_past_decimal_range_without_a_digit_limit(self, tmp_path):
+        # With no int->str digit limit the refusal names the exponent, and
+        # a zero mantissa reads as 0 whatever its exponent.
+        path = write(
+            tmp_path,
+            "g.json",
+            {"locations": [{"time": 1, "capture": "1e-9999999999999999999"}],
+             "budget": "0e-99999999999999999999"},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "searchpursuit", "solve", path],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"error: {path}: locations[1].capture: "
+            "exponent -9999999999999999999 is out of range\n"
+        )
+
+    def test_zero_mantissa_past_decimal_range_is_zero(self, tmp_path, capsys):
+        doc = {**EXAMPLE, "budget": "0e-99999999999999999999"}
+        path = write(tmp_path, "g.json", doc)
+        code, out = run_json(capsys, ["solve", path, "--format", "json"])
+        assert code == 0
+        assert out["budget"] == "0"
+
     @pytest.mark.parametrize("fmt", ["table", "json", "both"])
     def test_unprintable_result_is_resource_error(self, tmp_path, capsys, fmt):
         # Each capture has 1500-digit terms and prints back, but the value
@@ -614,6 +645,76 @@ class TestVerify:
         sol_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", game_path, str(sol_path)]) == 2
         assert capsys.readouterr().err == f"error: {sol_path}: {message}\n"
+
+    @staticmethod
+    def staircase_documents(tmp_path, n, value_shift=0):
+        """A staircase game (times 1..n, budget n) and its closed-form
+        solution document, with the value moved by ``value_shift``."""
+        from searchpursuit.closed_forms import solve_arithmetic_times
+
+        captures = [F(1, i + 1) for i in range(n)]
+        sol = solve_arithmetic_times(captures, certify=False)
+        game = {
+            "mode": "arithmetic-times",
+            "locations": [{"time": i, "capture": str(p)} for i, p in enumerate(captures, 1)],
+            "budget": n,
+        }
+        solution = {
+            "value": {"fraction": str(sol.value + value_shift)},
+            "hider": [str(h) for h in sol.hider.probs],
+            "searcher": [
+                {"set": list(s.members), "probability": str(w)} for s, w in sol.searcher_mix
+            ],
+        }
+        return write(tmp_path, "g.json", game), write(tmp_path, "s.json", solution)
+
+    def test_location_verify_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
+        from searchpursuit import game_core, oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify enumerated rows or built a matrix")
+
+        for module, name in [
+            (game_core, "maximal_feasible_sets"),
+            (game_core, "build_matrix"),
+            (oracle, "verify_equilibrium"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        game_path, sol_path = self.staircase_documents(tmp_path, 56)
+        assert main(["verify", game_path, sol_path]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
+
+    def test_failed_location_verify_names_its_row(self, tmp_path, capsys, monkeypatch):
+        from searchpursuit import game_core
+
+        calls = []
+        real = game_core.maximal_feasible_sets
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(game_core, "maximal_feasible_sets", counted)
+        game_path, sol_path = self.staircase_documents(tmp_path, 10, -F(1, 1000))
+        assert main(["verify", game_path, sol_path]) == 1
+        out = capsys.readouterr()
+        assert out.out.startswith(
+            "certificate FAILED: hider side exceeds the claimed value on row {"
+        )
+        assert out.out.endswith(" (slack -1/1000)\n")
+        assert out.err.startswith("certificate failure: row {")
+        assert calls == [1]
+
+    def test_certificates_that_disagree_fail(self, tmp_path, capsys, monkeypatch):
+        from searchpursuit import oracle
+
+        monkeypatch.setattr(oracle, "location_certificate", lambda *args: False)
+        game_path, sol_path = self.staircase_documents(tmp_path, 5)
+        assert main(["verify", game_path, sol_path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "certificate failure: location certificate failed where the matrix one holds\n"
+        )
 
     def test_bool_type2_count_is_input_error(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")

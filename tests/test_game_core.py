@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_game
+from conftest import random_game, rational_games
 from searchpursuit import (
     GameSpec,
     InstanceTooLarge,
@@ -16,8 +18,11 @@ from searchpursuit.game_core import (
     HiderStrategy,
     SearchSet,
     best_response_value,
+    check_size,
     feasible_sets,
+    is_maximal,
     knapsack_instance,
+    max_payoff,
     search_set,
 )
 
@@ -308,3 +313,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             search_set(EXAMPLE, (5,))
         assert search_set(EXAMPLE, (3, 2)).members == (2, 3)
+
+
+@settings(max_examples=150)
+@given(rational_games())
+def test_row_test_is_membership_in_the_maximal_sets(spec):
+    rows = set(members(maximal_feasible_sets(spec)))
+    n = spec.n
+    for r in range(n + 1):
+        for combo in combinations(range(1, n + 1), r):
+            assert is_maximal(spec, combo) == (combo in rows), combo
+            # Member order does not matter.
+            assert is_maximal(spec, combo[::-1]) == (combo in rows), combo
+    for row in rows:
+        if row:
+            assert not is_maximal(spec, row + row[:1])  # a duplicate member
+        assert not is_maximal(spec, row + (n + 1,))
+        assert not is_maximal(spec, (0,) + row)
+    over = tuple(range(1, n + 1))
+    if sum(spec.times) > spec.budget:
+        assert not is_maximal(spec, over)
+
+
+@settings(max_examples=100)
+@given(rational_games(), st.data())
+def test_knapsack_is_the_best_feasible_set(spec, data):
+    hider = [F(data.draw(st.integers(0, 5)), 5) for _ in range(spec.n)]
+    best = max(
+        sum((spec.captures[i - 1] * hider[i - 1] for i in s.members), F(0))
+        for s in feasible_sets(spec)
+    )
+    assert max_payoff(spec, hider) == best
+
+
+def test_check_size_is_the_enumeration_cap():
+    spec = GameSpec((1,) * 30, ("1/2",) * 30, 15)
+    with pytest.raises(InstanceTooLarge):
+        check_size(spec, max_sets=1000)
+    check_size(EXAMPLE, max_sets=len(feasible_sets(EXAMPLE)))
+    with pytest.raises(InstanceTooLarge):
+        check_size(EXAMPLE, max_sets=len(feasible_sets(EXAMPLE)) - 1)

@@ -2,9 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conftest import negated_transpose, random_matrix, roadmap_game, small_games
+from conftest import (
+    negated_transpose,
+    random_matrix,
+    rational_games,
+    roadmap_game,
+    small_games,
+)
 from searchpursuit import lp_solver, oracle
 from searchpursuit import (
     GameSpec,
@@ -26,6 +33,7 @@ from searchpursuit.oracle import (
     certified_ranges,
     certify_unique,
     check_nondecreasing,
+    location_certificate,
     support_enumeration_solve,
     sweep_budget,
 )
@@ -403,3 +411,65 @@ class TestSweepShortcut:
         assert (verdicts, probes) == ([True], [])
         assert entry.unique
         assert entry.hider_ranges == tuple((h, h) for h in entry.hider)
+
+
+def verdict(check, *args):
+    """What a certificate check says: its verdict, or the error it raises."""
+    try:
+        return bool(check(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+def perturbed(data, hider, weights, value):
+    """The LP's exact answer, or one of its numbers moved: the value by
+    +-1/1000, a share of one location's mass or one row's weight onto
+    another (now and then more than all of it), or a row's weight split
+    into two entries of the same set."""
+    kind = data.draw(st.sampled_from(["exact", "value", "hider", "searcher", "split"]))
+    hider, weights = list(hider), list(weights)
+    if kind == "value":
+        value += data.draw(st.sampled_from([F(1, 1000), F(-1, 1000)]))
+    elif kind in ("hider", "searcher"):
+        mix = hider if kind == "hider" else weights
+        a = data.draw(st.sampled_from([i for i, w in enumerate(mix) if w]), label="from")
+        others = [i for i in range(len(mix)) if i != a] or [a]
+        b = data.draw(st.sampled_from(others), label="to")
+        moved = mix[a] * F(data.draw(st.integers(1, 11)), 10)  # past all of it at 11
+        mix[a] -= moved
+        mix[b] += moved
+    return kind, hider, weights, value
+
+
+@settings(max_examples=200)
+@given(rational_games(), st.data())
+def test_location_certificate_is_the_matrix_certificate(spec, data):
+    rows = maximal_feasible_sets(spec)
+    matrix = build_matrix(spec, rows)
+    sol = solve_zero_sum(matrix)
+    kind, hider, weights, value = perturbed(
+        data, sol.col_strategy, sol.row_strategy, sol.value
+    )
+    mix = [(s.members, w) for s, w in zip(rows, weights)]
+    if kind == "split":
+        i = data.draw(st.integers(0, len(mix) - 1), label="split row")
+        members, w = mix[i]
+        mix[i : i + 1] = [(members, w / 3), (members[::-1], w - w / 3)]
+    def dense(*claim):
+        return verify_equilibrium(*claim).ok
+
+    expected = verdict(dense, matrix, hider, weights, value)
+    assert verdict(location_certificate, spec, hider, mix, value) == expected
+    event(f"{kind}: {expected}")
+    if kind == "exact":
+        assert expected is True
+
+
+def test_location_certificate_refuses_a_set_that_is_no_row():
+    spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)
+    hider = EXAMPLE_HIDER
+    with pytest.raises(ValueError, match=r"searcher set \[2\] is not a row"):
+        location_certificate(spec, hider, [((2,), 1)], F(6, 115))
+    mix = [((1,), F(12, 23)), ((4,), F(3, 23)), ((2, 3), F(8, 23))]
+    assert location_certificate(spec, hider, mix, F(6, 115))
+    assert not location_certificate(spec, hider, mix, F(6, 115) - F(1, 1000))

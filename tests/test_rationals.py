@@ -122,3 +122,31 @@ def test_long_digit_runs_parse_by_their_value():
     assert parse_rational("1." + "0" * 5000) == 1
     with pytest.raises(NumberTooLarge):
         parse_rational("0." + "1" * 5000)
+
+
+@pytest.fixture(params=[4300, 0], ids=["default-limit", "no-limit"])
+def digit_limit(request):
+    """Run the test at the default digit limit and with none (0)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield request.param
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0e-99999999999999999999", " -0.000_0E+99999999999999999999 ", "00e9999999999999999999"],
+)
+def test_zero_mantissa_past_the_exponent_range_is_zero(digit_limit, text):
+    assert parse_rational(text) == 0
+
+
+def test_exponent_past_the_range_is_refused_by_its_name(digit_limit):
+    with pytest.raises(NumberTooLarge) as info:
+        parse_rational("1e-9999999999999999999")
+    if digit_limit:
+        assert str(info.value) == "numerator or denominator has more than 4300 digits"
+    else:
+        assert str(info.value) == "exponent -9999999999999999999 is out of range"
