@@ -8,13 +8,12 @@ document, or both, in one layout for every mode. Identical inputs
 produce byte-identical output unless --timing is requested.
 
 The location-list modes share one pipeline: enumerate, build the matrix,
-solve the LP, certify on that matrix; a closed-form mode's value must
-equal the LP's. ``verify`` reads each single-game document into the
-check for its mode. A location-list solution is certified without its
-matrix, by ``oracle.location_certificate``; only when that fails are the
-rows enumerated, so that the matrix certificate can name the row or
-column that fails. Two-type and learning solutions are certified on
-their small matrices.
+solve the LP; a closed-form mode's value must equal the LP's. ``verify``
+reads each single-game document into the check for its mode. Every
+location-list solution, solved or verified, is certified by
+``oracle.location_certificate``, which needs no matrix and names the
+first row or column that fails. Two-type and learning solutions are
+certified on their small matrices.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input, 3 instance too large for exhaustive enumeration or
@@ -250,7 +249,7 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
 
 def _location_matrix(spec: game_core.GameSpec, max_sets: int):
     """The rows (maximal feasible sets) and payoff matrix of a
-    location-list game; ``solve`` and ``verify`` both use it."""
+    location-list game, for the LP to solve."""
     rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
     return rows, game_core.build_matrix(spec, rows)
 
@@ -281,9 +280,9 @@ def _arithmetic_times(spec: game_core.GameSpec, path: str):
     if spec.budget != spec.n:
         _fail(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
     try:
-        # _solve_locations certifies the solution on the matrix it solves
-        # and raises before rendering if it fails, so "verified" is true
-        # wherever it is printed.
+        # _solve_locations certifies the solution with the location
+        # certificate and raises before rendering if it fails, so
+        # "verified" is true wherever it is printed.
         closed = closed_forms.solve_arithmetic_times(spec.captures, certify=False)
     except ValueError as exc:
         _fail(f"{path}: {exc}")
@@ -308,10 +307,10 @@ _CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithme
 
 
 def _solve_locations(doc, path, args, mode):
-    """Enumerate, build the matrix, solve the LP and certify the answer on
-    that matrix. In a closed-form mode the closed form's value must equal
-    the LP's, and its hider, with its own searcher mix or else the LP's,
-    is what is certified and reported."""
+    """Enumerate, build the matrix, solve the LP and certify the answer
+    with the location certificate. In a closed-form mode the closed
+    form's value must equal the LP's, and its hider, with its own
+    searcher mix or else the LP's, is what is certified and reported."""
     spec = game_spec_from(doc, path)
     closed = _CLOSED_FORMS[mode](spec, path) if mode in _CLOSED_FORMS else None
     rows, matrix = _location_matrix(spec, args.max_subsets)
@@ -327,10 +326,12 @@ def _solve_locations(doc, path, args, mode):
             )
     pairs = list(zip(rows, sol.row_strategy)) if mix is None else list(mix)
     try:
-        searcher = game_core.row_weights(rows, pairs)
+        failure = oracle.location_certificate(
+            spec, hider, [(s.members, w) for s, w in pairs], value, args.max_subsets
+        )
     except ValueError as exc:
         raise CertificateFailure(f"closed form: {exc}") from None
-    if not oracle.verify_equilibrium(matrix, hider, searcher, value).ok:
+    if failure is not None:
         raise CertificateFailure(f"{mode} solution failed its certificate")
     game = {"mode": mode, "locations": _location_document(spec), "budget": _text(spec.budget)}
     answer = {
@@ -638,37 +639,28 @@ def _read_locations(game_doc, solution, args):
 
 
 def _verify_locations(args, spec, hider, mix, value) -> int:
-    """Certify a location-list solution without its matrix. Only when that
-    fails are the rows enumerated, for the matrix certificate to name the
-    first failing row or column; it must fail too."""
+    """Certify a location-list solution without its matrix."""
     try:
-        ok = oracle.location_certificate(spec, hider, mix, value)
+        failure = oracle.location_certificate(spec, hider, mix, value, args.max_subsets)
     except ValueError as exc:  # a mix that is no probability distribution
         _fail(f"{args.solution}: {exc}")
-    if ok:
-        print("certificate: ok")
-        return EXIT_OK
-    rows, matrix = _location_matrix(spec, args.max_subsets)
-    try:
-        # A set listed more than once gets the sum of its probabilities.
-        searcher = game_core.row_weights(
-            rows, [(game_core.search_set(spec, s), w) for s, w in mix]
-        )
-    except ValueError as exc:
-        raise CertificateFailure(f"row test: {exc}") from None
-    row_names = [str(s) for s in rows]
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    if cert.ok:
-        raise CertificateFailure("location certificate failed where the matrix one holds")
-    return _report_certificate(cert, row_names, [str(i) for i in range(1, spec.n + 1)])
+    return _report(failure)
 
 
 def _verify_matrix(where, matrix, hider, searcher, row_names, col_names, value) -> int:
+    """Certify on an explicit matrix and report its first negative slack."""
     try:
         cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
     except ValueError as exc:  # a mix that is no probability distribution
         _fail(f"{where}: {exc}")
-    return _report_certificate(cert, row_names, col_names)
+    sides = (("row", row_names, cert.hider_slack), ("column", col_names, cert.searcher_slack))
+    failures = (
+        (kind, name, slack)
+        for kind, names, slacks in sides
+        for name, slack in zip(names, slacks)
+        if slack < 0
+    )
+    return _report(next(failures, None))
 
 
 def _read_two_type(game_doc, solution, args):
@@ -736,23 +728,19 @@ def _claimed_value(solution, where) -> Fraction:
     return _number(value, f"{where}.value")
 
 
-def _report_certificate(cert: oracle.Certificate, row_names, col_names) -> int:
-    if cert.ok:
+def _report(failure) -> int:
+    """Print a certificate's outcome: ok for None, else the failed
+    ``(kind, name, slack)``, which also fails the command."""
+    if failure is None:
         print("certificate: ok")
         return EXIT_OK
-    sides = (
-        ("row", row_names, cert.hider_slack, "hider side exceeds"),
-        ("column", col_names, cert.searcher_slack, "searcher mix falls short of"),
+    kind, name, slack = failure
+    side = "hider side exceeds" if kind == "row" else "searcher mix falls short of"
+    print(
+        f"certificate FAILED: {side} the claimed value on {kind} {name} "
+        f"(slack {_text(slack)})"
     )
-    for kind, names, slacks, failure in sides:
-        for name, slack in zip(names, slacks):
-            if slack < 0:
-                print(
-                    f"certificate FAILED: {failure} the claimed value on "
-                    f"{kind} {name} (slack {_text(slack)})"
-                )
-                raise CertificateFailure(f"{kind} {name}")
-    raise CertificateFailure("certificate not ok")  # pragma: no cover
+    raise CertificateFailure(f"{kind} {name}")
 
 
 def cmd_verify(args) -> int:

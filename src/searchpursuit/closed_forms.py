@@ -11,10 +11,10 @@ Four families admit exact solutions without touching the LP:
 
 Each solver returns strategies that the enumeration + LP pipeline can
 re-derive; the staircase solver additionally records in ``verified``
-that its output passed the oracle's exact equilibrium certificate on
-the pruned matrix, since its even-n variant rests on a direct
-construction. ``two_type_matrix`` is the two-type game's payoff matrix
-at the level of types, which that game's solutions are certified on.
+that its output passed the oracle's location certificate, which needs
+no matrix, since its even-n variant rests on a direct construction.
+``two_type_matrix`` is the two-type game's payoff matrix at the level
+of types, which that game's solutions are certified on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import game_core
 from .game_core import GameSpec, HiderStrategy, SearchSet
 from .lp_solver import solve_zero_sum
-from .oracle import verify_equilibrium
+from .oracle import location_certificate
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
@@ -124,10 +124,10 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
     ({n} alone when j = n). For even n the support extends one slot
     lower, to location n/2, which the pairs miss; one greedily filled
     feasible set covers it. ``verified`` is the verdict of the oracle's
-    exact equilibrium certificate on the pruned matrix; ``certify=False``
-    skips it (``verified`` is then False), for callers that certify the
-    solution themselves or when n is large enough that enumerating the
-    pruned matrix is unwanted.
+    location certificate, one exact knapsack and a sum over the mix's
+    sets, with no row enumerated; ``certify=False`` skips it
+    (``verified`` is then False), for callers that certify the solution
+    themselves.
     """
     ps = [parse_rational(p) for p in captures]
     n = len(ps)
@@ -169,14 +169,10 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
                     total += i
             members = tuple(sorted(chosen))
         mix.append((game_core.search_set(spec, members), weight))
-    verified = False
-    if certify:
-        # Every set of the mix fills the budget or is filled greedily, so
-        # each one is a maximal feasible set, hence a row.
-        rows = game_core.maximal_feasible_sets(spec)
-        matrix = game_core.build_matrix(spec, rows)
-        weights = game_core.row_weights(rows, mix)
-        verified = verify_equilibrium(matrix, probs, weights, value).ok
+    # Every set of the mix fills the budget or is filled greedily, so each
+    # one is a maximal feasible set, hence a row.
+    pairs = [(s.members, w) for s, w in mix]
+    verified = certify and location_certificate(spec, probs, pairs, value) is None
     return ArithmeticTimesSolution(
         n, support_start, inv_sum, HiderStrategy(probs), tuple(mix), value,
         verified, strict,

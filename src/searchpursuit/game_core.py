@@ -95,9 +95,6 @@ class SearchSet:
     members: tuple[int, ...]
     total_time: Fraction
 
-    def __contains__(self, location: int) -> bool:
-        return location in self.members
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.members) + "}"
 
@@ -141,16 +138,6 @@ class PayoffMatrix:
     @property
     def n(self) -> int:
         return len(self.captures)
-
-
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """The searcher's best-response problem against a known hider mix:
-    weights are search times, benefits are find-and-capture chances."""
-
-    weights: tuple[Fraction, ...]
-    benefits: tuple[Fraction, ...]
-    capacity: Fraction
 
 
 def _check_count(times: list[int], budget: int, max_sets: int) -> None:
@@ -305,41 +292,3 @@ def build_matrix(spec: GameSpec, rows: Sequence[SearchSet]) -> PayoffMatrix:
             row[i - 1] = spec.captures[i - 1]
         entries.append(tuple(row))
     return PayoffMatrix(tuple(rows), tuple(spec.captures), tuple(entries))
-
-
-def row_weights(rows: Sequence[SearchSet], mix) -> list[Fraction]:
-    """A searcher mix, given as (set, weight) pairs, as one weight per
-    row of ``rows``. Raises ValueError for a set that is not a row."""
-    index = {s.members: i for i, s in enumerate(rows)}
-    weights = [Fraction(0)] * len(rows)
-    for s, w in mix:
-        if s.members not in index:
-            raise ValueError(f"searcher set {s} is not a row of the matrix")
-        weights[index[s.members]] += w
-    return weights
-
-
-def knapsack_instance(spec: GameSpec, hider: HiderStrategy) -> KnapsackInstance:
-    if len(hider.probs) != spec.n:
-        raise ValueError("hider strategy length does not match the game")
-    benefits = tuple(h * p for h, p in zip(hider.probs, spec.captures))
-    return KnapsackInstance(spec.times, benefits, spec.budget)
-
-
-def best_response_value(
-    spec: GameSpec, hider: HiderStrategy, max_sets: int = DEFAULT_MAX_SETS
-) -> tuple[SearchSet, Fraction]:
-    """Exact best searcher response to a known hiding distribution.
-
-    Maximizes the summed find-and-capture chance over every feasible
-    set; ties resolve to the lexicographically smallest member list.
-    """
-    inst = knapsack_instance(spec, hider)
-    best_set: SearchSet | None = None
-    best_val = Fraction(-1)
-    for s in feasible_sets(spec, max_sets=max_sets):
-        val = sum((inst.benefits[i - 1] for i in s.members), Fraction(0))
-        if val > best_val:
-            best_set, best_val = s, val
-    assert best_set is not None
-    return best_set, best_val

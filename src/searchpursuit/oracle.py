@@ -7,16 +7,17 @@ enumerating square supports and solving the indifference systems with
 plain Gaussian elimination. A bug in the simplex cannot hide behind an
 identical bug here.
 
-``location_certificate`` gives ``verify_equilibrium``'s verdict for a
-location game without its matrix: the hider side is one exact knapsack
-optimum from ``game_core``, the searcher side a sum over the listed
-sets only.
+``location_certificate`` is the certificate of every location-game
+solution, the first failure ``verify_equilibrium`` would name on its
+matrix, found without one: the hider side is one exact knapsack optimum
+from ``game_core``, the searcher side a sum over the listed sets only.
+``verify_equilibrium`` itself certifies the games whose matrix is
+explicit and small, and stays the reference the tests compare with.
 
 ``certified_ranges`` bounds every optimal hider strategy from one
 optimal pair, the equilibrium certificate and the rank of the
 complementary-slackness system, with the same elimination: a point at
-full rank, a segment one below it. ``certify_unique`` asks whether
-those ranges are single values.
+full rank, a segment one below it.
 
 ``sweep_budget`` is a driver, not a checker: it runs the regular
 enumeration + LP pipeline once per budget, takes the hider's ranges
@@ -89,10 +90,14 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
     return Certificate(v, hider_slack, searcher_slack, ok)
 
 
-def location_certificate(spec, hider_mix, searcher_mix, claimed_value) -> bool:
-    """The verdict of :func:`verify_equilibrium` on the payoff matrix of
-    the location game ``spec`` over its maximal feasible sets, found
-    without enumerating a row or building the matrix.
+def location_certificate(
+    spec, hider_mix, searcher_mix, claimed_value, max_sets=game_core.DEFAULT_MAX_SETS
+):
+    """The certificate of a location game's solution, checked without its
+    payoff matrix: None when it holds, otherwise the first negative slack
+    that :func:`verify_equilibrium` reports on the matrix over
+    ``game_core.maximal_feasible_sets``, as ``("row", set, v - payoff)``
+    or ``("column", j, p_j * c_j - v)``.
 
     ``searcher_mix`` holds (members, weight) pairs, the members being
     location numbers of a set in ``game_core.maximal_feasible_sets``; a
@@ -101,8 +106,10 @@ def location_certificate(spec, hider_mix, searcher_mix, claimed_value) -> bool:
     errors as ``verify_equilibrium``. Then every benefit p_i * h_i is
     nonnegative, so every feasible set lies in a maximal one that pays
     at least as much: no row pays more than v exactly when the best
-    feasible set, an exact knapsack optimum, does not. Column j pays p_j
-    times the weight of the listed sets that hold j, which must reach v.
+    feasible set, an exact knapsack optimum, does not. Only when one
+    does are the rows walked, under the cap ``max_sets``, to name the
+    first. Column j pays p_j times the weight c_j of the listed sets
+    that hold j, which must reach v.
     """
     n = spec.n
     hider = [parse_rational(h) for h in hider_mix]
@@ -119,12 +126,18 @@ def location_certificate(spec, hider_mix, searcher_mix, claimed_value) -> bool:
             raise ValueError(f"{side} mix is not a probability distribution")
     v = parse_rational(claimed_value)
     if game_core.max_payoff(spec, hider) > v:
-        return False
+        for row in game_core.maximal_feasible_sets(spec, max_sets):
+            slack = v - sum(spec.captures[i - 1] * hider[i - 1] for i in row.members)
+            if slack < 0:
+                return "row", row, slack
     covered = [ZERO] * n
     for members, w in weights.items():
         for i in members:
             covered[i - 1] += w
-    return all(p * c >= v for p, c in zip(spec.captures, covered))
+    for j, (p, c) in enumerate(zip(spec.captures, covered), start=1):
+        if p * c < v:
+            return "column", j, p * c - v
+    return None
 
 
 def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
@@ -285,14 +298,6 @@ def certified_ranges(matrix, hider, searcher, value):
     z_lo = max(h / g for g, h in limits if g < 0)
     ends = [(yj + z_lo * dj, yj + z_hi * dj) for yj, dj in zip(y, d)]
     return tuple((min(a, b), max(a, b)) for a, b in ends)
-
-
-def certify_unique(matrix, hider, searcher, value) -> bool:
-    """True only when ``hider`` is provably the one optimal hider mix:
-    ``certified_ranges`` gives every coordinate a single value. False
-    proves nothing either way."""
-    ranges = certified_ranges(matrix, hider, searcher, value)
-    return ranges is not None and all(lo == hi for lo, hi in ranges)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ class TestSolve:
     def test_closed_form_mix_off_the_matrix_is_certificate_failure(
         self, tmp_path, capsys, monkeypatch
     ):
-        # A closed-form searcher set that is no row of the solved matrix
+        # A closed-form searcher set that is no row of the game
         # ({1} is not maximal at budget 5) must fail the solve, not be
         # dropped from the certified mix.
         from dataclasses import replace
@@ -213,7 +213,30 @@ class TestSolve:
         assert main(["solve", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "searcher set {1} is not a row of the matrix" in captured.err
+        assert captured.err == (
+            "certificate failure: closed form: searcher set [1] is not a row of the game\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["general", "constant-times", "arithmetic-times"])
+    def test_location_solve_certifies_without_the_matrix_certificate(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        from searchpursuit import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense certificate called")
+
+        monkeypatch.setattr(oracle, "verify_equilibrium", refuse)
+        if mode == "constant-times":
+            doc = {
+                "locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")],
+                "budget": 2,
+            }
+        else:
+            doc = STAIRCASE
+        path = write(tmp_path, "g.json", dict(doc, mode=mode))
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out.endswith("\ncertificate: ok\n")
 
 
 class TestSolveErrors:
@@ -703,18 +726,6 @@ class TestVerify:
         assert out.out.endswith(" (slack -1/1000)\n")
         assert out.err.startswith("certificate failure: row {")
         assert calls == [1]
-
-    def test_certificates_that_disagree_fail(self, tmp_path, capsys, monkeypatch):
-        from searchpursuit import oracle
-
-        monkeypatch.setattr(oracle, "location_certificate", lambda *args: False)
-        game_path, sol_path = self.staircase_documents(tmp_path, 5)
-        assert main(["verify", game_path, sol_path]) == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == (
-            "certificate failure: location certificate failed where the matrix one holds\n"
-        )
 
     def test_bool_type2_count_is_input_error(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")

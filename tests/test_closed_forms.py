@@ -146,6 +146,18 @@ class TestArithmeticTimes:
         with pytest.raises(ValueError):
             solve_arithmetic_times(("0.2", "0.3"))
 
+    def test_certificate_enumerates_no_row(self, monkeypatch):
+        from searchpursuit import game_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows enumerated or a matrix built")
+
+        monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
+        monkeypatch.setattr(game_core, "build_matrix", refuse)
+        sol = solve_arithmetic_times([F(1, i) for i in range(1, 57)])
+        assert sol.verified
+        assert sol.support_start == 28
+
     def test_certify_false_skips_the_check(self):
         sol = solve_arithmetic_times(("0.5", "0.4", "0.3"), certify=False)
         assert not sol.verified

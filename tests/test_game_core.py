@@ -17,11 +17,9 @@ from searchpursuit import (
 from searchpursuit.game_core import (
     HiderStrategy,
     SearchSet,
-    best_response_value,
     check_size,
     feasible_sets,
     is_maximal,
-    knapsack_instance,
     max_payoff,
     search_set,
 )
@@ -248,22 +246,14 @@ class TestPayoffMatrix:
 
 
 class TestBestResponse:
-    def test_example_ties_break_lexicographically(self):
-        h = HiderStrategy((F(12, 23), F(0), F(8, 23), F(3, 23)))
-        best, value = best_response_value(EXAMPLE, h)
-        assert value == F(6, 115)
-        assert best.members == (1,)
+    def test_example_equalizing_hider(self):
+        assert max_payoff(EXAMPLE, (F(12, 23), 0, F(8, 23), F(3, 23))) == F(6, 115)
 
     def test_point_mass_hider(self):
-        h = HiderStrategy((1, 0, 0, 0))
-        best, value = best_response_value(EXAMPLE, h)
-        assert 1 in best
-        assert value == F(1, 10)
+        assert max_payoff(EXAMPLE, (1, 0, 0, 0)) == F(1, 10)
 
     def test_staircase_equalizing_hider(self):
-        h = HiderStrategy((0, 0, F(2, 11), F(3, 11), F(6, 11)))
-        _, value = best_response_value(STAIR5, h)
-        assert value == F(3, 55)
+        assert max_payoff(STAIR5, (0, 0, F(2, 11), F(3, 11), F(6, 11))) == F(3, 55)
 
     def test_single_location_probe_lower_bound(self):
         rng = random.Random(16)
@@ -273,17 +263,10 @@ class TestBestResponse:
             total = sum(weights) or F(1)
             h = HiderStrategy(tuple(w / total if sum(weights) else
                                     F(1, spec.n) for w in weights))
-            _, value = best_response_value(spec, h)
+            value = max_payoff(spec, h.probs)
             for i in range(1, spec.n + 1):
                 if spec.times[i - 1] <= spec.budget:
                     assert value >= h.probs[i - 1] * spec.captures[i - 1]
-
-    def test_knapsack_benefits_vanish_exactly_off_support(self):
-        h = HiderStrategy((F(1, 2), F(1, 2), 0, 0))
-        inst = knapsack_instance(EXAMPLE, h)
-        assert inst.capacity == EXAMPLE.budget
-        assert inst.weights == EXAMPLE.times
-        assert [b == 0 for b in inst.benefits] == [False, False, True, True]
 
 
 class TestValidation:

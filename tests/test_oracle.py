@@ -12,7 +12,7 @@ from conftest import (
     roadmap_game,
     small_games,
 )
-from searchpursuit import lp_solver, oracle
+from searchpursuit import game_core, lp_solver, oracle
 from searchpursuit import (
     GameSpec,
     build_matrix,
@@ -31,7 +31,6 @@ from searchpursuit.closed_forms import (
 from searchpursuit.oracle import (
     MonotonicityError,
     certified_ranges,
-    certify_unique,
     check_nondecreasing,
     location_certificate,
     support_enumeration_solve,
@@ -48,13 +47,20 @@ EXAMPLE_SEARCHER = (F(12, 23), F(3, 23), F(8, 23))
 STAIRCASE = ((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"))
 
 
+def unique(*args):
+    """``certified_ranges`` proves the hider unique: every coordinate's
+    range is a single value. False proves nothing either way."""
+    ranges = certified_ranges(*args)
+    return ranges is not None and all(lo == hi for lo, hi in ranges)
+
+
 def assert_certificate_implies_probe(matrix):
     """Run both uniqueness tests on the LP's answer; whenever the
     certificate gives ranges, the probe must give the same ones. Returns
     the certificate's uniqueness verdict."""
     sol = solve_zero_sum(matrix)
     args = (matrix, sol.col_strategy, sol.row_strategy, sol.value)
-    ranges, certified = certified_ranges(*args), certify_unique(*args)
+    ranges, certified = certified_ranges(*args), unique(*args)
     if ranges is not None:
         report = hider_uniqueness(matrix, sol.value)
         assert report.ranges == ranges
@@ -263,22 +269,22 @@ class TestSweep:
 
 class TestCertifyUnique:
     def test_worked_example_is_certified(self):
-        assert certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
+        assert unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
         # Inputs in any form parse_rational takes.
-        assert certify_unique(
+        assert unique(
             EXAMPLE_MATRIX, ("12/23", 0, "8/23", "3/23"), ("12/23", "3/23", "8/23"), "6/115"
         )
 
     def test_failed_equilibrium_proves_nothing(self):
-        assert not certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115))
-        assert not certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(5, 115))
-        assert not certify_unique(
+        assert not unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115))
+        assert not unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(5, 115))
+        assert not unique(
             EXAMPLE_MATRIX, (F(1, 4),) * 4, EXAMPLE_SEARCHER, F(6, 115)
         )
 
     def test_rank_deficient_system_proves_nothing(self):
         # Every hider of a constant game is optimal.
-        assert not certify_unique([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3))
+        assert not unique([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3))
         # The staircase's searcher side is not unique, so the hider of its
         # negated transpose is not either.
         spec = GameSpec(*STAIRCASE, 5)
@@ -289,7 +295,7 @@ class TestCertifyUnique:
         # One set covering both locations: every hider mix is optimal.
         args = ([[F(1, 2), F(1, 2)]], (F(1, 3), F(2, 3)), (1,), F(1, 2))
         assert certified_ranges(*args) == ((0, 1), (0, 1))
-        assert not certify_unique(*args)
+        assert not unique(*args)
         # A segment cut short by a row's payoff at one end: the searcher
         # plays only the first row, and the second caps y_2 at 1/3.
         matrix = [[1, 1, 2], [0, 3, 0]]
@@ -304,8 +310,8 @@ class TestCertifyUnique:
         assert certified_ranges(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115)) is None
 
     def test_single_location_and_single_set(self):
-        assert certify_unique([[F(1, 2)], [F(1, 3)]], (1,), (1, 0), F(1, 2))
-        assert certify_unique([[F(1, 2), F(1, 3)]], (0, 1), (1,), F(1, 3))
+        assert unique([[F(1, 2)], [F(1, 3)]], (1,), (1, 0), F(1, 2))
+        assert unique([[F(1, 2), F(1, 3)]], (0, 1), (1,), F(1, 3))
 
     def test_needs_no_simplex(self, monkeypatch):
         spec = GameSpec(*STAIRCASE, 5)
@@ -322,8 +328,8 @@ class TestCertifyUnique:
             (oracle, "hider_uniqueness"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        assert certify_unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
-        assert certify_unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
+        assert unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+        assert unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
         assert certified_ranges([[1, 1, 2], [0, 3, 0]], (1, 0, 0), (1, 0), 1)[1] == (0, F(1, 3))
 
     def test_random_matrices_and_their_negated_transposes(self):
@@ -413,12 +419,17 @@ class TestSweepShortcut:
         assert entry.hider_ranges == tuple((h, h) for h in entry.hider)
 
 
-def verdict(check, *args):
-    """What a certificate check says: its verdict, or the error it raises."""
+def outcome(check, *args):
+    """What a certificate check says: None when it holds, its first
+    failure as (kind, printed name, slack), or the error it raises."""
     try:
-        return bool(check(*args))
+        failure = check(*args)
     except ValueError as exc:
         return str(exc)
+    if failure is None:
+        return None
+    kind, name, slack = failure
+    return kind, str(name), slack
 
 
 def perturbed(data, hider, weights, value):
@@ -456,13 +467,28 @@ def test_location_certificate_is_the_matrix_certificate(spec, data):
         members, w = mix[i]
         mix[i : i + 1] = [(members, w / 3), (members[::-1], w - w / 3)]
     def dense(*claim):
-        return verify_equilibrium(*claim).ok
+        """The matrix certificate's first negative slack: rows first, in
+        the order of ``rows``, then the columns 1..n."""
+        cert = verify_equilibrium(*claim)
+        sides = (
+            ("row", rows, cert.hider_slack),
+            ("column", range(1, spec.n + 1), cert.searcher_slack),
+        )
+        return next(
+            (
+                (kind, name, slack)
+                for kind, names, slacks in sides
+                for name, slack in zip(names, slacks)
+                if slack < 0
+            ),
+            None,
+        )
 
-    expected = verdict(dense, matrix, hider, weights, value)
-    assert verdict(location_certificate, spec, hider, mix, value) == expected
-    event(f"{kind}: {expected}")
+    expected = outcome(dense, matrix, hider, weights, value)
+    assert outcome(location_certificate, spec, hider, mix, value) == expected
+    event(f"{kind}: {expected[0] if isinstance(expected, tuple) else expected}")
     if kind == "exact":
-        assert expected is True
+        assert expected is None
 
 
 def test_location_certificate_refuses_a_set_that_is_no_row():
@@ -471,5 +497,24 @@ def test_location_certificate_refuses_a_set_that_is_no_row():
     with pytest.raises(ValueError, match=r"searcher set \[2\] is not a row"):
         location_certificate(spec, hider, [((2,), 1)], F(6, 115))
     mix = [((1,), F(12, 23)), ((4,), F(3, 23)), ((2, 3), F(8, 23))]
-    assert location_certificate(spec, hider, mix, F(6, 115))
-    assert not location_certificate(spec, hider, mix, F(6, 115) - F(1, 1000))
+    assert location_certificate(spec, hider, mix, F(6, 115)) is None
+    assert outcome(location_certificate, spec, hider, mix, F(6, 115) - F(1, 1000)) == (
+        "row", "{1}", -F(1, 1000)
+    )
+
+
+def test_location_certificate_walks_rows_only_to_name_a_failed_row(monkeypatch):
+    spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows enumerated")
+
+    monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
+    monkeypatch.setattr(game_core, "build_matrix", refuse)
+    mix = [((1,), F(12, 23)), ((4,), F(3, 23)), ((2, 3), F(8, 23))]
+    assert location_certificate(spec, EXAMPLE_HIDER, mix, F(6, 115)) is None
+    # Every row holds, so the first failure is a column: {1} alone leaves
+    # location 2 uncovered.
+    assert location_certificate(spec, EXAMPLE_HIDER, [((1,), 1)], F(6, 115)) == (
+        "column", 2, -F(6, 115)
+    )
