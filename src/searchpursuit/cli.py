@@ -41,9 +41,9 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
 
-# Expanded two-type games are cross-checked against the LP only while
-# the pruned matrix stays small; beyond this the closed form stands alone.
-TWO_TYPE_CROSSCHECK_ROWS = 2048
+# The LP cross-checks an expanded two-type game only up to this many
+# feasible sets, maximal or not; past that the closed form stands alone.
+TWO_TYPE_CROSSCHECK_SETS = 2048
 
 
 class InputError(ValueError):
@@ -385,7 +385,7 @@ def _solve_two_type(doc, path, args, mode):
     try:
         _, matrix = _location_matrix(
             closed_forms.expand_two_type(spec),
-            min(args.max_subsets, TWO_TYPE_CROSSCHECK_ROWS),
+            min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS),
         )
     except game_core.InstanceTooLarge:
         provenance = "closed-form"

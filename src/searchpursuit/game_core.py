@@ -8,15 +8,15 @@ searcher's undominated pure strategies are the inclusion-maximal
 feasible sets: a strictly larger feasible set finds the hider at least
 as often and sometimes strictly more often.
 
-Every value handed out is an exact ``Fraction``, so downstream game
-values reproduce bit for bit. Enumeration works on integers instead:
-times and budget are scaled by their common denominator, the feasible
-sets are counted by total before any is built (so an instance over the
-cap is refused at once), and one walk lists either every feasible set
-or, testing maximality as it goes, only the maximal ones. Two checks
-need no walk: ``is_maximal`` tests one set, and ``max_payoff`` solves
-the searcher's best reply to a hider mix as a knapsack on the same
-integers.
+A row is its members, and a payoff matrix is a tuple of exact
+``Fraction`` rows, so downstream game values reproduce bit for bit.
+Enumeration works on integers instead: times and budget are scaled by
+their common denominator, the feasible sets are counted by total
+before any is built (so an instance over the cap is refused at once),
+and one walk lists the maximal sets, testing maximality as it goes.
+On the same integers ``build_matrix`` checks every row it is given,
+``is_maximal`` tests one set without a walk, and ``max_payoff`` solves
+the searcher's best reply to a hider mix as a knapsack.
 """
 
 from __future__ import annotations
@@ -73,14 +73,13 @@ class GameSpec:
         return len(self.times)
 
     @cached_property
-    def _scaled(self) -> tuple[int, list[int], int]:
-        """(scale, times, budget): the times and budget multiplied by
-        ``scale``, the least common multiple of their denominators, as
-        integers. Computed once per instance, for enumeration, the
-        count, the row test and the knapsack alike."""
+    def _scaled(self) -> tuple[list[int], int]:
+        """(times, budget) multiplied by the least common multiple of
+        their denominators, as integers. Computed once per instance, for
+        enumeration, the count, the row checks and the knapsack alike."""
         scale = math.lcm(self.budget.denominator, *(t.denominator for t in self.times))
         times = [t.numerator * (scale // t.denominator) for t in self.times]
-        return scale, times, self.budget.numerator * (scale // self.budget.denominator)
+        return times, self.budget.numerator * (scale // self.budget.denominator)
 
     @cached_property
     def _by_time(self) -> list[int]:
@@ -90,10 +89,9 @@ class GameSpec:
 
 @dataclass(frozen=True, order=True)
 class SearchSet:
-    """A set of locations (sorted 1-based indices) and its total time."""
+    """A set of locations: its members, sorted 1-based indices."""
 
     members: tuple[int, ...]
-    total_time: Fraction
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.members) + "}"
@@ -105,8 +103,7 @@ def search_set(spec: GameSpec, members: Iterable[int]) -> SearchSet:
     for i in ordered:
         if not 1 <= i <= spec.n:
             raise ValueError(f"location index {i} out of range 1..{spec.n}")
-    total = sum((spec.times[i - 1] for i in ordered), Fraction(0))
-    return SearchSet(ordered, total)
+    return SearchSet(ordered)
 
 
 @dataclass(frozen=True)
@@ -123,32 +120,16 @@ class HiderStrategy:
             raise ValueError("hider probabilities must sum to exactly 1")
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Capture-probability matrix: rows are search sets, columns locations.
+def check_size(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> None:
+    """Raise :class:`InstanceTooLarge` if more than ``max_sets`` sets of
+    ``spec`` are feasible, the refusal :func:`maximal_feasible_sets`
+    gives, without building any set.
 
-    entry(A, i) is the capture probability of location i when i is in A,
-    and 0 otherwise.
+    Counts subsets by total with a 0/1 knapsack over a dict of totals.
+    Each distinct total belongs to at least one set, so the dict never
+    holds more than ``max_sets`` totals either.
     """
-
-    rows: tuple[SearchSet, ...]
-    captures: tuple[Fraction, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.captures)
-
-
-def _check_count(times: list[int], budget: int, max_sets: int) -> None:
-    """Raise :class:`InstanceTooLarge` if more than ``max_sets`` subsets
-    of the integer ``times`` fit within ``budget``.
-
-    Counts subsets by total with a 0/1 knapsack over a dict of totals,
-    so the refusal comes before any set is built. Each distinct total
-    belongs to at least one set, so the dict never holds more than
-    ``max_sets`` totals either.
-    """
+    times, budget = spec._scaled
     counts = {0: 1}
     found = 1
     for t in times:
@@ -165,24 +146,24 @@ def _check_count(times: list[int], budget: int, max_sets: int) -> None:
         )
 
 
-def check_size(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> None:
-    """Raise :class:`InstanceTooLarge` if more than ``max_sets`` sets of
-    ``spec`` are feasible, the refusal :func:`feasible_sets` and
-    :func:`maximal_feasible_sets` give, without building any set."""
-    _, times, budget = spec._scaled
-    _check_count(times, budget, max_sets)
+def maximal_feasible_sets(
+    spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS
+) -> list[SearchSet]:
+    """Feasible sets with no feasible strict superset, in lexicographic
+    member order.
 
+    These are the searcher's undominated pure strategies. The empty set
+    only survives when no single location fits the budget. Raises
+    :class:`InstanceTooLarge` when there are more than ``max_sets``
+    feasible sets, maximal or not, before any is built.
 
-def _walk(spec: GameSpec, max_sets: int, maximal_only: bool) -> list[SearchSet]:
-    """Feasible sets in lexicographic member order, or only the maximal
-    ones, from one walk in integer arithmetic.
-
-    Times and budget are scaled to integers. A set is maximal when its
-    slack is below the time of every location left out: those skipped
-    earlier on the path and those after its last member.
+    One walk over the feasible sets in integer arithmetic keeps the
+    maximal ones: a set is maximal when its slack is below the time of
+    every location left out, those skipped earlier on the path and those
+    after its last member.
     """
-    scale, times, budget = spec._scaled
-    _check_count(times, budget, max_sets)
+    check_size(spec, max_sets)
+    times, budget = spec._scaled
     n = len(times)
     # suffix[i] is the least of times[i:]; past the end nothing fits.
     suffix = [budget + 1] * (n + 1)
@@ -195,8 +176,8 @@ def _walk(spec: GameSpec, max_sets: int, maximal_only: bool) -> list[SearchSet]:
         # ``skipped`` is the least time of a location before ``start``
         # that is not in the set.
         slack = budget - total
-        if not maximal_only or slack < min(skipped, suffix[start]):
-            out.append(SearchSet(tuple(members), Fraction(total, scale)))
+        if slack < min(skipped, suffix[start]):
+            out.append(SearchSet(tuple(members)))
         for i in range(start, n):
             if suffix[i] > slack:
                 break
@@ -212,35 +193,12 @@ def _walk(spec: GameSpec, max_sets: int, maximal_only: bool) -> list[SearchSet]:
     return out
 
 
-def feasible_sets(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> list[SearchSet]:
-    """All inspection sets within budget, in lexicographic member order.
-
-    The empty set is always included. Raises :class:`InstanceTooLarge`
-    when more than ``max_sets`` sets would be returned.
-    """
-    return _walk(spec, max_sets, maximal_only=False)
-
-
-def maximal_feasible_sets(
-    spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS
-) -> list[SearchSet]:
-    """Feasible sets with no feasible strict superset, in the order of
-    :func:`feasible_sets`.
-
-    These are the searcher's undominated pure strategies. The empty set
-    only survives when no single location fits the budget. Raises
-    :class:`InstanceTooLarge` when there are more than ``max_sets``
-    feasible sets, maximal or not.
-    """
-    return _walk(spec, max_sets, maximal_only=True)
-
-
 def is_maximal(spec: GameSpec, members: Sequence[int]) -> bool:
     """True exactly when ``members``, a list of location numbers, lists
     the members of a set in :func:`maximal_feasible_sets`: they are
     distinct, lie in 1..n and fit the budget, and every location left
     out takes longer than the time that is left."""
-    _, times, budget = spec._scaled
+    times, budget = spec._scaled
     chosen = set(members)
     if len(chosen) != len(members) or not all(1 <= i <= spec.n for i in chosen):
         return False
@@ -264,7 +222,7 @@ def max_payoff(spec: GameSpec, hider: Sequence[Fraction]) -> Fraction:
     skipped, so the dict holds at most as many totals as there are
     feasible sets, the count :func:`check_size` bounds.
     """
-    _, times, budget = spec._scaled
+    times, budget = spec._scaled
     used = [(t, p * h) for t, p, h in zip(times, spec.captures, hider) if h]
     den = math.lcm(*(b.denominator for _, b in used))
     best = {0: 0}
@@ -277,18 +235,24 @@ def max_payoff(spec: GameSpec, hider: Sequence[Fraction]) -> Fraction:
     return Fraction(max(best.values()), den)
 
 
-def build_matrix(spec: GameSpec, rows: Sequence[SearchSet]) -> PayoffMatrix:
-    """Assemble the payoff matrix over ``rows`` in the given order."""
+def build_matrix(
+    spec: GameSpec, rows: Sequence[SearchSet]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The payoff matrix over ``rows`` in the given order: entry (A, i)
+    is the capture probability of location i when i is in A, and 0
+    otherwise. A row with a location outside 1..n, or whose members
+    take longer than the budget, raises ``ValueError``."""
+    times, budget = spec._scaled
     zero = Fraction(0)
     n = spec.n
     entries = []
     for s in rows:
-        if s.total_time > spec.budget:
-            raise ValueError(f"row {s} is infeasible for budget {spec.budget}")
         row = [zero] * n
         for i in s.members:
             if not 1 <= i <= n:
                 raise ValueError(f"row {s} has location {i} outside 1..{n}")
             row[i - 1] = spec.captures[i - 1]
+        if sum(times[i - 1] for i in s.members) > budget:
+            raise ValueError(f"row {s} is infeasible for budget {spec.budget}")
         entries.append(tuple(row))
-    return PayoffMatrix(tuple(rows), tuple(spec.captures), tuple(entries))
+    return tuple(entries)

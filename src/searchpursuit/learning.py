@@ -37,23 +37,18 @@ Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 class LearningSpec:
     """Escape probabilities of the low and high location kinds.
 
-    ``prior_high`` is the chance a location's escape probability is the
-    high one; only the fair prior is supported, but it is stored
-    explicitly so the restriction is visible at the type level.
+    Each location's escape probability is the high one with the fair
+    prior 1/2, the only prior the model has.
     """
 
     low: Fraction
     high: Fraction
-    prior_high: Fraction = HALF
 
     def __post_init__(self):
         object.__setattr__(self, "low", parse_rational(self.low))
         object.__setattr__(self, "high", parse_rational(self.high))
-        object.__setattr__(self, "prior_high", parse_rational(self.prior_high))
         if not 0 <= self.low <= self.high <= 1:
             raise ValueError("need 0 <= low <= high <= 1")
-        if self.prior_high != HALF:
-            raise ValueError("only the fair prior (1/2) is supported")
 
 
 def same_location_payoff(escape) -> Fraction:
@@ -218,8 +213,8 @@ def posterior_after_escape(
     expected_escape = (l * l + h * h) / (l + h)
     sol = solution if solution is not None else solve(spec)
     implied = sol.switch_probability * (1 - (l + h) / 2) / sol.stay_probability
-    if h == l:
-        low_capture = spec.prior_high
+    if h == l:  # equal kinds tell nothing: the fair prior stands
+        low_capture = HALF
     else:
         low_capture = ((1 - l) - implied) / (h - l)
     return PosteriorResult(high_posterior, expected_escape, implied, low_capture)

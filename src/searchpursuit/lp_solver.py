@@ -5,11 +5,11 @@ per player with a primal simplex over exact Fractions. The matrix is
 first mapped affinely onto [1, 2]; mixed strategies are invariant under
 positive affine payoff maps, and with all entries positive the standard
 maximize-total-mass formulation is bounded and starts feasible at the
-all-slack basis. Bland's rule keeps the pivot sequence deterministic
-and cycle-free, and the minimizer's strategy is read off the dual
-multipliers in the final tableau. Matrices with more rows than columns
-are solved through the negated transpose so the tableau always has
-min(m, n) constraint rows.
+all-slack basis, so phase 1 never runs. Bland's rule keeps the pivot
+sequence deterministic and cycle-free, and the minimizer's strategy is
+read off the dual multipliers in the final objective row. Matrices with
+more rows than columns are solved through the negated transpose so the
+tableau always has min(m, n) constraint rows.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
 {y >= 0, sum(y) = 1, My <= v} with the same pivoting code. One phase 1
@@ -18,8 +18,8 @@ every later step is a phase-2 re-optimization over that tableau,
 warm-started from the basis the previous one ended at: the margin
 checks the claimed value, then come the n maxima of the y_j, and the
 minima only when the maxima do not already prove the hider unique.
-``_maximize`` is the cold composition of the two phases that
-``solve_zero_sum`` uses.
+``solve_zero_sum`` runs the same two steps, ``_feasible_tableau`` then
+one ``_reoptimize``.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def _feasible_tableau(lhs, rhs):
 
     Each row carries its own slack; rows with a negative right-hand side
     are negated and started on an artificial variable, which phase 1
-    then drives to zero and out of the basis. Returns ``(rows, basis,
-    phase1_ran)``; the columns are the ``len(lhs[0])`` structural
-    variables then the ``len(lhs)`` slacks.
+    then drives to zero and out of the basis. Returns ``(rows, basis)``;
+    the columns are the ``len(lhs[0])`` structural variables then the
+    ``len(lhs)`` slacks.
     """
     m, n = len(lhs), len(lhs[0])
     neg = [i for i in range(m) if rhs[i] < 0]
@@ -163,7 +163,7 @@ def _feasible_tableau(lhs, rhs):
                 _pivot(rows, obj1, basis, i, col)
         for row in rows:
             del row[n + m : n + m + n_art]
-    return rows, basis, bool(n_art)
+    return rows, basis
 
 
 def _reoptimize(costs, rows, basis):
@@ -189,27 +189,12 @@ def _reoptimize(costs, rows, basis):
     return -obj[-1], x, obj
 
 
-def _maximize(costs, lhs, rhs):
-    """max costs.x subject to lhs.x <= rhs and x >= 0, all exact.
-
-    Negative right-hand sides trigger a phase-1 start with artificial
-    variables. Returns ``(value, x, duals)``; the dual multipliers are
-    only extracted on the single-phase path (all rhs nonnegative) and
-    are ``None`` otherwise.
-    """
-    rows, basis, phase1_ran = _feasible_tableau(lhs, rhs)
-    value, x, obj = _reoptimize(costs, rows, basis)
-    n = len(costs)
-    duals = None if phase1_ran else [-obj[n + i] for i in range(len(lhs))]
-    return value, x, duals
-
-
 def solve_zero_sum(matrix) -> MixedSolution:
     """Solve the matrix game exactly for both players.
 
-    Accepts a :class:`~searchpursuit.game_core.PayoffMatrix` or any
-    rectangular nested sequence of rationals. Deterministic: identical
-    matrices produce identical strategies.
+    Accepts any rectangular nested sequence of rationals, such as
+    ``build_matrix`` returns. Deterministic: identical matrices produce
+    identical strategies.
     """
     M = parse_matrix(matrix)
     m, n = len(M), len(M[0])
@@ -229,8 +214,10 @@ def solve_zero_sum(matrix) -> MixedSolution:
         )
     span = hi - lo
     norm = [[(v - lo) / span + 1 for v in row] for row in M]
-    total, mass, duals = _maximize([ONE] * n, norm, [ONE] * m)
-    if total <= 0 or duals is None or sum(duals) != total:
+    rows, basis = _feasible_tableau(norm, [ONE] * m)
+    total, mass, obj = _reoptimize([ONE] * n, rows, basis)
+    duals = [-obj[n + i] for i in range(m)]
+    if total <= 0 or sum(duals) != total:
         raise RuntimeError("simplex postcondition violated")  # pragma: no cover
     v_norm = 1 / total
     col = tuple(z * v_norm for z in mass)
@@ -289,7 +276,7 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     lhs.append([-ONE] * n + [ZERO])
     rhs = [v] * m + [ONE, -ONE]
     try:
-        rows, basis, _ = _feasible_tableau(lhs, rhs)
+        rows, basis = _feasible_tableau(lhs, rhs)
     except InfeasibleError as exc:
         raise _value_error(
             M,

@@ -92,14 +92,10 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_matrix(matrix) -> list[list[Fraction]]:
-    """Exact rows of a nonempty rectangular matrix.
-
-    Accepts a :class:`~searchpursuit.game_core.PayoffMatrix` (its
-    ``entries``) or any nested sequence of values ``parse_rational``
-    takes.
-    """
-    raw = getattr(matrix, "entries", matrix)
-    rows = [[parse_rational(v) for v in row] for row in raw]
+    """Exact rows of a nonempty rectangular matrix, given as any nested
+    sequence of values ``parse_rational`` takes (``build_matrix``
+    returns one)."""
+    rows = [[parse_rational(v) for v in row] for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])

@@ -81,8 +81,10 @@ def random_game(rng: random.Random, max_n: int = 5, max_time: int = 6, max_den: 
 def negated_transpose(matrix):
     """The game with the players' roles swapped: its hider is the
     original searcher."""
-    rows = getattr(matrix, "entries", matrix)
-    return [[-Fraction(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
+    return [
+        [-Fraction(matrix[i][j]) for i in range(len(matrix))]
+        for j in range(len(matrix[0]))
+    ]
 
 
 @st.composite

@@ -18,7 +18,6 @@ from searchpursuit.game_core import (
     HiderStrategy,
     SearchSet,
     check_size,
-    feasible_sets,
     is_maximal,
     max_payoff,
     search_set,
@@ -42,25 +41,17 @@ def members(sets):
     return [s.members for s in sets]
 
 
-def reference_sets(spec, maximal_only=False):
-    """Independent oracle: (members, total time) of every feasible subset,
-    summed as Fractions, in lexicographic order; with ``maximal_only``,
-    only those where no non-member fits in the slack."""
+def reference_maximal(spec):
+    """Independent oracle: the sets of :func:`brute_feasible` where no
+    non-member fits in the slack, in lexicographic order."""
     out = []
-    for r in range(spec.n + 1):
-        for combo in combinations(range(1, spec.n + 1), r):
-            total = sum((spec.times[i - 1] for i in combo), F(0))
-            if total > spec.budget:
-                continue
-            slack = spec.budget - total
-            if maximal_only and any(
-                spec.times[i - 1] <= slack
-                for i in range(1, spec.n + 1)
-                if i not in combo
-            ):
-                continue
-            out.append((combo, total))
-    return sorted(out)
+    for combo in brute_feasible(spec):
+        slack = spec.budget - sum((spec.times[i - 1] for i in combo), F(0))
+        if all(
+            spec.times[i - 1] > slack for i in range(1, spec.n + 1) if i not in combo
+        ):
+            out.append(combo)
+    return out
 
 
 def reference_specs(count=80, seed=41):
@@ -93,46 +84,26 @@ def reference_specs(count=80, seed=41):
 
 
 class TestFeasibleSets:
-    def test_example_matches_direct_enumeration(self):
-        expected = brute_feasible(EXAMPLE)
-        assert expected == [(), (1,), (2,), (2, 3), (3,), (4,)]
-        assert members(feasible_sets(EXAMPLE)) == expected
+    """What the walk counts and keeps at the edges of the budget."""
 
     def test_zero_budget_leaves_only_empty_set(self):
         spec = GameSpec((1, 2, 3), ("0.5", "0.5", "0.5"), 0)
-        assert members(feasible_sets(spec)) == [()]
+        assert members(maximal_feasible_sets(spec)) == [()]
 
     def test_unit_times_budget_two_counts_subsets(self):
         spec = GameSpec((1,) * 5, ("0.5",) * 5, 2)
-        sets = feasible_sets(spec)
-        assert len(sets) == 1 + 5 + 10
-        assert all(len(s.members) <= 2 for s in sets)
-
-    def test_lexicographic_order_and_total_times(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            spec = random_game(rng)
-            sets = feasible_sets(spec)
-            assert members(sets) == sorted(members(sets))
-            for s in sets:
-                assert s.total_time == sum(
-                    (spec.times[i - 1] for i in s.members), F(0)
-                )
-
-    def test_closed_under_subset(self):
-        rng = random.Random(12)
-        for _ in range(20):
-            spec = random_game(rng)
-            present = set(members(feasible_sets(spec)))
-            for combo in present:
-                for drop in combo:
-                    assert tuple(i for i in combo if i != drop) in present
+        pairs = list(combinations(range(1, 6), 2))
+        assert members(maximal_feasible_sets(spec)) == pairs
 
     def test_cap_refuses_large_instances(self):
+        # 2**10 sets fit, one of them maximal: the cap counts them all.
         spec = GameSpec((1,) * 10, ("0.5",) * 10, 10)
         with pytest.raises(InstanceTooLarge):
-            feasible_sets(spec, max_sets=100)
-        assert len(feasible_sets(spec, max_sets=1024)) == 1024
+            maximal_feasible_sets(spec, max_sets=100)
+        with pytest.raises(InstanceTooLarge):
+            maximal_feasible_sets(spec, max_sets=1023)
+        everything = tuple(range(1, 11))
+        assert members(maximal_feasible_sets(spec, max_sets=1024)) == [everything]
 
 
 class TestMaximalSets:
@@ -156,7 +127,7 @@ class TestMaximalSets:
         rng = random.Random(13)
         for _ in range(20):
             spec = random_game(rng)
-            feasible = set(members(feasible_sets(spec)))
+            feasible = brute_feasible(spec)
             for s in maximal_feasible_sets(spec):
                 chosen = set(s.members)
                 supersets = [
@@ -169,7 +140,7 @@ class TestMaximalSets:
         specs = [random_game(rng, max_n=5) for _ in range(6)]
         specs.append(random_game(rng, max_n=8, max_time=4))
         for spec in specs:
-            all_rows = feasible_sets(spec)
+            all_rows = [SearchSet(combo) for combo in brute_feasible(spec)]
             some_rows = maximal_feasible_sets(spec)
             v_all = solve_zero_sum(build_matrix(spec, all_rows)).value
             v_max = solve_zero_sum(build_matrix(spec, some_rows)).value
@@ -177,32 +148,26 @@ class TestMaximalSets:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("maximal_only", [False, True])
-    def test_sets_order_and_total_times(self, maximal_only):
-        enumerate_sets = maximal_feasible_sets if maximal_only else feasible_sets
+    def test_maximal_sets_in_order(self):
         for spec in reference_specs():
-            got = enumerate_sets(spec)
-            assert [(s.members, s.total_time) for s in got] == reference_sets(
-                spec, maximal_only
-            )
-            assert all(type(s.total_time) is F for s in got)
+            assert members(maximal_feasible_sets(spec)) == reference_maximal(spec)
 
-    @pytest.mark.parametrize("enumerate_sets", [feasible_sets, maximal_feasible_sets])
-    def test_cap_boundary(self, enumerate_sets):
+    @pytest.mark.parametrize("capped", [check_size, maximal_feasible_sets])
+    def test_cap_boundary(self, capped):
         for spec in reference_specs(count=30, seed=42):
-            count = len(reference_sets(spec))
-            assert enumerate_sets(spec, max_sets=count) == enumerate_sets(spec)
+            count = len(brute_feasible(spec))
+            assert capped(spec, max_sets=count) == capped(spec)
             with pytest.raises(
                 InstanceTooLarge, match=f"more than {count - 1} feasible sets"
             ):
-                enumerate_sets(spec, max_sets=count - 1)
+                capped(spec, max_sets=count - 1)
 
 
 class TestPayoffMatrix:
     def test_example_reduced_matrix(self):
         rows = maximal_feasible_sets(EXAMPLE)
         matrix = build_matrix(EXAMPLE, rows)
-        assert matrix.entries == (
+        assert matrix == (
             (F(1, 10), F(0), F(0), F(0)),
             (F(0), F(1, 5), F(3, 20), F(0)),
             (F(0), F(0), F(0), F(2, 5)),
@@ -211,12 +176,12 @@ class TestPayoffMatrix:
     def test_empty_row_is_all_zero(self):
         rows = [search_set(EXAMPLE, ())]
         matrix = build_matrix(EXAMPLE, rows)
-        assert matrix.entries == ((F(0),) * 4,)
+        assert matrix == ((F(0),) * 4,)
 
     def test_staircase_matrix(self):
         rows = maximal_feasible_sets(STAIR5)
         matrix = build_matrix(STAIR5, rows)
-        by_members = dict(zip(members(rows), matrix.entries))
+        by_members = dict(zip(members(rows), matrix))
         assert by_members[(5,)] == (0, 0, 0, 0, F(1, 10))
         assert by_members[(1, 4)] == (F(1, 2), 0, 0, F(1, 5), 0)
         assert by_members[(2, 3)] == (0, F(2, 5), F(3, 10), 0, 0)
@@ -229,20 +194,34 @@ class TestPayoffMatrix:
             spec = random_game(rng)
             rows = maximal_feasible_sets(spec)
             matrix = build_matrix(spec, rows)
-            for s, row in zip(rows, matrix.entries):
+            for s, row in zip(rows, matrix):
                 assert sum(row) == sum(
                     (spec.captures[i - 1] for i in s.members), F(0)
                 )
 
     def test_infeasible_row_rejected(self):
+        # {1,4} takes 12 time units against a budget of 7, whatever row
+        # comes with it.
         too_big = search_set(EXAMPLE, (1, 4))
-        with pytest.raises(ValueError):
-            build_matrix(EXAMPLE, [too_big])
+        with pytest.raises(ValueError, match="infeasible"):
+            build_matrix(EXAMPLE, [too_big, search_set(EXAMPLE, (2, 3))])
 
     @pytest.mark.parametrize("row", [(0,), (-1,), (5,), (1, 9)])
     def test_member_outside_the_game_rejected(self, row):
         with pytest.raises(ValueError, match="outside 1..4"):
-            build_matrix(EXAMPLE, [SearchSet(row, F(0))])
+            build_matrix(EXAMPLE, [SearchSet(row)])
+
+    def test_accepts_exactly_the_feasible_rows(self):
+        for spec in reference_specs(count=25, seed=43):
+            feasible = set(brute_feasible(spec))
+            for r in range(spec.n + 1):
+                for combo in combinations(range(1, spec.n + 1), r):
+                    row = SearchSet(combo)
+                    if combo in feasible:
+                        build_matrix(spec, [row])
+                    else:
+                        with pytest.raises(ValueError, match="infeasible"):
+                            build_matrix(spec, [row])
 
 
 class TestBestResponse:
@@ -323,8 +302,8 @@ def test_row_test_is_membership_in_the_maximal_sets(spec):
 def test_knapsack_is_the_best_feasible_set(spec, data):
     hider = [F(data.draw(st.integers(0, 5)), 5) for _ in range(spec.n)]
     best = max(
-        sum((spec.captures[i - 1] * hider[i - 1] for i in s.members), F(0))
-        for s in feasible_sets(spec)
+        sum((spec.captures[i - 1] * hider[i - 1] for i in combo), F(0))
+        for combo in brute_feasible(spec)
     )
     assert max_payoff(spec, hider) == best
 
@@ -333,6 +312,6 @@ def test_check_size_is_the_enumeration_cap():
     spec = GameSpec((1,) * 30, ("1/2",) * 30, 15)
     with pytest.raises(InstanceTooLarge):
         check_size(spec, max_sets=1000)
-    check_size(EXAMPLE, max_sets=len(feasible_sets(EXAMPLE)))
+    check_size(EXAMPLE, max_sets=len(brute_feasible(EXAMPLE)))
     with pytest.raises(InstanceTooLarge):
-        check_size(EXAMPLE, max_sets=len(feasible_sets(EXAMPLE)) - 1)
+        check_size(EXAMPLE, max_sets=len(brute_feasible(EXAMPLE)) - 1)

@@ -210,8 +210,3 @@ class TestSpecValidation:
             LearningSpec("-1/3", "1/2")
         with pytest.raises(ValueError):
             LearningSpec("1/3", "3/2")
-
-    def test_prior_is_visible_and_fixed(self):
-        assert LearningSpec(0, 1).prior_high == F(1, 2)
-        with pytest.raises(ValueError):
-            LearningSpec(0, 1, prior_high=F(1, 3))

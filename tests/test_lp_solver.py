@@ -31,19 +31,24 @@ def staircase_matrix():
 
 def cold_uniqueness(matrix, value):
     """Reference probe: 2n independent cold two-phase LPs on the (m+2)-row
-    system {My <= v, sum(y) <= 1, -sum(y) <= -1, y >= 0}."""
-    M = [[F(x) for x in row] for row in getattr(matrix, "entries", matrix)]
+    system {My <= v, sum(y) <= 1, -sum(y) <= -1, y >= 0}, each a fresh
+    phase 1 then one phase-2 optimization."""
+    M = [[F(x) for x in row] for row in matrix]
     m, n = len(M), len(M[0])
     lhs = [list(row) for row in M] + [[F(1)] * n, [F(-1)] * n]
     rhs = [F(value)] * m + [F(1), F(-1)]
+
+    def cold_max(cost):
+        rows, basis = lp_solver._feasible_tableau(lhs, rhs)
+        return lp_solver._reoptimize(cost, rows, basis)[0]
+
     ranges = []
     for j in range(n):
         cost = [F(0)] * n
         cost[j] = F(-1)
-        neg_lo, _, _ = lp_solver._maximize(cost, lhs, rhs)
+        neg_lo = cold_max(cost)
         cost[j] = F(1)
-        hi, _, _ = lp_solver._maximize(cost, lhs, rhs)
-        ranges.append((-neg_lo, hi))
+        ranges.append((-neg_lo, cold_max(cost)))
     return tuple(ranges), all(a == b for a, b in ranges)
 
 
@@ -57,7 +62,7 @@ def assert_probe_matches_cold(matrix):
 def assert_equilibrium(matrix, sol):
     """Strong duality, exactly: both guarantee systems hold with no slack
     tolerance."""
-    rows = [[F(x) for x in row] for row in getattr(matrix, "entries", matrix)]
+    rows = [[F(x) for x in row] for row in matrix]
     m, n = len(rows), len(rows[0])
     assert sum(sol.row_strategy) == 1 and all(p >= 0 for p in sol.row_strategy)
     assert sum(sol.col_strategy) == 1 and all(p >= 0 for p in sol.col_strategy)
@@ -211,11 +216,7 @@ class TestHiderUniqueness:
         rows, matrix = staircase_matrix()
         # The searcher's optimal set of the game is the hider's optimal
         # set of the negated transpose.
-        m = len(matrix.entries)
-        negated_t = [
-            [-matrix.entries[i][j] for i in range(m)] for j in range(matrix.n)
-        ]
-        report = hider_uniqueness(negated_t, -F(3, 55))
+        report = hider_uniqueness(negated_transpose(matrix), -F(3, 55))
         assert not report.unique
         by_members = dict(zip((s.members for s in rows), report.ranges))
         assert by_members[(1, 3)][1] > 0

@@ -1,0 +1,31 @@
+"""The README's Library example runs as written, and the package exports
+exactly the names the README lists."""
+
+import re
+from fractions import Fraction as F
+from pathlib import Path
+
+import searchpursuit
+
+README = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text("utf-8")
+LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_example_runs():
+    code = re.search(r"```python\n(.*?)```", LIBRARY, re.S).group(1)
+    names: dict = {}
+    exec(code, names)
+    assert names["sol"].value == F(6, 115)
+    assert names["report"].unique
+    assert names["cert"].ok
+
+
+def test_exports_are_the_names_the_readme_lists():
+    imported = re.search(r"from searchpursuit import \((.*?)\)", LIBRARY, re.S).group(1)
+    calls = {name.strip() for name in imported.split(",") if name.strip()}
+    # "The package exports these six calls and the two errors they can
+    # raise, `InstanceTooLarge` and `NumberTooLarge`; ..."
+    sentence = LIBRARY.split("The package exports", 1)[1].split(";", 1)[0]
+    errors = set(re.findall(r"`(\w+)`", sentence))
+    assert (len(calls), len(errors)) == (6, 2)
+    assert sorted(searchpursuit.__all__) == sorted(calls | errors)
