@@ -7,13 +7,14 @@ long to print back. Results go out as a human table, a JSON result
 document, or both, in one layout for every mode. Identical inputs
 produce byte-identical output unless --timing is requested.
 
-The location-list modes share one pipeline: enumerate, build the matrix,
-solve the LP; a closed-form mode's value must equal the LP's. ``verify``
-reads each single-game document into the check for its mode. Every
-location-list solution, solved or verified, is certified by
-``oracle.location_certificate``, which needs no matrix and names the
-first row or column that fails. Two-type and learning solutions are
-certified on their small matrices.
+The general mode enumerates the maximal sets, builds the matrix and
+solves the LP; the closed-form location modes (constant-times,
+arithmetic-times) compute their value, hider and searcher mix directly
+and neither enumerate nor run the LP. ``verify`` reads each single-game
+document into the check for its mode. Every location-list solution,
+solved or verified, is certified by ``oracle.location_certificate``,
+which needs no matrix and names the first row or column that fails.
+Two-type and learning solutions are certified on their small matrices.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input, 3 instance too large for exhaustive enumeration or
@@ -264,13 +265,17 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
 def _constant_times(spec: game_core.GameSpec, path: str):
     if any(t != 1 for t in spec.times):
         _fail(f"{path}: mode 'constant-times' requires every search time to be 1")
-    closed = closed_forms.solve_constant_times(spec.captures, spec.budget)
+    try:
+        closed = closed_forms.solve_constant_times(spec.captures, spec.budget)
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
     extras = {"regime": closed.regime, "inv_capture_sum": _text(closed.inv_capture_sum)}
     header = [
         f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
         f"regime: {closed.regime}",
     ]
-    return closed.value, closed.hider.probs, None, {"constant_times": extras}, header
+    mix, extras = closed.searcher_mix, {"constant_times": extras}
+    return closed.value, closed.hider.probs, mix, extras, header
 
 
 def _arithmetic_times(spec: game_core.GameSpec, path: str):
@@ -301,30 +306,26 @@ def _arithmetic_times(spec: game_core.GameSpec, path: str):
 
 
 # Closed forms of the location-list modes. Each returns (value, hider,
-# searcher mix as (set, weight) pairs or None for the LP's, extras,
-# header lines); "general" has none.
+# searcher mix as (set, weight) pairs, extras, header lines); "general"
+# has none and solves the LP.
 _CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithmetic_times}
 
 
 def _solve_locations(doc, path, args, mode):
-    """Enumerate, build the matrix, solve the LP and certify the answer
-    with the location certificate. In a closed-form mode the closed
-    form's value must equal the LP's, and its hider, with its own
-    searcher mix or else the LP's, is what is certified and reported."""
+    """Solve a location-list game, by its mode's closed form or else by
+    enumeration and the LP, and certify the answer with the location
+    certificate before anything is rendered."""
     spec = game_spec_from(doc, path)
-    closed = _CLOSED_FORMS[mode](spec, path) if mode in _CLOSED_FORMS else None
-    rows, matrix = _location_matrix(spec, args.max_subsets)
-    sol = lp_solver.solve_zero_sum(matrix)
-    if closed is None:
-        value, hider, mix, extras = sol.value, sol.col_strategy, None, None
-        header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
+    if mode in _CLOSED_FORMS:
+        value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
+        provenance = "closed-form"
     else:
-        value, hider, mix, extras, header = closed
-        if value != sol.value:
-            raise CertificateFailure(
-                f"closed form value {value} disagrees with LP value {sol.value}"
-            )
-    pairs = list(zip(rows, sol.row_strategy)) if mix is None else list(mix)
+        rows, matrix = _location_matrix(spec, args.max_subsets)
+        sol = lp_solver.solve_zero_sum(matrix)
+        value, hider, extras = sol.value, sol.col_strategy, None
+        pairs = list(zip(rows, sol.row_strategy))
+        header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
+        provenance = "lp"
     try:
         failure = oracle.location_certificate(
             spec, hider, [(s.members, w) for s, w in pairs], value, args.max_subsets
@@ -347,7 +348,6 @@ def _solve_locations(doc, path, args, mode):
         "searcher distribution:",
         *(f"  {_set_label(spec, s, args.paper_names)}: {_text(p)}" for s, p in pairs),
     ]
-    provenance = "lp" if closed is None else "both"
     return _result(game, value, answer, provenance, header, body, extras)
 
 
@@ -546,9 +546,12 @@ def _sweep_two_type(doc, args, budgets) -> int:
     spec = two_type_spec_from(doc, args.file)
     if any(k.denominator != 1 for k in budgets):
         _fail("two-type sweeps need integer budgets")
-    solutions = [
-        closed_forms.solve_two_type(replace(spec, budget=int(k))) for k in budgets
-    ]
+    try:
+        solutions = [
+            closed_forms.solve_two_type(replace(spec, budget=int(k))) for k in budgets
+        ]
+    except ValueError as exc:
+        _fail(f"{args.file}: {exc}")
     oracle.check_nondecreasing(budgets, [c.value for c in solutions])
 
     def row(k, c):
@@ -616,7 +619,6 @@ def _set_members(value, where: str) -> tuple[int, ...]:
 
 def _read_locations(game_doc, solution, args):
     spec = game_spec_from(game_doc, args.file)
-    game_core.check_size(spec, args.max_subsets)
     where = args.solution
     hider = [
         _number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)
@@ -776,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     def max_subsets(p):
         p.add_argument(
             "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
-            help="cap on enumerated feasible sets",
+            help="cap on enumerated feasible sets and on the totals of the "
+            "certificate's knapsack",
         )
 
     solve = sub.add_parser("solve", help="solve one game file")

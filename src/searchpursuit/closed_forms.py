@@ -9,16 +9,21 @@ Four families admit exact solutions without touching the LP:
   location's capture probability,
 * two location types (many interchangeable locations of two kinds).
 
-Each solver returns strategies that the enumeration + LP pipeline can
-re-derive; the staircase solver additionally records in ``verified``
-that its output passed the oracle's location certificate, which needs
-no matrix, since its even-n variant rests on a direct construction.
+The constant-times and staircase solvers return a whole answer: the
+value, the hider's mix and a searcher mix over maximal feasible sets,
+which the oracle's location certificate checks without a matrix, so
+the CLI reports them without enumerating a row or running the LP (the
+tests still compare them with the LP). The constant-times mix comes
+from systematic sampling of the searcher's coverage. The staircase
+solver also records in ``verified`` that its output passed that
+certificate, since its even-n variant rests on a direct construction.
 ``two_type_matrix`` is the two-type game's payoff matrix at the level
 of types, which that game's solutions are certified on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,11 +49,14 @@ class RegimeError(ValueError):
 class ConstantTimeSolution:
     """``regime`` is "interior" (equalizing mix, value k / inv_capture_sum)
     or "corner" (point mass on a lowest-capture location, value that
-    capture probability)."""
+    capture probability). ``searcher_mix`` holds at most n sets of k
+    locations each, every one a maximal feasible set, with positive
+    weights summing to 1."""
 
     inv_capture_sum: Fraction
     regime: str
     hider: HiderStrategy
+    searcher_mix: tuple[tuple[SearchSet, Fraction], ...]
     value: Fraction
 
 
@@ -60,6 +68,12 @@ def solve_constant_times(captures, budget) -> ConstantTimeSolution:
     probability across all locations; at or beyond it the hider commits
     to a location with the smallest capture probability. On the exact
     boundary both regimes tie and the interior mix is returned.
+
+    The searcher covers location i a share c_i of the time, with
+    p_i * c_i >= value: c_i = value / p_i in the interior regime, which
+    sums to k; in the corner regime c_i starts at p_min / p_i and entries
+    are raised toward 1, in index order, until they sum to k.
+    :func:`_systematic_sets` splits that coverage into k-sets.
     """
     ps = [parse_rational(p) for p in captures]
     n = len(ps)
@@ -81,10 +95,48 @@ def solve_constant_times(captures, budget) -> ConstantTimeSolution:
     min_idx = min(range(n), key=lambda i: ps[i])
     p_min = ps[min_idx]
     if interior_value <= p_min:
+        regime, value = "interior", interior_value
         probs = tuple((ONE / p) / lam for p in ps)
-        return ConstantTimeSolution(lam, "interior", HiderStrategy(probs), interior_value)
-    probs = tuple(ONE if i == min_idx else ZERO for i in range(n))
-    return ConstantTimeSolution(lam, "corner", HiderStrategy(probs), p_min)
+        coverage = [value / p for p in ps]
+    else:
+        regime, value = "corner", p_min
+        probs = tuple(ONE if i == min_idx else ZERO for i in range(n))
+        coverage = [p_min / p for p in ps]
+        short = k - sum(coverage)
+        for i, c in enumerate(coverage):
+            raised = min(ONE - c, short)
+            coverage[i] += raised
+            short -= raised
+    mix = _systematic_sets(coverage)
+    return ConstantTimeSolution(lam, regime, HiderStrategy(probs), mix, value)
+
+
+def _systematic_sets(coverage: list[Fraction]) -> tuple[tuple[SearchSet, Fraction], ...]:
+    """Systematic sampling (Madow 1949): split coverages c_i in [0, 1]
+    with an integer sum k into weighted k-sets that hold each location i
+    exactly c_i of the time.
+
+    Lay the intervals [C_{i-1}, C_i) of the cumulative sums end to end
+    on [0, k) and pick the points u + m, m = 0..k-1: each interval is at
+    most 1 long, so it holds at most one of them, and it holds one for a
+    share c_i of the u in [0, 1). The picked set changes only where u
+    passes the fractional part of some C_i, so the gaps between those
+    parts give at most n sets, each weighted by its gap's length; sets
+    that come out equal are merged. The sets are listed in member order.
+    """
+    cumulative = [ZERO]
+    for c in coverage:
+        cumulative.append(cumulative[-1] + c)
+    cuts = sorted({c - math.floor(c) for c in cumulative[:-1]} | {ONE})
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for u, end in zip(cuts, cuts[1:]):
+        members = tuple(
+            i
+            for i, (lo, hi) in enumerate(zip(cumulative, cumulative[1:]), start=1)
+            if math.ceil(lo - u) < hi - u
+        )
+        weights[members] = weights.get(members, ZERO) + end - u
+    return tuple((SearchSet(members), w) for members, w in sorted(weights.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -212,15 +212,19 @@ def is_maximal(spec: GameSpec, members: Sequence[int]) -> bool:
     return True
 
 
-def max_payoff(spec: GameSpec, hider: Sequence[Fraction]) -> Fraction:
+def max_payoff(
+    spec: GameSpec, hider: Sequence[Fraction], max_sets: int = DEFAULT_MAX_SETS
+) -> Fraction:
     """The most any feasible set pays against the hider mix ``hider``:
     max of sum(p_i * h_i) over the members i of a set within budget.
 
     An exact 0/1 knapsack over a dict from each reachable scaled total to
     the best payoff that reaches it, in integers over the payoffs' common
     denominator. Locations the hider never uses add nothing and are
-    skipped, so the dict holds at most as many totals as there are
-    feasible sets, the count :func:`check_size` bounds.
+    skipped. Each total in the dict belongs to at least one feasible set,
+    so it never outgrows the count :func:`check_size` bounds; it is
+    bounded itself, and raises :class:`InstanceTooLarge` once it holds
+    more than ``max_sets`` totals.
     """
     times, budget = spec._scaled
     used = [(t, p * h) for t, p, h in zip(times, spec.captures, hider) if h]
@@ -232,6 +236,11 @@ def max_payoff(spec: GameSpec, hider: Sequence[Fraction]) -> Fraction:
             reached, reward = total + t, payoff + gain
             if reached <= budget and (reached not in best or best[reached] < reward):
                 best[reached] = reward
+        if len(best) > max_sets:
+            raise InstanceTooLarge(
+                f"more than {max_sets} distinct set totals; "
+                "instance too large for the knapsack certificate"
+            )
     return Fraction(max(best.values()), den)
 
 

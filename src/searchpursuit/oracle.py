@@ -107,9 +107,10 @@ def location_certificate(
     nonnegative, so every feasible set lies in a maximal one that pays
     at least as much: no row pays more than v exactly when the best
     feasible set, an exact knapsack optimum, does not. Only when one
-    does are the rows walked, under the cap ``max_sets``, to name the
-    first. Column j pays p_j times the weight c_j of the listed sets
-    that hold j, which must reach v.
+    does are the rows walked to name the first. ``max_sets`` caps both
+    the knapsack's table of totals and that walk, with
+    ``game_core.InstanceTooLarge``. Column j pays p_j times the weight
+    c_j of the listed sets that hold j, which must reach v.
     """
     n = spec.n
     hider = [parse_rational(h) for h in hider_mix]
@@ -125,7 +126,7 @@ def location_certificate(
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError(f"{side} mix is not a probability distribution")
     v = parse_rational(claimed_value)
-    if game_core.max_payoff(spec, hider) > v:
+    if game_core.max_payoff(spec, hider, max_sets) > v:
         for row in game_core.maximal_feasible_sets(spec, max_sets):
             slack = v - sum(spec.captures[i - 1] * hider[i - 1] for i in row.members)
             if slack < 0:

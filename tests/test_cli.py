@@ -35,6 +35,21 @@ TWO_TYPE = {
 
 LEARNING = {"mode": "learning", "learning": {"low": "1/3", "high": "2/3"}}
 
+# 40 unit-time locations at budget 20: about 2**39 feasible sets, far
+# past the enumeration cap, in the interior regime.
+CONSTANT_40_20 = {
+    "mode": "constant-times",
+    "locations": [{"time": 1, "capture": f"{40 + i}/80"} for i in range(1, 41)],
+    "budget": 20,
+}
+
+# The staircase at n = 80 has 133,219 maximal sets, under the cap.
+STAIRCASE_80 = {
+    "mode": "arithmetic-times",
+    "locations": [{"time": i, "capture": f"1/{i + 1}"} for i in range(1, 81)],
+    "budget": 80,
+}
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -65,7 +80,8 @@ def timed_main_in_child(argv):
         text=True,
         timeout=60,
     )
-    code, seconds = proc.stdout.split()
+    # The last line is the child's own; what main printed comes before it.
+    code, seconds = proc.stdout.splitlines()[-1].split()
     return int(code), float(seconds), proc.stderr
 
 
@@ -143,7 +159,7 @@ class TestSolve:
         path = write(tmp_path, "g.json", doc)
         code, result = run_json(capsys, ["solve", path, "--format", "json"])
         assert code == 0
-        assert result["provenance"] == "both"
+        assert result["provenance"] == "closed-form"
         assert result["value"]["fraction"] == "3/31"
         assert result["constant_times"]["regime"] == "interior"
 
@@ -153,7 +169,7 @@ class TestSolve:
         path = write(tmp_path, "g.json", doc)
         code, result = run_json(capsys, ["solve", path, "--format", "json"])
         assert code == 0
-        assert result["provenance"] == "both"
+        assert result["provenance"] == "closed-form"
         assert result["value"]["fraction"] == "3/55"
         assert result["arithmetic_times"]["verified"] is True
 
@@ -221,12 +237,17 @@ class TestSolve:
     def test_location_solve_certifies_without_the_matrix_certificate(
         self, tmp_path, capsys, monkeypatch, mode
     ):
-        from searchpursuit import oracle
+        from searchpursuit import game_core, lp_solver, oracle
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense certificate called")
+            raise AssertionError("dense certificate, enumeration or LP called")
 
         monkeypatch.setattr(oracle, "verify_equilibrium", refuse)
+        if mode != "general":
+            # A closed form is its own answer: no row is enumerated and
+            # no LP is run.
+            monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
+            monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
         if mode == "constant-times":
             doc = {
                 "locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")],
@@ -237,6 +258,29 @@ class TestSolve:
         path = write(tmp_path, "g.json", dict(doc, mode=mode))
         assert main(["solve", path]) == 0
         assert capsys.readouterr().out.endswith("\ncertificate: ok\n")
+
+    @pytest.mark.parametrize(
+        "game", [STAIRCASE_80, CONSTANT_40_20], ids=["staircase-80", "constant-40-20"]
+    )
+    def test_large_closed_form_games_solve_and_verify_fast(self, tmp_path, game):
+        game_path = write(tmp_path, "g.json", game)
+        sol_path = str(tmp_path / "s.json")
+        code, seconds, err = timed_main_in_child(
+            ["solve", game_path, "--format", "json", "--output", sol_path]
+        )
+        assert (code, err) == (0, "")
+        assert seconds < 1
+        code, seconds, err = timed_main_in_child(["verify", game_path, sol_path])
+        assert (code, err) == (0, "")
+        assert seconds < 1
+
+    def test_general_mode_past_the_cap_is_still_refused(self, tmp_path):
+        # The game the closed form above solves in milliseconds.
+        path = write(tmp_path, "g.json", CONSTANT_40_20)
+        code, seconds, err = timed_main_in_child(["solve", path, "--mode", "general"])
+        assert code == 3
+        assert seconds < 0.5
+        assert "more than 4194304 feasible sets" in err
 
 
 class TestSolveErrors:
@@ -283,6 +327,25 @@ class TestSolveErrors:
         assert capsys.readouterr().err == (
             f"error: {path}: learning.low: not a rational: 'abc'\n"
         )
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (0, "budget must be between 1 and the location count"),
+            ("3/2", "budget must be an integer number of inspections"),
+        ],
+    )
+    def test_constant_times_budget_error_names_the_file(
+        self, tmp_path, capsys, budget, message
+    ):
+        doc = {
+            "mode": "constant-times",
+            "locations": [{"time": 1, "capture": "1/2"}] * 2,
+            "budget": budget,
+        }
+        path = write(tmp_path, "g.json", doc)
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_two_type_out_of_regime_is_input_error(self, tmp_path, capsys):
         doc = {
@@ -415,6 +478,11 @@ class TestSolveErrors:
 
 
 class TestSweep:
+    def test_two_type_out_of_regime_names_the_file(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", TWO_TYPE)
+        assert main(["sweep", path, "--k-from", "1", "--k-to", "4"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: no searcher mix over ")
+
     def test_staircase_table_rows(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", STAIRCASE)
         code, doc = run_json(
@@ -726,6 +794,23 @@ class TestVerify:
         assert out.out.endswith(" (slack -1/1000)\n")
         assert out.err.startswith("certificate failure: row {")
         assert calls == [1]
+
+    def test_verify_past_the_cap_needs_no_enumeration(self, tmp_path, capsys):
+        # The staircase at n = 10 has 43 feasible sets; its hider's
+        # knapsack table holds 7 totals.
+        game_path, sol_path = self.staircase_documents(tmp_path, 10)
+        assert main(["verify", game_path, sol_path, "--max-subsets", "20"]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
+
+    def test_failed_row_check_past_the_cap_is_resource_error(self, tmp_path, capsys):
+        game_path, sol_path = self.staircase_documents(tmp_path, 10, -F(1, 1000))
+        assert main(["verify", game_path, sol_path, "--max-subsets", "20"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: more than 20 feasible sets; "
+            "instance too large for exhaustive enumeration\n"
+        )
 
     def test_bool_type2_count_is_input_error(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")

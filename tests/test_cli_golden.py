@@ -317,6 +317,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("verify-two-type-sweep", "verify", "two-type.json", "two-type-sweep.json")
     add("verify-dimension-mismatch", "verify", "example3.json", "example-sol.json")
     add("verify-size-cap", "verify", "example.json", "example-sol.json", "--max-subsets", "4")
+    add("verify-example-down-size-cap", "verify", "example.json", "example-down.json", "--max-subsets", "4")
     for doc in (
         "example-noval", "example-badset", "example-badentry", "example-hider",
         "example-nomode", "example-list", "example-magic", "example-listmode",

@@ -234,6 +234,14 @@ class TestBestResponse:
     def test_staircase_equalizing_hider(self):
         assert max_payoff(STAIR5, (0, 0, F(2, 11), F(3, 11), F(6, 11))) == F(3, 55)
 
+    def test_table_of_totals_is_capped(self):
+        # The equalizing hider uses locations 1, 3 and 4 (times 5, 4 and 7,
+        # budget 7): the table holds the totals 0, 4, 5 and 7.
+        hider = (F(12, 23), 0, F(8, 23), F(3, 23))
+        assert max_payoff(EXAMPLE, hider, max_sets=4) == F(6, 115)
+        with pytest.raises(InstanceTooLarge, match="more than 3 distinct set totals"):
+            max_payoff(EXAMPLE, hider, max_sets=3)
+
     def test_single_location_probe_lower_bound(self):
         rng = random.Random(16)
         for _ in range(10):

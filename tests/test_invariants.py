@@ -22,7 +22,7 @@ from searchpursuit.closed_forms import (
     solve_constant_times,
     solve_two_type,
 )
-from searchpursuit.oracle import certified_ranges
+from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from searchpursuit.rationals import format_rational
 
 
@@ -94,6 +94,74 @@ def test_arithmetic_times_closed_form_is_the_lp_value(captures):
     n = len(ps)
     closed = solve_arithmetic_times(ps, certify=False)
     assert closed.value == game_value(GameSpec(tuple(range(1, n + 1)), ps, n))
+
+
+def certified_on_full_matrix(spec: GameSpec, closed) -> bool:
+    """Does ``verify_equilibrium`` accept the closed form's value, hider
+    and searcher mix on the matrix over every maximal feasible set?"""
+    rows = maximal_feasible_sets(spec)
+    index = {s.members: i for i, s in enumerate(rows)}
+    searcher = [F(0)] * len(rows)
+    for s, w in closed.searcher_mix:
+        searcher[index[s.members]] += w
+    matrix = build_matrix(spec, rows)
+    return verify_equilibrium(matrix, closed.hider.probs, searcher, closed.value).ok
+
+
+@st.composite
+def unit_time_games(draw):
+    """(captures, k, regime): at most 8 unit-time locations, budget
+    1 <= k <= n, in the constant-times regime drawn, where "boundary" has
+    k / sum(1/p) equal to the least capture exactly."""
+    regime = draw(st.sampled_from(["interior", "corner", "boundary"]), label="regime")
+    if regime == "boundary":
+        # One location at p0 and n - 1 at q = (n - 1) p0 / (k - 1) put
+        # sum(1/p) at k / p0; k = 1 needs n = 1.
+        n = draw(st.integers(1, 8), label="n")
+        k = draw(st.integers(1, n), label="k")
+        if k == 1:
+            return (F(draw(st.integers(1, 20)), 20),), 1, regime
+        p0 = F(draw(st.integers(1, 20 * (k - 1) // (n - 1))), 20)
+        captures = [p0] + [(n - 1) * p0 / (k - 1)] * (n - 1)
+        order = draw(st.permutations(range(n)), label="order")
+        return tuple(captures[i] for i in order), k, regime
+    captures = tuple(
+        F(c, 20) for c in draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    )
+    n = len(captures)
+    # Interior exactly when k <= min(p) * sum(1/p), which is at least 1.
+    split = min(n, int(min(captures) * sum(1 / p for p in captures)))
+    if regime == "interior":
+        return captures, draw(st.integers(1, split), label="k"), regime
+    assume(split < n)
+    return captures, draw(st.integers(split + 1, n), label="k"), regime
+
+
+@settings(max_examples=80)
+@given(unit_time_games())
+def test_constant_times_mix_is_certified_on_the_full_matrix(game):
+    captures, k, regime = game
+    n = len(captures)
+    closed = solve_constant_times(captures, k)
+    assert closed.regime == ("corner" if regime == "corner" else "interior")
+    if regime == "boundary":
+        assert closed.value == min(captures)
+    mix = closed.searcher_mix
+    assert len(mix) <= n
+    assert all(len(s.members) == k for s, _ in mix)
+    assert len({s for s, _ in mix}) == len(mix)
+    assert all(w > 0 for _, w in mix)
+    assert sum(w for _, w in mix) == 1
+    assert certified_on_full_matrix(GameSpec((1,) * n, captures, k), closed)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=9))
+def test_arithmetic_times_mix_is_certified_on_the_full_matrix(captures):
+    ps = tuple(F(c, 20) for c in sorted(captures, reverse=True))
+    n = len(ps)
+    closed = solve_arithmetic_times(ps, certify=False)
+    assert certified_on_full_matrix(GameSpec(tuple(range(1, n + 1)), ps, n), closed)
 
 
 @settings(max_examples=40)
