@@ -16,10 +16,16 @@ solved or verified, is certified by ``oracle.location_certificate``,
 which needs no matrix and names the first row or column that fails.
 Two-type and learning solutions are certified on their small matrices.
 
+``main`` may be called any number of times in one process. Every call
+parses with one parser, built on first use; parsing never changes it,
+since each call gets a fresh Namespace and the subcommand defaults live
+on the parser.
+
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
-2 invalid input, 3 instance too large for exhaustive enumeration or
-number too large to print back, 141 standard output closed early
-(128 + SIGPIPE).
+2 invalid input (among them usage errors such as ``--max-subsets 0``,
+and an unwritable ``--output``), 3 instance too large for
+exhaustive enumeration or number too large to print back, 141 standard
+output closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import closed_forms, game_core, learning, lp_solver, oracle
 from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
@@ -216,15 +222,20 @@ def _set_label(spec: game_core.GameSpec, s: game_core.SearchSet, paper_names: bo
 
 
 def _emit(args, document: dict, table_lines: list[str]) -> None:
-    if args.format in ("table", "both"):
-        print("\n".join(table_lines))
-    if args.format in ("json", "both"):
-        payload = json.dumps(document, indent=2) + "\n"
-        if args.output:
+    """Print what ``--format`` asks for. A JSON document bound for
+    ``--output`` is written first, so an unwritable path fails before
+    anything reaches standard output."""
+    payload = json.dumps(document, indent=2) + "\n" if args.format != "table" else ""
+    if payload and args.output:
+        try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        except OSError as exc:
+            _fail(f"cannot write {args.output}: {exc}")
+        payload = ""
+    if args.format != "json":
+        print("\n".join(table_lines))
+    sys.stdout.write(payload)
 
 
 def _result(game: dict, value: Fraction, answer: dict, provenance: str,
@@ -262,9 +273,20 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _constant_times(spec: game_core.GameSpec, path: str):
-    if any(t != 1 for t in spec.times):
+def _location_spec(doc: dict, path: str, mode: str) -> game_core.GameSpec:
+    """The location game of ``doc``, refused if its search times break
+    ``mode``'s rule: all 1 for constant-times, 1, 2, ..., n for
+    arithmetic-times. Solve and sweep share it. The budget rule stays
+    with the solve's closed forms, so a sweep's budgets are free."""
+    spec = game_spec_from(doc, path)
+    if mode == "constant-times" and any(t != 1 for t in spec.times):
         _fail(f"{path}: mode 'constant-times' requires every search time to be 1")
+    if mode == "arithmetic-times" and spec.times != tuple(range(1, spec.n + 1)):
+        _fail(f"{path}: mode 'arithmetic-times' requires search times 1, 2, ..., n")
+    return spec
+
+
+def _constant_times(spec: game_core.GameSpec, path: str):
     try:
         closed = closed_forms.solve_constant_times(spec.captures, spec.budget)
     except ValueError as exc:
@@ -279,9 +301,6 @@ def _constant_times(spec: game_core.GameSpec, path: str):
 
 
 def _arithmetic_times(spec: game_core.GameSpec, path: str):
-    expected = tuple(Fraction(i) for i in range(1, spec.n + 1))
-    if spec.times != expected:
-        _fail(f"{path}: mode 'arithmetic-times' requires search times 1, 2, ..., n")
     if spec.budget != spec.n:
         _fail(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
     try:
@@ -315,7 +334,7 @@ def _solve_locations(doc, path, args, mode):
     """Solve a location-list game, by its mode's closed form or else by
     enumeration and the LP, and certify the answer with the location
     certificate before anything is rendered."""
-    spec = game_spec_from(doc, path)
+    spec = _location_spec(doc, path, mode)
     if mode in _CLOSED_FORMS:
         value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
         provenance = "closed-form"
@@ -522,7 +541,7 @@ def cmd_sweep(args) -> int:
         return _sweep_two_type(doc, args, budgets)
     if mode not in ("general", "constant-times", "arithmetic-times"):
         _fail("sweep supports general, constant-times, arithmetic-times or two-type games")
-    spec = game_spec_from(doc, args.file)
+    spec = _location_spec(doc, args.file, mode)
     entries = oracle.sweep_budget(
         spec.times, spec.captures, budgets, max_sets=args.max_subsets
     )
@@ -761,7 +780,21 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+def _set_cap(text: str) -> int:
+    """``--max-subsets``: an integer of at least 1, else a usage error
+    that names the flag; a non-integer keeps argparse's own message."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use."""
     parser = argparse.ArgumentParser(
         prog="searchpursuit",
         description="Exact solvers for budgeted search-and-pursuit games.",
@@ -777,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def max_subsets(p):
         p.add_argument(
-            "--max-subsets", type=int, default=game_core.DEFAULT_MAX_SETS,
+            "--max-subsets", type=_set_cap, default=game_core.DEFAULT_MAX_SETS,
             help="cap on enumerated feasible sets and on the totals of the "
             "certificate's knapsack",
         )

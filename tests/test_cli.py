@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -476,6 +477,27 @@ class TestSolveErrors:
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["solve", path, "--mode", "constant-times"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        target = tmp_path / "missing" / "x.json"
+        assert main(["solve", path, "--format", fmt, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert "No such file or directory" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_max_subsets_below_one_is_usage_error(self, tmp_path, capsys, command, cap):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        budgets = ["--k-from", "7", "--k-to", "7"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *budgets, "--max-subsets", cap])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-subsets: must be at least 1, got {cap}" in err
+
 
 class TestSweep:
     def test_two_type_out_of_regime_names_the_file(self, tmp_path, capsys):
@@ -533,6 +555,23 @@ class TestSweep:
         code, solved = run_json(capsys, ["solve", path, "--format", "json"])
         assert code == 0
         assert solved["two_type"] == result["two_type"]
+
+    @pytest.mark.parametrize("mode", ["constant-times", "arithmetic-times"])
+    def test_mode_time_rule_matches_solve(self, tmp_path, capsys, mode):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        assert main(["solve", path, "--mode", mode]) == 2
+        solve_err = capsys.readouterr().err
+        assert main(["sweep", path, "--k-from", "1", "--k-to", "2", "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", solve_err)
+        assert "requires" in solve_err
+
+    def test_arithmetic_sweep_budgets_stay_free(self, tmp_path, capsys):
+        # solve needs budget n = 5 in this mode; a sweep may leave it.
+        path = write(tmp_path, "g.json", STAIRCASE)
+        argv = ["sweep", path, "--k-from", "3", "--k-to", "7", "--mode", "arithmetic-times"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 6
 
     def test_reversed_range_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
@@ -819,6 +858,42 @@ class TestVerify:
         sol_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", game_path, str(sol_path)]) == 2
         assert "type2_searched must be an integer" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_leave_no_trace(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        plain = ["solve", path]
+        first = (main(plain), capsys.readouterr())
+        busy = [
+            "solve", path, "--output", str(tmp_path / "out.json"),
+            "--mode", "general", "--paper-names", "--format", "both",
+        ]
+        assert main(busy) == 0
+        assert "location 5: " in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--format", "yaml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert (main(plain), capsys.readouterr()) == first
+
+    def test_parser_is_built_at_most_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            # Subcommand parsers run this too; count only the top level.
+            if kwargs.get("prog") == "searchpursuit":
+                built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = write(tmp_path, "g.json", EXAMPLE)
+        for argv in (["solve", path], ["learning", "--low", "1/3", "--high", "2/3"],
+                     ["sweep", path, "--k-from", "7", "--k-to", "7"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) <= 1
 
 
 def test_module_entry_point(tmp_path):

@@ -269,6 +269,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("learning-cmd-oversized", "learning", "--low", "1e-5000", "--high", "1")
     add("solve-output-json", "solve", "example.json", "--format", "json", "--output", "out-json.json")
     add("solve-output-both", "solve", "staircase5-arith.json", "--format", "both", "--output", "out-both.json")
+    add("solve-output-unwritable-both", "solve", "example.json", "--format", "both", "--output", "no-such-dir/out.json")
     add("solve-output-table", "solve", "two-type.json", "--output", "out-table.json")
     add("solve-example-size-cap", "solve", "example.json", "--max-subsets", "4")
     add("solve-staircase5-arith-size-cap", "solve", "staircase5-arith.json", "--max-subsets", "4")
