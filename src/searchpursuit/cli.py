@@ -1,31 +1,28 @@
-"""Command-line front end: solve, sweep, learning, verify.
+"""Command-line front end: the solve, sweep, learning and verify
+commands, each mode's certificate, and the rendering of results.
 
-Game files are JSON; every number is read exactly: JSON decimals are
-read as their literal text, so 0.15 means exactly 3/20, and strings
-like "1/3" are fractions. ``rationals`` parses them and refuses one too
-long to print back. Results go out as a human table, a JSON result
-document, or both, in one layout for every mode. Identical inputs
-produce byte-identical output unless --timing is requested.
+``inputs`` reads and checks everything from outside the program.
+``_MODES`` lists every mode once, with its solver, its verify reader
+and its certificate. The general mode enumerates the maximal sets,
+builds the matrix and solves the LP; the constant-times and
+arithmetic-times modes take their answer from the closed form and
+neither enumerate nor run the LP. Every location-list solution, solved
+or verified, is certified by ``oracle.location_certificate``, which
+needs no matrix; two-type and learning solutions are certified on
+their small matrices.
 
-The general mode enumerates the maximal sets, builds the matrix and
-solves the LP; the closed-form location modes (constant-times,
-arithmetic-times) compute their value, hider and searcher mix directly
-and neither enumerate nor run the LP. ``verify`` reads each single-game
-document into the check for its mode. Every location-list solution,
-solved or verified, is certified by ``oracle.location_certificate``,
-which needs no matrix and names the first row or column that fails.
-Two-type and learning solutions are certified on their small matrices.
-
-``main`` may be called any number of times in one process. Every call
-parses with one parser, built on first use; parsing never changes it,
-since each call gets a fresh Namespace and the subcommand defaults live
-on the parser.
+Results go out as a table, a JSON document or both, in one layout for
+every mode; ``--output`` writes the document to a file in every
+format. Identical inputs produce byte-identical output unless --timing
+is requested. ``main`` may be called any number of times in one
+process: all calls share one parser, built on first use, which parsing
+never changes.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
-2 invalid input (among them usage errors such as ``--max-subsets 0``,
-and an unwritable ``--output``), 3 instance too large for
-exhaustive enumeration or number too large to print back, 141 standard
-output closed early (128 + SIGPIPE).
+2 invalid input (any ValueError, among them usage errors such as
+``--max-subsets 0`` and an unwritable ``--output``), 3 instance too
+large for exhaustive enumeration or number too large to print back,
+141 standard output closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
-from . import closed_forms, game_core, learning, lp_solver, oracle
-from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
+from . import closed_forms, game_core, inputs, learning, lp_solver, oracle
+from .rationals import NumberTooLarge, format_decimal, format_rational
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -53,143 +50,8 @@ EXIT_BROKEN_PIPE = 141
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
 
-class InputError(ValueError):
-    pass
-
-
 class CertificateFailure(RuntimeError):
     pass
-
-
-def _fail(message: str):
-    raise InputError(message)
-
-
-# ---------------------------------------------------------------------------
-# Game file parsing
-
-
-def _json_int(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        # Past the digit limit: kept as text for parse_rational to refuse.
-        return text
-
-
-def _number(value, where: str) -> Fraction:
-    """``parse_rational`` for input read from outside the program, with
-    ``where`` named in the InputError or NumberTooLarge it raises."""
-    try:
-        return parse_rational(value)
-    except NumberTooLarge as exc:
-        raise NumberTooLarge(f"{where}: {exc}") from None
-    except (ValueError, TypeError) as exc:
-        _fail(f"{where}: {exc}")
-
-
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_float=str, parse_int=_json_int)
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(f"{path}: invalid JSON: {exc}")
-
-
-def _rational_field(container: dict, key: str, where: str) -> Fraction:
-    if key not in container:
-        _fail(f"{where}: missing field '{key}'")
-    return _number(container[key], f"{where}.{key}")
-
-
-def _int_field(container: dict, key: str, where: str) -> int:
-    value = _rational_field(container, key, where)
-    if value.denominator != 1:
-        _fail(f"{where}.{key}: must be an integer")
-    return int(value)
-
-
-def _reject_unknown(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        _fail(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
-
-
-def _mode_block(doc: dict, key: str, mode: str, allowed, path: str):
-    """The object under ``key`` that ``mode`` reads its parameters from,
-    with the name to report errors under."""
-    if key not in doc:
-        _fail(f"{path}: mode '{mode}' requires a '{key}' block")
-    block = doc[key]
-    where = f"{path}: {key}"
-    if not isinstance(block, dict):
-        _fail(f"{where} must be an object")
-    _reject_unknown(block, allowed, where)
-    return block, where
-
-
-def load_game_file(path: str) -> dict:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        _fail(f"{path}: top level must be a JSON object")
-    _reject_unknown(doc, {"locations", "budget", "mode", "two_type", "learning"}, path)
-    mode = doc.get("mode", "general")
-    if not isinstance(mode, str) or mode not in _MODES:
-        _fail(f"{path}: mode must be one of: {', '.join(_MODES)}")
-    return {**doc, "mode": mode}
-
-
-def game_spec_from(doc: dict, path: str) -> game_core.GameSpec:
-    if "locations" not in doc:
-        _fail(f"{path}: missing 'locations'")
-    if "budget" not in doc:
-        _fail(f"{path}: missing 'budget'")
-    locations = doc["locations"]
-    if not isinstance(locations, list) or not locations:
-        _fail(f"{path}: 'locations' must be a nonempty list")
-    times, captures = [], []
-    for idx, loc in enumerate(locations, start=1):
-        where = f"{path}: locations[{idx}]"
-        if not isinstance(loc, dict):
-            _fail(f"{where} must be an object")
-        _reject_unknown(loc, {"time", "capture"}, where)
-        times.append(_rational_field(loc, "time", where))
-        captures.append(_rational_field(loc, "capture", where))
-    budget = _number(doc["budget"], f"{path}: budget")
-    try:
-        return game_core.GameSpec(tuple(times), tuple(captures), budget)
-    except ValueError as exc:
-        _fail(f"{path}: {exc}")
-
-
-def two_type_spec_from(doc: dict, path: str) -> closed_forms.TwoTypeSpec:
-    block, where = _mode_block(
-        doc, "two_type", "two-type", {"a", "b", "tau", "p", "q", "k"}, path
-    )
-    fields = dict(
-        type1_count=_int_field(block, "a", where),
-        type2_count=_int_field(block, "b", where),
-        type2_time=_int_field(block, "tau", where),
-        type1_capture=_rational_field(block, "p", where),
-        type2_capture=_rational_field(block, "q", where),
-        budget=_int_field(block, "k", where),
-    )
-    try:
-        return closed_forms.TwoTypeSpec(**fields)
-    except ValueError as exc:
-        _fail(f"{where}: {exc}")
-
-
-def learning_spec_from(doc: dict, path: str) -> learning.LearningSpec:
-    block, where = _mode_block(doc, "learning", "learning", {"low", "high"}, path)
-    low = _rational_field(block, "low", where)
-    high = _rational_field(block, "high", where)
-    try:
-        return learning.LearningSpec(low, high)
-    except ValueError as exc:
-        _fail(f"{where}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +84,22 @@ def _set_label(spec: game_core.GameSpec, s: game_core.SearchSet, paper_names: bo
 
 
 def _emit(args, document: dict, table_lines: list[str]) -> None:
-    """Print what ``--format`` asks for. A JSON document bound for
-    ``--output`` is written first, so an unwritable path fails before
-    anything reaches standard output."""
-    payload = json.dumps(document, indent=2) + "\n" if args.format != "table" else ""
-    if payload and args.output:
+    """Write the JSON document to ``--output`` in every format. Standard
+    output gets the table unless ``--format json``, and the document when
+    the format asks for it and there is no ``--output``. The file comes
+    first, so an unwritable path fails before anything is printed."""
+    printed = args.format != "table" and not args.output
+    payload = json.dumps(document, indent=2) + "\n" if printed or args.output else ""
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as exc:
-            _fail(f"cannot write {args.output}: {exc}")
-        payload = ""
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     if args.format != "json":
         print("\n".join(table_lines))
-    sys.stdout.write(payload)
+    if printed:
+        sys.stdout.write(payload)
 
 
 def _result(game: dict, value: Fraction, answer: dict, provenance: str,
@@ -273,24 +137,10 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _location_spec(doc: dict, path: str, mode: str) -> game_core.GameSpec:
-    """The location game of ``doc``, refused if its search times break
-    ``mode``'s rule: all 1 for constant-times, 1, 2, ..., n for
-    arithmetic-times. Solve and sweep share it. The budget rule stays
-    with the solve's closed forms, so a sweep's budgets are free."""
-    spec = game_spec_from(doc, path)
-    if mode == "constant-times" and any(t != 1 for t in spec.times):
-        _fail(f"{path}: mode 'constant-times' requires every search time to be 1")
-    if mode == "arithmetic-times" and spec.times != tuple(range(1, spec.n + 1)):
-        _fail(f"{path}: mode 'arithmetic-times' requires search times 1, 2, ..., n")
-    return spec
-
-
 def _constant_times(spec: game_core.GameSpec, path: str):
-    try:
-        closed = closed_forms.solve_constant_times(spec.captures, spec.budget)
-    except ValueError as exc:
-        _fail(f"{path}: {exc}")
+    closed = inputs.checked(
+        path, closed_forms.solve_constant_times, spec.captures, spec.budget
+    )
     extras = {"regime": closed.regime, "inv_capture_sum": _text(closed.inv_capture_sum)}
     header = [
         f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
@@ -302,14 +152,13 @@ def _constant_times(spec: game_core.GameSpec, path: str):
 
 def _arithmetic_times(spec: game_core.GameSpec, path: str):
     if spec.budget != spec.n:
-        _fail(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
-    try:
-        # _solve_locations certifies the solution with the location
-        # certificate and raises before rendering if it fails, so
-        # "verified" is true wherever it is printed.
-        closed = closed_forms.solve_arithmetic_times(spec.captures, certify=False)
-    except ValueError as exc:
-        _fail(f"{path}: {exc}")
+        raise ValueError(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
+    # _solve_locations certifies the solution with the location
+    # certificate and raises before rendering if it fails, so
+    # "verified" is true wherever it is printed.
+    closed = inputs.checked(
+        path, closed_forms.solve_arithmetic_times, spec.captures, certify=False
+    )
     extras = {
         "support_start": closed.support_start,
         "inv_capture_sum": _text(closed.inv_capture_sum),
@@ -334,7 +183,7 @@ def _solve_locations(doc, path, args, mode):
     """Solve a location-list game, by its mode's closed form or else by
     enumeration and the LP, and certify the answer with the location
     certificate before anything is rendered."""
-    spec = _location_spec(doc, path, mode)
+    spec = inputs.game_spec_from(doc, path, mode)
     if mode in _CLOSED_FORMS:
         value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
         provenance = "closed-form"
@@ -381,25 +230,32 @@ def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
     }
 
 
-def _two_type_searcher(pairs, m: int) -> list[Fraction]:
-    """The searcher's weights on inspecting j = 0..m slow locations, from
-    (j, weight) pairs; a count listed more than once carries the sum."""
-    searcher = [Fraction(0)] * (m + 1)
+def _matrix_failure(matrix, hider, searcher, value, row_names, col_names):
+    """The first negative slack of the equilibrium certificate on an
+    explicit matrix, as (kind, name, slack), or None."""
+    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
+    failures = [("row", name, s) for name, s in zip(row_names, cert.hider_slack)]
+    failures += [("column", name, s) for name, s in zip(col_names, cert.searcher_slack)]
+    return next((failure for failure in failures if failure[2] < 0), None)
+
+
+def _two_type_failure(args, spec, hider, pairs, value):
+    """The certificate of a two-type solution on the type-level matrix,
+    from (slow locations inspected, weight) pairs; a count listed more
+    than once carries the sum."""
+    matrix = closed_forms.two_type_matrix(spec)
+    searcher = [Fraction(0)] * len(matrix)
     for j, w in pairs:
         searcher[j] += w
-    return searcher
+    rows = [f"j={j}" for j in range(len(matrix))]
+    return _matrix_failure(matrix, hider, searcher, value, rows, ["quick-type", "slow-type"])
 
 
 def _solve_two_type(doc, path, args, mode):
-    spec = two_type_spec_from(doc, path)
-    try:
-        closed = closed_forms.solve_two_type(spec)
-    except closed_forms.RegimeError as exc:
-        _fail(f"{path}: {exc}")
-    searcher = _two_type_searcher(closed.searcher_mix, closed.max_type2_searches)
+    spec = inputs.two_type_spec_from(doc, path)
+    closed = inputs.checked(path, closed_forms.solve_two_type, spec)
     hider = (closed.type1_mass, 1 - closed.type1_mass)
-    matrix = closed_forms.two_type_matrix(spec)
-    if not oracle.verify_equilibrium(matrix, hider, searcher, closed.value).ok:
+    if _two_type_failure(args, spec, hider, closed.searcher_mix, closed.value) is not None:
         raise CertificateFailure("two-type closed form failed the certificate")
     try:
         _, matrix = _location_matrix(
@@ -491,11 +347,11 @@ def _learning_document(spec: learning.LearningSpec) -> tuple[dict, list[str]]:
 
 
 def _solve_learning(doc, path, args, mode):
-    return _learning_document(learning_spec_from(doc, path))
+    return _learning_document(inputs.learning_spec_from(doc, path))
 
 
 def cmd_solve(args) -> int:
-    doc = load_game_file(args.file)
+    doc = inputs.load_game_file(args.file, _MODES)
     mode = args.mode or doc["mode"]
     started = time.perf_counter()
     document, table = _MODES[mode][0](doc, args.file, args, mode)
@@ -509,22 +365,6 @@ def cmd_solve(args) -> int:
 # sweep
 
 
-def _budget_range(args) -> list[Fraction]:
-    lo = _number(args.k_from, "--k-from")
-    hi = _number(args.k_to, "--k-to")
-    if lo > hi:
-        _fail("--k-from must not exceed --k-to")
-    count = int(hi - lo) + 1
-    # Every budget enumerates at least one set, so the set cap bounds
-    # the number of budgets too.
-    if count > args.max_subsets:
-        raise game_core.InstanceTooLarge(
-            f"--k-from..--k-to spans {count} budgets, more than "
-            f"--max-subsets ({args.max_subsets})"
-        )
-    return [lo + i for i in range(count)]
-
-
 def _emit_sweep(args, head: dict, columns: str, rows) -> int:
     """Emit ``head`` with the entries under "sweep", and the ``columns``
     line with the lines, from one (entry, line) pair per budget."""
@@ -534,14 +374,16 @@ def _emit_sweep(args, head: dict, columns: str, rows) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load_game_file(args.file)
+    doc = inputs.load_game_file(args.file, _MODES)
     mode = args.mode or doc["mode"]
-    budgets = _budget_range(args)
+    budgets = inputs.budget_range(args.k_from, args.k_to, args.max_subsets)
     if mode == "two-type":
         return _sweep_two_type(doc, args, budgets)
     if mode not in ("general", "constant-times", "arithmetic-times"):
-        _fail("sweep supports general, constant-times, arithmetic-times or two-type games")
-    spec = _location_spec(doc, args.file, mode)
+        raise ValueError(
+            "sweep supports general, constant-times, arithmetic-times or two-type games"
+        )
+    spec = inputs.game_spec_from(doc, args.file, mode)
     entries = oracle.sweep_budget(
         spec.times, spec.captures, budgets, max_sets=args.max_subsets
     )
@@ -562,15 +404,14 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_two_type(doc, args, budgets) -> int:
-    spec = two_type_spec_from(doc, args.file)
+    spec = inputs.two_type_spec_from(doc, args.file)
     if any(k.denominator != 1 for k in budgets):
-        _fail("two-type sweeps need integer budgets")
-    try:
-        solutions = [
-            closed_forms.solve_two_type(replace(spec, budget=int(k))) for k in budgets
-        ]
-    except ValueError as exc:
-        _fail(f"{args.file}: {exc}")
+        raise ValueError("two-type sweeps need integer budgets")
+
+    def solve(k):
+        return closed_forms.solve_two_type(replace(spec, budget=int(k)))
+
+    solutions = [inputs.checked(args.file, solve, k) for k in budgets]
     oracle.check_nondecreasing(budgets, [c.value for c in solutions])
 
     def row(k, c):
@@ -596,157 +437,34 @@ def _sweep_two_type(doc, args, budgets) -> int:
 
 
 def cmd_learning(args) -> int:
-    low, high = _number(args.low, "--low"), _number(args.high, "--high")
-    try:
-        spec = learning.LearningSpec(low, high)
-    except (ValueError, TypeError) as exc:
-        _fail(str(exc))
-    _emit(args, *_learning_document(spec))
+    low, high = inputs.number(args.low, "--low"), inputs.number(args.high, "--high")
+    _emit(args, *_learning_document(learning.LearningSpec(low, high)))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# verify: a reader per mode checks the game and solution documents and
-# returns the check that finishes the work with the claimed value.
+# verify
 
 
-def _json_array(solution, key: str, where: str) -> list:
-    value = solution.get(key, [])
-    if not isinstance(value, list):
-        _fail(f"{where}: {key} must be a JSON array")
-    return value
+def _locations_failure(args, spec, hider, mix, value):
+    return oracle.location_certificate(spec, hider, mix, value, args.max_subsets)
 
 
-def _solution_number(container: dict, key: str, where: str, name: str = "") -> Fraction:
-    """The number under ``key``, reported as ``name`` (default ``key``);
-    a missing one is named."""
-    name = name or key
-    if key not in container:
-        _fail(f"{where}: missing '{name}'")
-    return _number(container[key], f"{where}: {name}")
-
-
-def _set_members(value, where: str) -> tuple[int, ...]:
-    """The sorted members of a searcher set given as a JSON array of
-    location numbers."""
-    if not isinstance(value, list):
-        _fail(f"{where}: searcher set must be a JSON array of locations")
-    if not all(type(i) is int for i in value):  # not isinstance: true is an int
-        _fail(f"{where}: searcher set members must be integers")
-    return tuple(sorted(value))
-
-
-def _read_locations(game_doc, solution, args):
-    spec = game_spec_from(game_doc, args.file)
-    where = args.solution
-    hider = [
-        _number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)
-    ]
-    if len(hider) != spec.n:
-        _fail(f"{where}: hider has {len(hider)} entries, game has {spec.n} locations")
-    mix = []
-    for item in _json_array(solution, "searcher", where):
-        if not isinstance(item, dict) or "set" not in item or "probability" not in item:
-            _fail(f"{where}: searcher entries need 'set' and 'probability'")
-        members = _set_members(item["set"], where)
-        if not game_core.is_maximal(spec, members):
-            _fail(
-                f"{where}: searcher set {list(members)} is not an "
-                "undominated feasible set of this game"
-            )
-        prob = _number(item["probability"], f"{where}: searcher probability")
-        mix.append((members, prob))
-    return partial(_verify_locations, args, spec, hider, mix)
-
-
-def _verify_locations(args, spec, hider, mix, value) -> int:
-    """Certify a location-list solution without its matrix."""
-    try:
-        failure = oracle.location_certificate(spec, hider, mix, value, args.max_subsets)
-    except ValueError as exc:  # a mix that is no probability distribution
-        _fail(f"{args.solution}: {exc}")
-    return _report(failure)
-
-
-def _verify_matrix(where, matrix, hider, searcher, row_names, col_names, value) -> int:
-    """Certify on an explicit matrix and report its first negative slack."""
-    try:
-        cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    except ValueError as exc:  # a mix that is no probability distribution
-        _fail(f"{where}: {exc}")
-    sides = (("row", row_names, cert.hider_slack), ("column", col_names, cert.searcher_slack))
-    failures = (
-        (kind, name, slack)
-        for kind, names, slacks in sides
-        for name, slack in zip(names, slacks)
-        if slack < 0
-    )
-    return _report(next(failures, None))
-
-
-def _read_two_type(game_doc, solution, args):
-    spec = two_type_spec_from(game_doc, args.file)
-    matrix = closed_forms.two_type_matrix(spec)
-    m = len(matrix) - 1
-    hider_block = solution.get("hider")
-    if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
-        _fail(f"{args.solution}: two-type solutions carry hider.type1_mass")
-    # Both masses are certified as written, so they must sum to 1.
-    hider = tuple(
-        _solution_number(hider_block, key, args.solution, f"hider.{key}")
-        for key in ("type1_mass", "type2_mass")
-    )
-    pairs = []
-    for item in _json_array(solution, "searcher", args.solution):
-        if not isinstance(item, dict) or not {"type2_searched", "probability"} <= item.keys():
-            _fail(
-                f"{args.solution}: searcher entries need 'type2_searched' "
-                "and 'probability'"
-            )
-        j = item["type2_searched"]
-        if type(j) is not int or not 0 <= j <= m:
-            _fail(f"{args.solution}: type2_searched must be an integer in 0..{m}")
-        pairs.append(
-            (j, _number(item["probability"], f"{args.solution}: searcher probability"))
-        )
-    row_names = [f"j={j}" for j in range(m + 1)]
-    searcher = _two_type_searcher(pairs, m)
-    col_names = ["quick-type", "slow-type"]
-    return partial(
-        _verify_matrix, args.solution, matrix, hider, searcher, row_names, col_names
-    )
-
-
-def _read_learning(game_doc, solution, args):
-    spec = learning_spec_from(game_doc, args.file)
-    # Both players share the one (stay, switch) mix of a learning solution.
-    mix = tuple(
-        _solution_number(solution, key, args.solution)
-        for key in ("stay_probability", "switch_probability")
-    )
+def _learning_failure(args, spec, hider, searcher, value):
     names = ["stay", "switch"]
-    matrix = learning.payoff_matrix(spec)
-    return partial(_verify_matrix, args.solution, matrix, mix, mix, names, names)
+    return _matrix_failure(learning.payoff_matrix(spec), hider, searcher, value, names, names)
 
 
-# Every mode's solver and verify reader. Sweep documents carry no single
-# solution, so they have no entry and ``verify`` refuses them.
+# Every mode's solver, verify reader (in ``inputs``) and certificate,
+# which returns None or the first failure as (kind, name, slack). Sweep
+# documents carry no single solution, so ``verify`` refuses them.
 _MODES = {
-    "general": (_solve_locations, _read_locations),
-    "constant-times": (_solve_locations, _read_locations),
-    "arithmetic-times": (_solve_locations, _read_locations),
-    "two-type": (_solve_two_type, _read_two_type),
-    "learning": (_solve_learning, _read_learning),
+    "general": (_solve_locations, inputs.location_solution, _locations_failure),
+    "constant-times": (_solve_locations, inputs.location_solution, _locations_failure),
+    "arithmetic-times": (_solve_locations, inputs.location_solution, _locations_failure),
+    "two-type": (_solve_two_type, inputs.two_type_solution, _two_type_failure),
+    "learning": (_solve_learning, inputs.learning_solution, _learning_failure),
 }
-
-
-def _claimed_value(solution, where) -> Fraction:
-    value = solution.get("value")
-    if isinstance(value, dict):
-        value = value.get("fraction")
-    if value is None:
-        _fail(f"{where}: missing 'value'")
-    return _number(value, f"{where}.value")
 
 
 def _report(failure) -> int:
@@ -765,31 +483,16 @@ def _report(failure) -> int:
 
 
 def cmd_verify(args) -> int:
-    game_doc = load_game_file(args.file)
-    solution = _load_json(args.solution)
-    if not isinstance(solution, dict):
-        _fail(f"{args.solution}: top level must be a JSON object")
-    mode = solution.get("mode", game_doc["mode"])
-    if not isinstance(mode, str) or mode not in _MODES:
-        _fail(f"{args.solution}: cannot verify mode {mode!r}")
-    check = _MODES[mode][1](game_doc, solution, args)
-    return check(_claimed_value(solution, args.solution))
+    game_doc = inputs.load_game_file(args.file, _MODES)
+    solution, mode = inputs.load_solution(args.solution, game_doc["mode"], _MODES)
+    _, read, certificate = _MODES[mode]
+    data = read(game_doc, solution, args.file, args.solution)
+    # A certificate's ValueError is a mix that is no probability distribution.
+    return _report(inputs.checked(args.solution, certificate, args, *data))
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _set_cap(text: str) -> int:
-    """``--max-subsets``: an integer of at least 1, else a usage error
-    that names the flag; a non-integer keeps argparse's own message."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
-    return cap
 
 
 @cache
@@ -810,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def max_subsets(p):
         p.add_argument(
-            "--max-subsets", type=_set_cap, default=game_core.DEFAULT_MAX_SETS,
+            "--max-subsets", type=inputs.set_cap, default=game_core.DEFAULT_MAX_SETS,
             help="cap on enumerated feasible sets and on the totals of the "
             "certificate's knapsack",
         )

@@ -2,10 +2,9 @@
 
 The checking routines here deliberately share no solving code with
 :mod:`searchpursuit.lp_solver`: equilibrium claims are verified by
-direct slack evaluation, and small games are re-solved from scratch by
-enumerating square supports and solving the indifference systems with
-plain Gaussian elimination. A bug in the simplex cannot hide behind an
-identical bug here.
+direct slack evaluation, and linear systems are solved by plain
+Gauss-Jordan elimination (``_reduce``). A bug in the simplex cannot hide
+behind an identical bug here.
 
 ``location_certificate`` is the certificate of every location-game
 solution, the first failure ``verify_equilibrium`` would name on its
@@ -30,17 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import game_core
-from .lp_solver import MixedSolution, hider_uniqueness, solve_zero_sum
+from .lp_solver import hider_uniqueness, solve_zero_sum
 from .rationals import parse_matrix, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-SUPPORT_ENUMERATION_CAP = 6
-
 
 class MonotonicityError(RuntimeError):
     """A sweep produced a value that decreased as the budget grew."""
@@ -169,80 +164,6 @@ def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
         pivots.append(col)
     return rows, pivots
-
-
-def _solve_linear(system: list[list[Fraction]]):
-    """Solve a square augmented system [A | b] exactly; None if singular."""
-    reduced = _reduce(system, len(system))
-    return None if reduced is None else [row[-1] for row in reduced[0]]
-
-
-def _square_equilibrium(S, m, n, rows_sel, cols_sel):
-    size = len(rows_sel)
-    sys_x = [
-        [S[i][j] for i in rows_sel] + [-ONE, ZERO] for j in cols_sel
-    ]
-    sys_x.append([ONE] * size + [ZERO, ONE])
-    solved = _solve_linear(sys_x)
-    if solved is None:
-        return None
-    x_support, value = solved[:size], solved[size]
-    if any(w < 0 for w in x_support):
-        return None
-    sys_y = [
-        [S[i][j] for j in cols_sel] + [-ONE, ZERO] for i in rows_sel
-    ]
-    sys_y.append([ONE] * size + [ZERO, ONE])
-    solved = _solve_linear(sys_y)
-    if solved is None:
-        return None
-    y_support, w_value = solved[:size], solved[size]
-    if w_value != value or any(w < 0 for w in y_support):
-        return None
-    x = [ZERO] * m
-    y = [ZERO] * n
-    for idx, i in enumerate(rows_sel):
-        x[i] = x_support[idx]
-    for idx, j in enumerate(cols_sel):
-        y[j] = y_support[idx]
-    for j in range(n):
-        if sum(x[i] * S[i][j] for i in range(m)) < value:
-            return None
-    for i in range(m):
-        if sum(S[i][j] * y[j] for j in range(n)) > value:
-            return None
-    return value, tuple(x), tuple(y)
-
-
-def support_enumeration_solve(
-    matrix, max_dim: int = SUPPORT_ENUMERATION_CAP
-) -> MixedSolution:
-    """Second, simplex-free solver for cross-checks on tiny games.
-
-    Shifts the matrix so its minimum entry is 1 (making the value
-    positive, which guarantees some square support carries a
-    nonsingular indifference system), then scans square support pairs
-    in deterministic order and returns the first pair that passes the
-    full equilibrium certificate. The value always matches the LP
-    solver; the strategies may legitimately differ when optima are not
-    unique.
-    """
-    M = parse_matrix(matrix)
-    m, n = len(M), len(M[0])
-    if m > max_dim or n > max_dim:
-        raise ValueError(
-            f"support enumeration is capped at {max_dim}x{max_dim} matrices"
-        )
-    shift = ONE - min(min(row) for row in M)
-    S = [[v + shift for v in row] for row in M]
-    for size in range(1, min(m, n) + 1):
-        for rows_sel in combinations(range(m), size):
-            for cols_sel in combinations(range(n), size):
-                found = _square_equilibrium(S, m, n, rows_sel, cols_sel)
-                if found is not None:
-                    value, x, y = found
-                    return MixedSolution(value - shift, x, y)
-    raise RuntimeError("no square support yielded an equilibrium")  # pragma: no cover
 
 
 def certified_ranges(matrix, hider, searcher, value):

@@ -34,7 +34,8 @@ from searchpursuit.learning import (
     posterior_after_escape,
 )
 from searchpursuit.learning import solve as solve_learning
-from searchpursuit.oracle import support_enumeration_solve, sweep_budget
+from searchpursuit.oracle import sweep_budget
+from support_enumeration import support_enumeration_solve
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))
 

@@ -139,6 +139,22 @@ class TestSolve:
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["value"]["fraction"] == "6/115"
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "learning"])
+    def test_output_file_in_table_format(self, tmp_path, capsys, command):
+        argv = {
+            "solve": ["solve", write(tmp_path, "g.json", EXAMPLE)],
+            "sweep": ["sweep", write(tmp_path, "g.json", EXAMPLE), "--k-from", "6", "--k-to", "7"],
+            "learning": ["learning", "--low", "1/3", "--high", "2/3"],
+        }[command]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        document = capsys.readouterr().out
+        out_path = tmp_path / "result.json"
+        assert main(argv + ["--output", str(out_path)]) == 0
+        assert capsys.readouterr().out == table
+        assert out_path.read_text(encoding="utf-8") == document
+
     def test_zero_budget(self, tmp_path, capsys):
         doc = {"locations": [{"time": 1, "capture": "1/2"}] * 3, "budget": 0}
         path = write(tmp_path, "g.json", doc)
@@ -576,6 +592,13 @@ class TestSweep:
     def test_reversed_range_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["sweep", path, "--k-from", "5", "--k-to", "3"]) == 2
+
+    @pytest.mark.parametrize("game", [EXAMPLE, TWO_TYPE], ids=["locations", "two-type"])
+    def test_negative_budget_names_its_flag(self, tmp_path, capsys, game):
+        path = write(tmp_path, "g.json", game)
+        assert main(["sweep", path, "--k-from", "-2", "--k-to", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --k-from must be nonnegative\n")
 
     def test_budget_range_past_the_cap_is_refused_fast(self, tmp_path):
         path = write(tmp_path, "g.json", EXAMPLE)

@@ -14,7 +14,7 @@ from searchpursuit import (
     solve_zero_sum,
 )
 from searchpursuit.lp_solver import solve_diagonal
-from searchpursuit.oracle import support_enumeration_solve
+from support_enumeration import support_enumeration_solve
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],

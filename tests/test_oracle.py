@@ -33,9 +33,9 @@ from searchpursuit.oracle import (
     certified_ranges,
     check_nondecreasing,
     location_certificate,
-    support_enumeration_solve,
     sweep_budget,
 )
+from support_enumeration import support_enumeration_solve
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],

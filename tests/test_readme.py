@@ -1,14 +1,18 @@
-"""The README's Library example runs as written, and the package exports
-exactly the names the README lists."""
+"""The README's Library example runs as written, the package exports
+exactly the names the README lists, and the CLI synopsis lists every
+option of every subcommand."""
 
+import argparse
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import searchpursuit
+from searchpursuit import cli
 
 README = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text("utf-8")
 LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+CLI = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_library_example_runs():
@@ -29,3 +33,21 @@ def test_exports_are_the_names_the_readme_lists():
     errors = set(re.findall(r"`(\w+)`", sentence))
     assert (len(calls), len(errors)) == (6, 2)
     assert sorted(searchpursuit.__all__) == sorted(calls | errors)
+
+
+def test_synopsis_lists_every_option_of_every_subcommand():
+    synopsis = re.search(r"```sh\n(.*?)```", CLI, re.S).group(1)
+    # Each command starts a line; its continuation lines are indented.
+    listed = {
+        m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
+        for m in re.finditer(r"^searchpursuit (\w+)(.*(?:\n[ \t]+.*)*)", synopsis, re.M)
+    }
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == options
