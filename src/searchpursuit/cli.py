@@ -405,8 +405,9 @@ def cmd_sweep(args) -> int:
 
 def _sweep_two_type(doc, args, budgets) -> int:
     spec = inputs.two_type_spec_from(doc, args.file)
-    if any(k.denominator != 1 for k in budgets):
-        raise ValueError("two-type sweeps need integer budgets")
+    # The budgets step by 1 from --k-from, so it alone decides.
+    if budgets[0].denominator != 1 or budgets[0] < 1:
+        raise ValueError("--k-from must be a positive integer in a two-type sweep")
 
     def solve(k):
         return closed_forms.solve_two_type(replace(spec, budget=int(k)))

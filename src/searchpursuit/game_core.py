@@ -57,15 +57,17 @@ class GameSpec:
             raise ValueError("at least one location is required")
         if len(self.times) != len(self.captures):
             raise ValueError("times and captures must have equal length")
+        # Denominators are positive, so each test is one integer
+        # comparison of a numerator with 0 or with its denominator.
         for i, t in enumerate(self.times, start=1):
-            if t <= 0:
+            if t.numerator <= 0:
                 raise ValueError(f"search time of location {i} must be positive")
         for i, p in enumerate(self.captures, start=1):
-            if not 0 < p <= 1:
+            if not 0 < p.numerator <= p.denominator:
                 raise ValueError(
                     f"capture probability of location {i} must be in (0, 1]"
                 )
-        if self.budget < 0:
+        if self.budget.numerator < 0:
             raise ValueError("budget must be nonnegative")
 
     @property
@@ -84,7 +86,8 @@ class GameSpec:
     @cached_property
     def _by_time(self) -> list[int]:
         """Location numbers in increasing order of search time."""
-        return sorted(range(1, self.n + 1), key=lambda i: self.times[i - 1])
+        times = self._scaled[0]
+        return sorted(range(1, self.n + 1), key=lambda i: times[i - 1])
 
 
 @dataclass(frozen=True, order=True)
@@ -227,11 +230,16 @@ def max_payoff(
     more than ``max_sets`` totals.
     """
     times, budget = spec._scaled
-    used = [(t, p * h) for t, p, h in zip(times, spec.captures, hider) if h]
-    den = math.lcm(*(b.denominator for _, b in used))
+    # Each benefit p_i * h_i as an integer pair, left unreduced.
+    used = [
+        (t, p.numerator * h.numerator, p.denominator * h.denominator)
+        for t, p, h in zip(times, spec.captures, hider)
+        if h
+    ]
+    den = math.lcm(*(d for _, _, d in used))
     best = {0: 0}
-    for t, b in used:
-        gain = b.numerator * (den // b.denominator)
+    for t, b, d in used:
+        gain = b * (den // d)
         for total, payoff in list(best.items()):
             reached, reward = total + t, payoff + gain
             if reached <= budget and (reached not in best or best[reached] < reward):

@@ -27,6 +27,7 @@ probe, and layers a value-monotonicity assertion
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,42 +99,61 @@ def location_certificate(
     location numbers of a set in ``game_core.maximal_feasible_sets``; a
     set listed more than once carries the sum of its weights. Both mixes
     are checked to be probability distributions first, with the same
-    errors as ``verify_equilibrium``. Then every benefit p_i * h_i is
+    errors as ``verify_equilibrium``, each summed in integers over its
+    common denominator. Then every benefit p_i * h_i is
     nonnegative, so every feasible set lies in a maximal one that pays
     at least as much: no row pays more than v exactly when the best
     feasible set, an exact knapsack optimum, does not. Only when one
     does are the rows walked to name the first. ``max_sets`` caps both
     the knapsack's table of totals and that walk, with
     ``game_core.InstanceTooLarge``. Column j pays p_j times the weight
-    c_j of the listed sets that hold j, which must reach v.
+    c_j of the listed sets that hold j, which must reach v; the
+    comparison is cross-multiplied, and only a failed column's slack is
+    built as a Fraction.
     """
     n = spec.n
     hider = [parse_rational(h) for h in hider_mix]
-    weights: dict[tuple[int, ...], Fraction] = {}
+    listed = []
     for members, w in searcher_mix:
         members = tuple(sorted(members))
         if not game_core.is_maximal(spec, members):
             raise ValueError(f"searcher set {list(members)} is not a row of the game")
-        weights[members] = weights.get(members, ZERO) + parse_rational(w)
+        listed.append((members, parse_rational(w)))
     if len(hider) != n:
         raise ValueError("hider mix length does not match the game")
-    for probs, side in ((hider, "hider"), (weights.values(), "searcher")):
-        if any(p < 0 for p in probs) or sum(probs) != 1:
-            raise ValueError(f"{side} mix is not a probability distribution")
+    # Each mix as integers over its common denominator.
+    hider_den = math.lcm(*(h.denominator for h in hider))
+    _require_distribution(
+        [h.numerator * (hider_den // h.denominator) for h in hider], hider_den, "hider"
+    )
+    den = math.lcm(*(w.denominator for _, w in listed))
+    weights: dict[tuple[int, ...], int] = {}
+    for members, w in listed:
+        weights[members] = weights.get(members, 0) + w.numerator * (den // w.denominator)
+    _require_distribution(weights.values(), den, "searcher")
     v = parse_rational(claimed_value)
     if game_core.max_payoff(spec, hider, max_sets) > v:
         for row in game_core.maximal_feasible_sets(spec, max_sets):
             slack = v - sum(spec.captures[i - 1] * hider[i - 1] for i in row.members)
             if slack < 0:
                 return "row", row, slack
-    covered = [ZERO] * n
+    covered = [0] * n
     for members, w in weights.items():
         for i in members:
             covered[i - 1] += w
+    # p_j * c_j < v, with c_j = covered[j] / den, cross-multiplied.
+    vn, vd = v.numerator, v.denominator
     for j, (p, c) in enumerate(zip(spec.captures, covered), start=1):
-        if p * c < v:
-            return "column", j, p * c - v
+        if p.numerator * c * vd < vn * p.denominator * den:
+            return "column", j, Fraction(p.numerator * c, p.denominator * den) - v
     return None
+
+
+def _require_distribution(weights, den: int, side: str) -> None:
+    """The ValueError ``verify_equilibrium`` raises unless the integer
+    ``weights``, read over ``den``, are nonnegative and sum to 1."""
+    if any(w < 0 for w in weights) or sum(weights) != den:
+        raise ValueError(f"{side} mix is not a probability distribution")
 
 
 def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):

@@ -70,25 +70,54 @@ def parse_rational(value) -> Fraction:
     caller can never smuggle rounding error into an exact pipeline. A
     decimal string whose value could not be printed back raises
     NumberTooLarge, before the value is built when its exponent shows it.
+
+    A string in the form ``format_rational`` writes, within the digit
+    limit, is read straight into integers; every other string takes
+    ``_parse_text``, with the same value or error.
     """
+    if isinstance(value, str):
+        q = _written_rational(value)
+        return _parse_text(value) if q is None else q
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if _DECIMAL_LITERAL.fullmatch(value):
-            return _decimal(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
         raise TypeError(
             f"floats are inexact; pass {value!r} as a string or Fraction instead"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _written_rational(text: str) -> Fraction | None:
+    """The value of ``text`` when it is an optional "-", ASCII digits and
+    at most one "/" before a nonzero ASCII-digit denominator, each digit
+    run within the digit limit; None for any other string."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        return None
+    limit = sys.get_int_max_str_digits()
+    if limit and (len(digits) > limit or len(den) > limit):
+        return None
+    if not slash:
+        return Fraction(int(num))
+    d = int(den)
+    # A zero denominator is left to _parse_text, which names the string.
+    return Fraction(int(num), d) if d else None
+
+
+def _parse_text(text: str) -> Fraction:
+    """The value of any string ``parse_rational`` takes, through the
+    decimal grammar or ``Fraction``'s own parser."""
+    if _DECIMAL_LITERAL.fullmatch(text):
+        return _decimal(text)
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def parse_matrix(matrix) -> list[list[Fraction]]:

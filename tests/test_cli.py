@@ -600,6 +600,16 @@ class TestSweep:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --k-from must be nonnegative\n")
 
+    @pytest.mark.parametrize("k_from", ["0", "1/2"], ids=["zero", "fractional"])
+    def test_two_type_budget_error_names_its_flag(self, tmp_path, capsys, k_from):
+        path = write(tmp_path, "t.json", TWO_TYPE)
+        assert main(["sweep", path, "--k-from", k_from, "--k-to", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: --k-from must be a positive integer in a two-type sweep\n",
+        )
+
     def test_budget_range_past_the_cap_is_refused_fast(self, tmp_path):
         path = write(tmp_path, "g.json", EXAMPLE)
         code, seconds, err = timed_main_in_child(

@@ -432,12 +432,45 @@ def outcome(check, *args):
     return kind, str(name), slack
 
 
+# Primes for denominators unrelated to a drawn game's numbers.
+UNRELATED_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 101, 997)
+
+
+def coprime_parts(w):
+    """Parts with pairwise coprime denominators that sum to ``w``: one
+    c/q for each coprime factor q of w's denominator (its prime powers
+    below 1000 and the cofactor left over), and an integer, which may be
+    negative (1/6 = 1/2 + 2/3 - 1)."""
+    den, factors, p = w.denominator, [], 2
+    while p < 1000 and den > 1:
+        q = 1
+        while den % p == 0:
+            den //= p
+            q *= p
+        if q > 1:
+            factors.append(q)
+        p += 1
+    if den > 1:
+        factors.append(den)
+    parts = []
+    for q in factors:
+        rest = w.denominator // q
+        parts.append(F(w.numerator * pow(rest, -1, q) % q, q))
+    parts.append(w - sum(parts))
+    assert parts[-1].denominator == 1
+    return parts
+
+
 def perturbed(data, hider, weights, value):
     """The LP's exact answer, or one of its numbers moved: the value by
     +-1/1000, a share of one location's mass or one row's weight onto
-    another (now and then more than all of it), or a row's weight split
-    into two entries of the same set."""
-    kind = data.draw(st.sampled_from(["exact", "value", "hider", "searcher", "split"]))
+    another (now and then more than all of it), every hider entry's mass
+    moved by amounts over primes unrelated to the LP's denominators, or
+    one entry of either mix moved alone, so that it sums to other than
+    1. The "split" and "coprime" kinds keep the numbers; the test lists
+    one row's weight as several parts of the same set."""
+    kinds = ["exact", "value", "hider", "searcher", "split", "coprime", "unrelated", "unnormalized"]
+    kind = data.draw(st.sampled_from(kinds))
     hider, weights = list(hider), list(weights)
     if kind == "value":
         value += data.draw(st.sampled_from([F(1, 1000), F(-1, 1000)]))
@@ -449,10 +482,25 @@ def perturbed(data, hider, weights, value):
         moved = mix[a] * F(data.draw(st.integers(1, 11)), 10)  # past all of it at 11
         mix[a] -= moved
         mix[b] += moved
+    elif kind == "unrelated":
+        # x/q**2 moves between location 1 and each other location, from
+        # the one that holds more; the sum stays 1.
+        for i in range(1, len(hider)):
+            q = data.draw(st.sampled_from(UNRELATED_PRIMES), label="prime")
+            moved = F(data.draw(st.integers(1, 2)), q * q)
+            a, b = (0, i) if hider[0] >= hider[i] else (i, 0)
+            if hider[a] >= moved:
+                hider[a] -= moved
+                hider[b] += moved
+    elif kind == "unnormalized":
+        mix = data.draw(st.sampled_from([hider, weights]), label="side")
+        i = data.draw(st.integers(0, len(mix) - 1), label="entry")
+        q = data.draw(st.sampled_from(UNRELATED_PRIMES), label="prime")
+        mix[i] += data.draw(st.sampled_from([F(1, q), F(-1, q)]), label="moved")
     return kind, hider, weights, value
 
 
-@settings(max_examples=200)
+@settings(max_examples=400)
 @given(rational_games(), st.data())
 def test_location_certificate_is_the_matrix_certificate(spec, data):
     rows = maximal_feasible_sets(spec)
@@ -462,10 +510,13 @@ def test_location_certificate_is_the_matrix_certificate(spec, data):
         data, sol.col_strategy, sol.row_strategy, sol.value
     )
     mix = [(s.members, w) for s, w in zip(rows, weights)]
-    if kind == "split":
+    if kind in ("split", "coprime"):
         i = data.draw(st.integers(0, len(mix) - 1), label="split row")
         members, w = mix[i]
-        mix[i : i + 1] = [(members, w / 3), (members[::-1], w - w / 3)]
+        parts = [w / 3, w - w / 3] if kind == "split" else coprime_parts(w)
+        # The same set listed once per part, in either member order.
+        mix[i : i + 1] = [(members[:: (-1) ** k], part) for k, part in enumerate(parts)]
+
     def dense(*claim):
         """The matrix certificate's first negative slack: rows first, in
         the order of ``rows``, then the columns 1..n."""

@@ -3,7 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from searchpursuit import rationals
 from searchpursuit.rationals import (
     NumberTooLarge,
     format_decimal,
@@ -150,3 +153,48 @@ def test_exponent_past_the_range_is_refused_by_its_name(digit_limit):
         assert str(info.value) == "numerator or denominator has more than 4300 digits"
     else:
         assert str(info.value) == "exponent -9999999999999999999 is out of range"
+
+
+def parsed(parse, text):
+    """What ``parse(text)`` gives: its value, or its error's type and
+    message."""
+    try:
+        return parse(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# Characters the fast path reads, and characters it leaves to the full
+# parser: a sign it does not take, digit separators, spaces, decimals,
+# exponents and an Arabic-Indic three, which int() would read as 3.
+@settings(max_examples=1000)
+@given(st.text(alphabet="0123456789-+/_ .e\u0663", max_size=12))
+def test_fast_path_reads_what_the_full_parser_reads(text):
+    assert parsed(parse_rational, text) == parsed(rationals._parse_text, text)
+
+
+@st.composite
+def digit_runs(draw):
+    """A signed integer or fraction whose digit runs are short, exactly
+    the digit limit of 4300 long or one past it."""
+
+    def run():
+        pattern = draw(st.text(alphabet="0123456789", min_size=1, max_size=3))
+        length = draw(st.sampled_from([1, 4300, 4301]))
+        return (pattern * length)[:length]
+
+    text = draw(st.sampled_from(["", "-"])) + run()
+    if draw(st.booleans()):
+        text += "/" + run()
+    return text
+
+
+@settings(max_examples=120)
+@given(digit_runs(), st.sampled_from([4300, 0]))
+def test_fast_path_agrees_at_and_past_the_digit_limit(text, limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert parsed(parse_rational, text) == parsed(rationals._parse_text, text)
+    finally:
+        sys.set_int_max_str_digits(saved)
