@@ -12,14 +12,14 @@ more rows than columns are solved through the negated transpose so the
 tableau always has min(m, n) constraint rows.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
-{y >= 0, sum(y) = 1, My <= v} with the same pivoting code. One phase 1
-makes a tableau of the polytope with a margin column feasible, and
-every later step is a phase-2 re-optimization over that tableau,
-warm-started from the basis the previous one ended at: the margin
-checks the claimed value, then come the n maxima of the y_j, and the
-minima only when the maxima do not already prove the hider unique.
-``solve_zero_sum`` runs the same two steps, ``_feasible_tableau`` then
-one ``_reoptimize``.
+{y >= 0, sum(y) = 1, My <= v} with the same pivoting code. It solves
+the same LP, ``_game_lp``, on the matrix as given, and checks the
+claimed value against that LP's optimum. The columns whose final
+reduced cost is negative are 0 at every optimum; deleting them leaves a
+tableau of the optimal face at a feasible basis, and every later step
+is a phase-2 re-optimization over it, warm-started from the basis the
+previous one ended at: the n maxima of the y_j, and the minima only
+when the maxima do not already prove the hider unique.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ ONE = Fraction(1)
 
 class UnboundedError(RuntimeError):
     """The linear program is unbounded (cannot happen for finite games)."""
-
-
-class InfeasibleError(RuntimeError):
-    """The linear program has no feasible point."""
 
 
 @dataclass(frozen=True)
@@ -111,61 +107,6 @@ def _optimize(rows, obj, basis, width) -> None:
         _pivot(rows, obj, basis, leave, enter)
 
 
-def _feasible_tableau(lhs, rhs):
-    """Tableau of lhs.x <= rhs, x >= 0 at a feasible basis, all exact.
-
-    Each row carries its own slack; rows with a negative right-hand side
-    are negated and started on an artificial variable, which phase 1
-    then drives to zero and out of the basis. Returns ``(rows, basis)``;
-    the columns are the ``len(lhs[0])`` structural variables then the
-    ``len(lhs)`` slacks.
-    """
-    m, n = len(lhs), len(lhs[0])
-    neg = [i for i in range(m) if rhs[i] < 0]
-    n_art = len(neg)
-    width = n + m + n_art
-    art_col = {i: n + m + a for a, i in enumerate(neg)}
-
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i in range(m):
-        row = [ZERO] * (width + 1)
-        sign = -ONE if i in art_col else ONE
-        for j, v in enumerate(lhs[i]):
-            if v:
-                row[j] = sign * v
-        row[n + i] = sign
-        row[-1] = sign * rhs[i]
-        if i in art_col:
-            row[art_col[i]] = ONE
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
-        rows.append(row)
-
-    if n_art:
-        obj1 = [ZERO] * (width + 1)
-        for i in neg:
-            obj1[art_col[i]] = -ONE
-        for i in neg:
-            for j in range(width + 1):
-                obj1[j] += rows[i][j]
-        _optimize(rows, obj1, basis, width)
-        if obj1[-1] != 0:
-            raise InfeasibleError("infeasible linear program")
-        # Pivot every artificial still basic (at zero) onto a structural
-        # or slack column. One always has a nonzero entry in its row: the
-        # slack columns give the rows full rank, and pivots keep it, so
-        # no row is ever redundant.
-        for i in range(m):
-            if basis[i] >= n + m:
-                col = next(j for j in range(n + m) if rows[i][j] != 0)
-                _pivot(rows, obj1, basis, i, col)
-        for row in rows:
-            del row[n + m : n + m + n_art]
-    return rows, basis
-
-
 def _reoptimize(costs, rows, basis):
     """max costs.x over a feasible tableau, from its current basis.
 
@@ -189,6 +130,31 @@ def _reoptimize(costs, rows, basis):
     return -obj[-1], x, obj
 
 
+def _game_lp(M):
+    """The column player's LP of M, solved from the all-slack basis.
+
+    M is mapped onto [1, 2] by v -> (v - lo) / span + 1, a constant M
+    onto all ones, as N. With every entry of N positive, max sum(x)
+    s.t. Nx <= 1, x >= 0 is bounded and feasible at x = 0. Its optimum
+    ``total`` is 1 over the value of N, and the optimal x are the
+    optimal column strategies of M times ``total``. Returns ``(value,
+    total, x, rows, basis, obj)``: M's game value, the optimum, one
+    optimal x, and the final tableau, basis and objective row.
+    """
+    m, n = len(M), len(M[0])
+    lo = min(min(row) for row in M)
+    span = max(max(row) for row in M) - lo or ONE
+    rows = [
+        [(v - lo) / span + 1 for v in row]
+        + [ONE if k == i else ZERO for k in range(m)]
+        + [ONE]
+        for i, row in enumerate(M)
+    ]
+    basis = list(range(n, n + m))
+    total, x, obj = _reoptimize([ONE] * n, rows, basis)
+    return lo + (1 / total - 1) * span, total, x, rows, basis, obj
+
+
 def solve_zero_sum(matrix) -> MixedSolution:
     """Solve the matrix game exactly for both players.
 
@@ -205,24 +171,18 @@ def solve_zero_sum(matrix) -> MixedSolution:
         return MixedSolution(
             -flipped.value, flipped.col_strategy, flipped.row_strategy
         )
-    lo = min(min(row) for row in M)
-    hi = max(max(row) for row in M)
-    if hi == lo:
+    if all(v == M[0][0] for row in M for v in row):
         # Constant payoff: every strategy pair is optimal.
         return MixedSolution(
-            lo, tuple([Fraction(1, m)] * m), tuple([Fraction(1, n)] * n)
+            M[0][0], tuple([Fraction(1, m)] * m), tuple([Fraction(1, n)] * n)
         )
-    span = hi - lo
-    norm = [[(v - lo) / span + 1 for v in row] for row in M]
-    rows, basis = _feasible_tableau(norm, [ONE] * m)
-    total, mass, obj = _reoptimize([ONE] * n, rows, basis)
+    value, total, mass, _, _, obj = _game_lp(M)
     duals = [-obj[n + i] for i in range(m)]
-    if total <= 0 or sum(duals) != total:
+    if sum(duals) != total:
         raise RuntimeError("simplex postcondition violated")  # pragma: no cover
-    v_norm = 1 / total
-    col = tuple(z * v_norm for z in mass)
-    row = tuple(u * v_norm for u in duals)
-    return MixedSolution(lo + (v_norm - 1) * span, row, col)
+    col = tuple(z / total for z in mass)
+    row = tuple(u / total for u in duals)
+    return MixedSolution(value, row, col)
 
 
 def solve_diagonal(diag) -> MixedSolution:
@@ -238,76 +198,44 @@ def solve_diagonal(diag) -> MixedSolution:
     return MixedSolution(value, probs, probs)
 
 
-def _value_error(M, v, fallback: str) -> ValueError:
-    """The error for a claimed value the probe found wrong; it names the
-    exact game value, which ``solve_zero_sum`` computes only here."""
-    actual = solve_zero_sum(M).value
-    if actual != v:
-        return ValueError(f"claimed value {v} is not the exact game value {actual}")
-    return ValueError(fallback)
-
-
 def hider_uniqueness(matrix, value) -> UniquenessReport:
     """Range of each hider coordinate over the optimal-strategy polytope.
 
-    ``value`` must be the exact game value and is checked: a value below
-    it leaves the polytope {col mixes capping every row at the value}
-    empty, a value above it would silently widen the ranges, so both
-    directions raise ``ValueError``. The hider strategy is unique
-    exactly when every coordinate's range is degenerate.
+    ``value`` must be the exact game value and is checked: any other
+    value raises ``ValueError`` naming the exact one. The hider strategy
+    is unique exactly when every coordinate's range is degenerate.
 
-    One tableau holds {y >= 0, t >= 0, sum(y) = 1, My + t <= value}
-    with a margin column t. Phase 1 fails on it exactly when the value
-    is too low, and max t, a phase-2 re-optimization, is the claimed
-    value minus the game value, so it checks the value from above. With
-    t at zero its column is dropped, which leaves a feasible tableau of
-    the polytope. The n maxima of the y_j come next, each warm-started
-    from the basis the previous one ended at. If they sum to 1, every
-    point of the polytope is the vector of maxima, and each range is
-    (max y_j, max y_j). Otherwise each min y_j is re-optimized too,
-    except where a vertex already found has y_j = 0. Every endpoint is
-    the exact optimum of its LP.
+    The optimal hiders are the optimal points of ``_game_lp`` divided by
+    its optimum. At that optimum the objective is the optimum plus
+    obj[c] * x_c over the nonbasic columns c, so a column with obj[c] < 0
+    is 0 at every optimal point; without those columns the final tableau
+    holds exactly the optimal face, at a feasible basis. The n maxima of
+    the y_j come next, each warm-started from the basis the previous one
+    ended at. If they sum to 1, every point of the polytope is the vector
+    of maxima, and each range is (max y_j, max y_j). Otherwise each
+    min y_j is re-optimized too, except where a vertex already found has
+    y_j = 0. Every endpoint is the exact optimum of its LP.
     """
     M = parse_matrix(matrix)
     v = parse_rational(value)
-    m, n = len(M), len(M[0])
-    lhs = [list(row) + [ONE] for row in M]
-    lhs.append([ONE] * n + [ZERO])
-    lhs.append([-ONE] * n + [ZERO])
-    rhs = [v] * m + [ONE, -ONE]
-    try:
-        rows, basis = _feasible_tableau(lhs, rhs)
-    except InfeasibleError as exc:
-        raise _value_error(
-            M,
-            v,
-            "no column strategy achieves the claimed value; "
-            "it is not the exact game value",
-        ) from exc
-    margin, point, _ = _reoptimize([ZERO] * n + [ONE], rows, basis)
-    if margin:
-        raise _value_error(M, v, f"claimed value {v} is {margin} above the game value")
-    # Drop the margin column n, pivoting it out first if it is basic (at
-    # zero); its row has another nonzero entry for the reason phase 1's
-    # artificials do.
-    if n in basis:
-        i = basis.index(n)
-        width = len(rows[i]) - 1
-        col = next(j for j in range(width) if j != n and rows[i][j] != 0)
-        _pivot(rows, [ZERO] * (width + 1), basis, i, col)
-    for row in rows:
-        del row[n]
-    basis[:] = [b - 1 if b > n else b for b in basis]
-
+    n = len(M[0])
+    actual, total, point, rows, basis, obj = _game_lp(M)
+    if actual != v:
+        raise ValueError(f"claimed value {v} is not the exact game value {actual}")
+    keep = [c for c in range(len(obj) - 1) if obj[c] == 0]
+    at = {c: k for k, c in enumerate(keep)}
+    rows = [[row[c] for c in keep] + [row[-1]] for row in rows]
+    basis = [at[b] for b in basis]
+    # The hider columns left, which lead the kept columns.
+    hider = [c for c in keep if c < n]
     seen_zero = {j for j in range(n) if point[j] == 0}
 
     def bound(j, sign):
-        """max y_j for sign 1, min y_j for sign -1."""
-        cost = [ZERO] * n
-        cost[j] = sign
-        best, point, _ = _reoptimize(cost, rows, basis)
-        seen_zero.update(k for k in range(n) if point[k] == 0)
-        return sign * best
+        """max y_j for sign 1, min y_j for sign -1; 0 for a deleted j."""
+        cost = [sign if c == j else ZERO for c in hider]
+        best, x, _ = _reoptimize(cost, rows, basis)
+        seen_zero.update(c for c, xc in zip(hider, x) if xc == 0)
+        return sign * best / total
 
     highs = [bound(j, ONE) for j in range(n)]
     if sum(highs) == 1:

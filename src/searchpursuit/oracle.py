@@ -4,7 +4,9 @@ The checking routines here deliberately share no solving code with
 :mod:`searchpursuit.lp_solver`: equilibrium claims are verified by
 direct slack evaluation, and linear systems are solved by plain
 Gauss-Jordan elimination (``_reduce``). A bug in the simplex cannot hide
-behind an identical bug here.
+behind an identical bug here. The tests' simplex-free references, the
+support enumeration solver and the vertex enumeration of the optimal
+hider set, solve their square systems with ``_reduce`` too.
 
 ``location_certificate`` is the certificate of every location-game
 solution, the first failure ``verify_equilibrium`` would name on its
@@ -21,8 +23,9 @@ full rank, a segment one below it.
 ``sweep_budget`` is a driver, not a checker: it runs the regular
 enumeration + LP pipeline once per budget, takes the hider's ranges
 from ``certified_ranges`` or, when that tells nothing, the uniqueness
-probe, and layers a value-monotonicity assertion
-(``check_nondecreasing``) on top.
+probe (``lp_solver.hider_uniqueness``, which re-optimizes over the
+optimal face of the game's LP), and layers a value-monotonicity
+assertion (``check_nondecreasing``) on top.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ into the terminal summary."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -16,6 +18,11 @@ from hypothesis.configuration import set_hypothesis_home_dir
 # own max_examples.
 settings.register_profile("exact", derandomize=True, database=None, deadline=None)
 settings.load_profile("exact")
+
+# pytest puts src/ on its own path (pyproject's pythonpath); the Python
+# processes some tests start import the package from there too.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_configure(config):

@@ -1,9 +1,11 @@
-"""A second, simplex-free solver for small matrix games, the reference
-the tests compare ``lp_solver.solve_zero_sum`` with.
+"""Simplex-free references for small matrix games: a second solver,
+which the tests compare ``lp_solver.solve_zero_sum`` with, and the
+vertex enumeration of the hider's optimal set, which they compare
+``lp_solver.hider_uniqueness`` with.
 
-It enumerates square support pairs and solves their indifference
-systems with the oracle's exact Gauss-Jordan elimination, so it shares
-no solving code with the simplex.
+Both enumerate square linear systems and solve them with the oracle's
+exact Gauss-Jordan elimination, so they share no solving code with the
+simplex.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations
 
 from searchpursuit.lp_solver import MixedSolution
 from searchpursuit.oracle import ONE, ZERO, _reduce
-from searchpursuit.rationals import parse_matrix
+from searchpursuit.rationals import parse_matrix, parse_rational
 
 SUPPORT_ENUMERATION_CAP = 6
 
@@ -90,3 +92,48 @@ def support_enumeration_solve(
                     value, x, y = found
                     return MixedSolution(value - shift, x, y)
     raise RuntimeError("no square support yielded an equilibrium")  # pragma: no cover
+
+
+def optimal_hider_ranges(matrix, value):
+    """Exact (min, max) of each coordinate over the hider's optimal set
+    {y >= 0, sum(y) = 1, My <= value}, read off its vertices; None when
+    the set is empty. The simplex-free reference for
+    ``lp_solver.hider_uniqueness``.
+
+    A vertex with support F is the one solution of sum(y_F) = 1 and
+    |F| - 1 rows held at ``value``, each restricted to F, with y_F > 0.
+    Rows with equal restrictions give one equation. A row whose
+    restriction is entrywise at most another's, and differs from it,
+    pays less than the other at every y_F > 0, so it cannot be held at
+    the value while the other stays at or under it. Only the distinct,
+    undominated restrictions are tried.
+    """
+    M = parse_matrix(matrix)
+    v = parse_rational(value)
+    n = len(M[0])
+    vertices = []
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            restricted = {tuple(row[j] for j in support) for row in M}
+            candidates = sorted(
+                r
+                for r in restricted
+                if not any(
+                    s != r and all(a <= b for a, b in zip(r, s)) for s in restricted
+                )
+            )
+            for tight in combinations(candidates, size - 1):
+                system = [[ONE] * size + [ONE]] + [list(r) + [v] for r in tight]
+                solved = _solve_linear(system)
+                if solved is None or any(w <= 0 for w in solved):
+                    continue
+                y = [ZERO] * n
+                for j, w in zip(support, solved):
+                    y[j] = w
+                if all(sum(a * b for a, b in zip(row, y)) <= v for row in M):
+                    vertices.append(y)
+    if not vertices:
+        return None
+    return tuple(
+        (min(y[j] for y in vertices), max(y[j] for y in vertices)) for j in range(n)
+    )

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import negated_transpose, random_matrix, small_games, unit_fraction
+from conftest import (
+    negated_transpose,
+    random_game,
+    random_matrix,
+    small_games,
+    unit_fraction,
+)
 from searchpursuit import lp_solver
 from searchpursuit import (
     GameSpec,
@@ -14,7 +20,8 @@ from searchpursuit import (
     solve_zero_sum,
 )
 from searchpursuit.lp_solver import solve_diagonal
-from support_enumeration import support_enumeration_solve
+from searchpursuit.oracle import certified_ranges
+from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
 EXAMPLE_MATRIX = [
     ["0.1", 0, 0, 0],
@@ -29,34 +36,24 @@ def staircase_matrix():
     return rows, build_matrix(spec, rows)
 
 
-def cold_uniqueness(matrix, value):
-    """Reference probe: 2n independent cold two-phase LPs on the (m+2)-row
-    system {My <= v, sum(y) <= 1, -sum(y) <= -1, y >= 0}, each a fresh
-    phase 1 then one phase-2 optimization."""
-    M = [[F(x) for x in row] for row in matrix]
-    m, n = len(M), len(M[0])
-    lhs = [list(row) for row in M] + [[F(1)] * n, [F(-1)] * n]
-    rhs = [F(value)] * m + [F(1), F(-1)]
-
-    def cold_max(cost):
-        rows, basis = lp_solver._feasible_tableau(lhs, rhs)
-        return lp_solver._reoptimize(cost, rows, basis)[0]
-
-    ranges = []
-    for j in range(n):
-        cost = [F(0)] * n
-        cost[j] = F(-1)
-        neg_lo = cold_max(cost)
-        cost[j] = F(1)
-        ranges.append((-neg_lo, cold_max(cost)))
-    return tuple(ranges), all(a == b for a, b in ranges)
-
-
-def assert_probe_matches_cold(matrix):
+def assert_probe_matches(matrix, reference=optimal_hider_ranges):
+    """The probe's ranges equal ``reference(matrix, value)``, and its flag
+    says whether every range is a single point."""
     value = solve_zero_sum(matrix).value
     report = hider_uniqueness(matrix, value)
-    assert (report.ranges, report.unique) == cold_uniqueness(matrix, value)
+    assert report.ranges == reference(matrix, value)
+    assert report.unique == all(lo == hi for lo, hi in report.ranges)
     return report
+
+
+def certified_or_vertex_ranges(matrix, value):
+    """``certified_ranges`` on the LP's answer where it gives ranges, the
+    vertex enumeration elsewhere: both are simplex-free, and the vertex
+    enumeration is slow on games with many rows, which
+    ``certified_ranges`` settles."""
+    sol = solve_zero_sum(matrix)
+    ranges = certified_ranges(matrix, sol.col_strategy, sol.row_strategy, value)
+    return optimal_hider_ranges(matrix, value) if ranges is None else ranges
 
 
 def assert_equilibrium(matrix, sol):
@@ -228,94 +225,80 @@ class TestHiderUniqueness:
         with pytest.raises(ValueError, match="exact game value 6/115"):
             hider_uniqueness(EXAMPLE_MATRIX, F(5, 115))
 
-    def test_phase_one_rejects_a_low_value_on_its_own(self, monkeypatch):
-        # With the solve_zero_sum comparison bypassed, a value below the
-        # game value still fails: phase 1 finds the polytope empty.
-        claimed = F(5, 115)
-        monkeypatch.setattr(
-            lp_solver, "solve_zero_sum", lambda M: lp_solver.MixedSolution(claimed, (), ())
-        )
-        with pytest.raises(ValueError, match="no column strategy"):
-            hider_uniqueness(EXAMPLE_MATRIX, claimed)
-
 
 class TestProbeSteps:
-    """How many phase-2 re-optimizations the probe runs, and when it
-    calls ``solve_zero_sum``."""
+    """Which re-optimizations the probe runs after its one LP, and that
+    it never calls ``solve_zero_sum``."""
 
-    @staticmethod
-    def count_reoptimizations(monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The cost vector of every ``_reoptimize`` call, with
+        ``solve_zero_sum`` made to fail."""
         calls = []
         real = lp_solver._reoptimize
 
         def counted(costs, rows, basis):
-            calls.append(len(costs))
+            calls.append(tuple(costs))
             return real(costs, rows, basis)
 
+        def refuse(matrix):
+            raise AssertionError("the probe called solve_zero_sum")
+
         monkeypatch.setattr(lp_solver, "_reoptimize", counted)
+        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
         return calls
 
     @staticmethod
-    def forbid_solve_zero_sum(monkeypatch):
-        def refuse(matrix):
-            raise AssertionError("solve_zero_sum called on a correct value")
-
-        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
+    def probe(matrix, value):
+        expected = optimal_hider_ranges(matrix, value)
+        report = hider_uniqueness(matrix, value)
+        assert report.ranges == expected
+        return report
 
     @pytest.mark.parametrize(
         "matrix, value",
         [(EXAMPLE_MATRIX, F(6, 115)), (staircase_matrix()[1], F(3, 55))],
         ids=["worked-example", "staircase"],
     )
-    def test_unique_hider_needs_only_the_margin_and_the_maxima(
-        self, monkeypatch, matrix, value
-    ):
-        expected = cold_uniqueness(matrix, value)
-        calls = self.count_reoptimizations(monkeypatch)
-        self.forbid_solve_zero_sum(monkeypatch)
-        report = hider_uniqueness(matrix, value)
-        assert (report.ranges, report.unique) == expected
+    def test_unique_hider_needs_one_lp_and_the_maxima(self, calls, matrix, value):
+        report = self.probe(matrix, value)
         assert report.unique
         n = len(report.ranges)
-        # The margin LP carries one cost per hider coordinate plus t.
-        assert calls == [n + 1] + [n] * n
+        assert calls[0] == (1,) * n
+        assert len(calls) == 1 + n
+        assert all(min(cost) >= 0 for cost in calls[1:])
 
-    def test_minima_are_skipped_where_a_vertex_has_a_zero(self, monkeypatch):
+    def test_minima_are_skipped_where_a_vertex_has_a_zero(self, calls):
         # Every maximum of a constant game is a pure strategy, whose other
         # coordinates are 0, so no minimum LP is needed.
-        matrix = [[F(1, 3)] * 3] * 2
-        expected = cold_uniqueness(matrix, F(1, 3))
-        calls = self.count_reoptimizations(monkeypatch)
-        report = hider_uniqueness(matrix, F(1, 3))
-        assert (report.ranges, report.unique) == expected
-        assert calls == [4, 3, 3, 3]
+        report = self.probe([[F(1, 3)] * 3] * 2, F(1, 3))
+        assert not report.unique
+        assert len(calls) == 1 + 3
 
-    def test_skipped_and_solved_minima_together(self, monkeypatch):
+    def test_skipped_and_solved_minima_together(self, calls):
         _, matrix = staircase_matrix()
         flipped = negated_transpose(matrix)
-        value = -F(3, 55)
-        expected = cold_uniqueness(flipped, value)
-        calls = self.count_reoptimizations(monkeypatch)
-        self.forbid_solve_zero_sum(monkeypatch)
-        report = hider_uniqueness(flipped, value)
-        assert (report.ranges, report.unique) == expected
+        report = self.probe(flipped, -F(3, 55))
         n = len(flipped[0])
         minima = len(calls) - 1 - n
+        assert minima == sum(min(cost) < 0 for cost in calls)
         assert 0 < minima < n
         assert sum(lo > 0 for lo, _ in report.ranges) <= minima
 
-    def test_margin_rejects_a_high_value_on_its_own(self, monkeypatch):
-        # With solve_zero_sum agreeing with the claim, a value above the
-        # game value still fails: max t is the excess.
-        claimed = F(7, 115)
-        monkeypatch.setattr(
-            lp_solver, "solve_zero_sum", lambda M: lp_solver.MixedSolution(claimed, (), ())
-        )
-        with pytest.raises(ValueError, match="7/115 is 1/115 above the game value"):
+    @pytest.mark.parametrize("claimed", [F(5, 115), F(7, 115)], ids=["low", "high"])
+    def test_wrong_value_is_refused_from_the_lp(self, calls, claimed):
+        with pytest.raises(
+            ValueError, match=f"claimed value {claimed} is not the exact game value 6/115"
+        ):
             hider_uniqueness(EXAMPLE_MATRIX, claimed)
+        assert calls == [(1,) * 4]
 
 
 class TestWarmProbeAgainstColdReference:
+    """The probe against references that share no code with the simplex:
+    the vertex enumeration of ``tests/support_enumeration.py`` and, on
+    location games it settles, ``certified_ranges``."""
+
     def test_random_games(self):
         rng = random.Random(31)
         unique_flags = set()
@@ -325,42 +308,51 @@ class TestWarmProbeAgainstColdReference:
             captures = tuple(F(rng.randint(1, 20), 20) for _ in range(n))
             spec = GameSpec(times, captures, rng.randint(0, sum(times)))
             matrix = build_matrix(spec, maximal_feasible_sets(spec))
-            unique_flags.add(assert_probe_matches_cold(matrix).unique)
+            report = assert_probe_matches(matrix, certified_or_vertex_ranges)
+            unique_flags.add(report.unique)
+        assert unique_flags == {True, False}
+
+    def test_small_location_games(self):
+        rng = random.Random(34)
+        unique_flags = set()
+        for _ in range(40):
+            spec = random_game(rng, max_n=5)
+            matrix = build_matrix(spec, maximal_feasible_sets(spec))
+            unique_flags.add(assert_probe_matches(matrix).unique)
         assert unique_flags == {True, False}
 
     def test_random_matrices_and_their_negated_transposes(self):
         rng = random.Random(32)
         for _ in range(20):
             matrix = random_matrix(rng, max_dim=5)
-            assert_probe_matches_cold(matrix)
-            assert_probe_matches_cold(negated_transpose(matrix))
+            matrix = [[v - F(1, 2) for v in row] for row in matrix]
+            assert_probe_matches(matrix)
+            assert_probe_matches(negated_transpose(matrix))
 
     def test_duplicated_rows(self):
         rng = random.Random(33)
         for _ in range(10):
             matrix = random_matrix(rng, max_dim=4)
             doubled = matrix + [row[:] for row in matrix]
-            report = assert_probe_matches_cold(doubled)
+            report = assert_probe_matches(doubled)
             assert report == hider_uniqueness(matrix, solve_zero_sum(matrix).value)
 
     def test_negated_transpose_with_negative_value(self):
-        # Every row of My <= v has a negative right-hand side, so phase 1
-        # starts with m + 1 artificials.
         _, matrix = staircase_matrix()
         flipped = negated_transpose(matrix)
         assert solve_zero_sum(flipped).value == -F(3, 55)
-        assert not assert_probe_matches_cold(flipped).unique
+        assert not assert_probe_matches(flipped).unique
 
     def test_constant_matrix(self):
-        report = assert_probe_matches_cold([[F(1, 3)] * 3] * 2)
+        report = assert_probe_matches([[F(1, 3)] * 3] * 2)
         assert report.ranges == ((F(0), F(1)),) * 3
         assert not report.unique
 
     def test_single_row_and_single_column(self):
-        row = assert_probe_matches_cold([[F(1, 2), F(1, 3), F(1, 4)]])
+        row = assert_probe_matches([[F(1, 2), F(1, 3), F(1, 4)]])
         assert row.ranges == ((F(0), F(0)), (F(0), F(0)), (F(1), F(1)))
         assert row.unique
-        column = assert_probe_matches_cold([[F(1, 2)], [F(1, 3)], [F(1, 4)]])
+        column = assert_probe_matches([[F(1, 2)], [F(1, 3)], [F(1, 4)]])
         assert column.ranges == ((F(1), F(1)),)
         assert column.unique
 
@@ -370,8 +362,7 @@ class TestWarmProbeAgainstColdReference:
 def test_probe_properties_on_random_games(spec):
     matrix = build_matrix(spec, maximal_feasible_sets(spec))
     sol = solve_zero_sum(matrix)
-    report = hider_uniqueness(matrix, sol.value)
-    assert (report.ranges, report.unique) == cold_uniqueness(matrix, sol.value)
+    report = assert_probe_matches(matrix, certified_or_vertex_ranges)
     assert all(lo <= y <= hi for (lo, hi), y in zip(report.ranges, sol.col_strategy))
     for wrong in (sol.value - F(1, 1000), sol.value + F(1, 1000)):
         with pytest.raises(ValueError, match="not the exact game value"):
