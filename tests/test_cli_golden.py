@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import roadmap_game
 from searchpursuit.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
@@ -100,6 +101,18 @@ def _learning(low, high) -> str:
 EXAMPLE = [(5, 0.1), (3, 0.2), (4, 0.15), (7, 0.4)]
 STAIRCASE = list(zip(range(1, 6), ("1/2", "2/5", "3/10", "1/5", "1/10")))
 TWO_TYPE = {"a": 4, "b": 2, "tau": 2, "p": "3/10", "q": "1/5", "k": 4}
+
+
+def _roadmap(seed: int, n: int) -> str:
+    """The benchmark's random game, in general mode."""
+    spec = roadmap_game(seed, n)
+    locations = [(int(t), str(p)) for t, p in zip(spec.times, spec.captures)]
+    return _game(locations, int(spec.budget), "general")
+
+
+# Random general games whose printed searcher mix depends on the
+# simplex's pivot path, not only on the game.
+ROADMAP_GAMES = ((0, 8), (7, 8), (0, 9), (1, 9))
 
 
 def _oversized(capture: str, budget: str) -> str:
@@ -194,6 +207,7 @@ BASE_FILES = {
     "longest-printable.json": (
         '{"locations": [{"time": 1, "capture": 1e-4299}], "budget": 1}'
     ),
+    **{f"roadmap-{seed}-{n}.json": _roadmap(seed, n) for seed, n in ROADMAP_GAMES},
 }
 
 # Games whose solution documents are verified, as they come and with the
@@ -283,6 +297,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         "oversized-long-int",
     ):
         add(f"solve-{name}", "solve", f"{name}.json")
+    for seed, n in ROADMAP_GAMES:
+        add(f"solve-roadmap-{seed}-{n}-both", "solve", f"roadmap-{seed}-{n}.json", "--format", "both")
     add("solve-longest-printable-json", "solve", "longest-printable.json", "--format", "json")
 
     add("sweep-example-table", "sweep", "example.json", "--k-from", "0", "--k-to", "8")
