@@ -18,10 +18,16 @@ is requested. ``main`` may be called any number of times in one
 process: all calls share one parser, built on first use, which parsing
 never changes.
 
+``sweep_budget`` drives the location-list sweep: one enumeration, LP
+and range certificate per budget, the uniqueness probe only where the
+certificate tells nothing. Before any LP starts, ``--max-rows`` caps
+the number of maximal sets it would run over.
+
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
 ``--max-subsets 0`` and an unwritable ``--output``), 3 instance too
-large for exhaustive enumeration or number too large to print back,
+large for exhaustive enumeration or for the LP, or number too large to
+print back,
 141 standard output closed early (128 + SIGPIPE).
 """
 
@@ -32,12 +38,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
 from . import closed_forms, game_core, inputs, learning, lp_solver, oracle
-from .rationals import NumberTooLarge, format_decimal, format_rational
+from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -48,6 +54,12 @@ EXIT_BROKEN_PIPE = 141
 # The LP cross-checks an expanded two-type game only up to this many
 # feasible sets, maximal or not; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
+
+# The most maximal sets, and so payoff rows, that ``solve`` and each
+# budget of ``sweep`` run the exact LP over (see ``_location_matrix``).
+# Random 14- to 17-location games up to this size solve in at most
+# about 12 s; one of 3,327 rows took 35 s.
+DEFAULT_MAX_ROWS = 3000
 
 
 class CertificateFailure(RuntimeError):
@@ -123,10 +135,17 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
 # solve
 
 
-def _location_matrix(spec: game_core.GameSpec, max_sets: int):
+def _location_matrix(spec: game_core.GameSpec, max_sets: int, max_rows: int):
     """The rows (maximal feasible sets) and payoff matrix of a
-    location-list game, for the LP to solve."""
+    location-list game, for the LP to solve. More than ``max_rows`` rows
+    raise ``InstanceTooLarge`` before the matrix is built: listing the
+    rows is quick even where the LP over them would not be."""
     rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
+    if len(rows) > max_rows:
+        raise game_core.InstanceTooLarge(
+            f"{len(rows)} maximal feasible sets, more than --max-rows "
+            f"({max_rows}); instance too large for the exact LP"
+        )
     return rows, game_core.build_matrix(spec, rows)
 
 
@@ -188,7 +207,7 @@ def _solve_locations(doc, path, args, mode):
         value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
         provenance = "closed-form"
     else:
-        rows, matrix = _location_matrix(spec, args.max_subsets)
+        rows, matrix = _location_matrix(spec, args.max_subsets, args.max_rows)
         sol = lp_solver.solve_zero_sum(matrix)
         value, hider, extras = sol.value, sol.col_strategy, None
         pairs = list(zip(rows, sol.row_strategy))
@@ -257,11 +276,10 @@ def _solve_two_type(doc, path, args, mode):
     hider = (closed.type1_mass, 1 - closed.type1_mass)
     if _two_type_failure(args, spec, hider, closed.searcher_mix, closed.value) is not None:
         raise CertificateFailure("two-type closed form failed the certificate")
+    # The set cap bounds the rows too, so the row cap never decides here.
+    cap = min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS)
     try:
-        _, matrix = _location_matrix(
-            closed_forms.expand_two_type(spec),
-            min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS),
-        )
+        _, matrix = _location_matrix(closed_forms.expand_two_type(spec), cap, cap)
     except game_core.InstanceTooLarge:
         provenance = "closed-form"
     else:
@@ -373,6 +391,50 @@ def _emit_sweep(args, head: dict, columns: str, rows) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class SweepEntry:
+    budget: Fraction
+    value: Fraction
+    hider: tuple[Fraction, ...]
+    hider_ranges: tuple[tuple[Fraction, Fraction], ...]
+    unique: bool
+
+
+def sweep_budget(
+    times,
+    captures,
+    budgets,
+    max_sets: int = game_core.DEFAULT_MAX_SETS,
+    max_rows: int = DEFAULT_MAX_ROWS,
+) -> list[SweepEntry]:
+    """Solve one game per budget; report value and hider uniqueness.
+
+    Each budget is enumerated, capped and solved like ``solve`` in
+    general mode. The hider's ranges, and with them uniqueness, come
+    from ``oracle.certified_ranges`` on the LP's own answer, and from
+    ``lp_solver.hider_uniqueness`` only where that returns None; both
+    give the exact ranges, so the entries do not depend on which one ran.
+
+    Budgets are evaluated in ascending order and the value is checked
+    by ``oracle.check_nondecreasing`` (extra search time can never hurt
+    the searcher), which raises ``oracle.MonotonicityError``.
+    """
+    ks = sorted(set(parse_rational(k) for k in budgets))
+    entries = []
+    for k in ks:
+        spec = game_core.GameSpec(tuple(times), tuple(captures), k)
+        _, matrix = _location_matrix(spec, max_sets, max_rows)
+        sol = lp_solver.solve_zero_sum(matrix)
+        hider = sol.col_strategy
+        ranges = oracle.certified_ranges(matrix, hider, sol.row_strategy, sol.value)
+        if ranges is None:
+            ranges = lp_solver.hider_uniqueness(matrix, sol.value).ranges
+        unique = all(lo == hi for lo, hi in ranges)
+        entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
+    oracle.check_nondecreasing(ks, [e.value for e in entries])
+    return entries
+
+
 def cmd_sweep(args) -> int:
     doc = inputs.load_game_file(args.file, _MODES)
     mode = args.mode or doc["mode"]
@@ -384,8 +446,8 @@ def cmd_sweep(args) -> int:
             "sweep supports general, constant-times, arithmetic-times or two-type games"
         )
     spec = inputs.game_spec_from(doc, args.file, mode)
-    entries = oracle.sweep_budget(
-        spec.times, spec.captures, budgets, max_sets=args.max_subsets
+    entries = sweep_budget(
+        spec.times, spec.captures, budgets, args.max_subsets, args.max_rows
     )
 
     def row(e):
@@ -519,6 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
             "certificate's knapsack",
         )
 
+    def max_rows(p):
+        p.add_argument(
+            "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
+            help="cap on the maximal feasible sets the exact LP runs over",
+        )
+
     solve = sub.add_parser("solve", help="solve one game file")
     solve.add_argument("file", help="JSON game file")
     solve.add_argument("--mode", choices=_MODES, help="override the file's mode")
@@ -527,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="label locations by their search times instead of 1-based indices",
     )
     max_subsets(solve)
+    max_rows(solve)
     solve.add_argument(
         "--timing", action="store_true",
         help="include wall-clock timing in the JSON document "
@@ -541,6 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--k-to", required=True, help="last budget (inclusive)")
     sweep.add_argument("--mode", choices=_MODES, help="override the file's mode")
     max_subsets(sweep)
+    max_rows(sweep)
     common_output(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -172,8 +172,9 @@ def budget_range(k_from: str, k_to: str, max_sets: int) -> list[Fraction]:
 
 
 def set_cap(text: str) -> int:
-    """``--max-subsets``: an integer of at least 1, else a usage error
-    that names the flag; a non-integer keeps argparse's own message."""
+    """``--max-subsets`` and ``--max-rows``: an integer of at least 1,
+    else a usage error that names the flag; a non-integer keeps
+    argparse's own message."""
     try:
         cap = int(text)
     except ValueError:

@@ -5,11 +5,17 @@ per player with a primal simplex over exact Fractions. The matrix is
 first mapped affinely onto [1, 2]; mixed strategies are invariant under
 positive affine payoff maps, and with all entries positive the standard
 maximize-total-mass formulation is bounded and starts feasible at the
-all-slack basis, so phase 1 never runs. Bland's rule keeps the pivot
-sequence deterministic and cycle-free, and the minimizer's strategy is
-read off the dual multipliers in the final objective row. Matrices with
-more rows than columns are solved through the negated transpose so the
-tableau always has min(m, n) constraint rows.
+all-slack basis, so phase 1 never runs. The column with the largest
+positive reduced cost enters (Dantzig's rule), except that where its
+ratio test gives a zero step the first positive column enters instead
+(Bland's rule); the leaving row is the minimum ratio, ties going to the
+lowest basic variable. Every pivot then either strictly raises the
+objective or is a Bland pivot, so the pivot sequence is deterministic
+and cycle-free, and on the location games it takes about half the
+pivots of Bland's rule alone. The minimizer's strategy is read off the
+dual multipliers in the final objective row. Matrices with more rows
+than columns are solved through the negated transpose so the tableau
+always has min(m, n) constraint rows.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
 {y >= 0, sum(y) = 1, My <= v} with the same pivoting code. It solves
@@ -75,33 +81,54 @@ def _pivot(rows, obj, basis, r, c) -> None:
     basis[r] = c
 
 
+def _leaving(rows, basis, enter):
+    """The minimum-ratio row for entering column ``enter``, ties going to
+    the lowest basic variable; None when no entry of the column is
+    positive."""
+    leave = None
+    best = None
+    for i, row in enumerate(rows):
+        coeff = row[enter]
+        if coeff > 0:
+            ratio = row[-1] / coeff
+            if (
+                best is None
+                or ratio < best
+                or (ratio == best and basis[i] < basis[leave])
+            ):
+                best, leave = ratio, i
+    return leave
+
+
 def _optimize(rows, obj, basis, width) -> None:
-    """Pivot under Bland's rule until no objective coefficient is positive.
+    """Pivot until no objective coefficient is positive.
 
     ``obj`` holds the current objective expression with the running
     value negated in its last slot, so the same row operation updates
     it and the constraint rows alike.
+
+    The entering column is the one with the largest positive reduced
+    cost, the lowest index on ties (Dantzig's rule). When its ratio test
+    gives a zero step, the first positive column enters instead (Bland's
+    rule). The leaving row is always the minimum ratio, ties going to
+    the lowest basic variable. So every pivot either strictly raises the
+    objective or is a Bland pivot, and since a cycle could only be made
+    of degenerate pivots, none forms (Bland 1977).
     """
     while True:
-        enter = None
+        enter = first = None
         for j in range(width):
             if obj[j] > 0:
-                enter = j
-                break
+                if first is None:
+                    first = enter = j
+                elif obj[j] > obj[enter]:
+                    enter = j
         if enter is None:
             return
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            coeff = row[enter]
-            if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
+        leave = _leaving(rows, basis, enter)
+        if leave is not None and enter != first and not rows[leave][-1]:
+            enter = first
+            leave = _leaving(rows, basis, enter)
         if leave is None:
             raise UnboundedError("unbounded linear program")
         _pivot(rows, obj, basis, leave, enter)

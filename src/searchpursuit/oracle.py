@@ -1,10 +1,11 @@
 """Independent verification tools.
 
 The checking routines here deliberately share no solving code with
-:mod:`searchpursuit.lp_solver`: equilibrium claims are verified by
-direct slack evaluation, and linear systems are solved by plain
-Gauss-Jordan elimination (``_reduce``). A bug in the simplex cannot hide
-behind an identical bug here. The tests' simplex-free references, the
+:mod:`searchpursuit.lp_solver`, and import neither it nor
+``closed_forms``: equilibrium claims are verified by direct slack
+evaluation, and linear systems are solved by plain Gauss-Jordan
+elimination (``_reduce``). A bug in the simplex cannot hide behind an
+identical bug here. The tests' simplex-free references, the
 support enumeration solver and the vertex enumeration of the optimal
 hider set, solve their square systems with ``_reduce`` too.
 
@@ -20,12 +21,8 @@ optimal pair, the equilibrium certificate and the rank of the
 complementary-slackness system, with the same elimination: a point at
 full rank, a segment one below it.
 
-``sweep_budget`` is a driver, not a checker: it runs the regular
-enumeration + LP pipeline once per budget, takes the hider's ranges
-from ``certified_ranges`` or, when that tells nothing, the uniqueness
-probe (``lp_solver.hider_uniqueness``, which re-optimizes over the
-optimal face of the game's LP), and layers a value-monotonicity
-assertion (``check_nondecreasing``) on top.
+``check_nondecreasing`` is the value-monotonicity check of every
+sweep, which ``cli`` drives.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import game_core
-from .lp_solver import hider_uniqueness, solve_zero_sum
 from .rationals import parse_matrix, parse_rational
 
 ZERO = Fraction(0)
@@ -243,46 +239,6 @@ def certified_ranges(matrix, hider, searcher, value):
     z_lo = max(h / g for g, h in limits if g < 0)
     ends = [(yj + z_lo * dj, yj + z_hi * dj) for yj, dj in zip(y, d)]
     return tuple((min(a, b), max(a, b)) for a, b in ends)
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    budget: Fraction
-    value: Fraction
-    hider: tuple[Fraction, ...]
-    hider_ranges: tuple[tuple[Fraction, Fraction], ...]
-    unique: bool
-
-
-def sweep_budget(
-    times, captures, budgets, max_sets: int = game_core.DEFAULT_MAX_SETS
-) -> list[SweepEntry]:
-    """Solve one game per budget; report value and hider uniqueness.
-
-    The hider's ranges, and with them uniqueness, come from
-    ``certified_ranges`` on the LP's own answer, and from
-    ``hider_uniqueness`` only where that returns None; both give the
-    exact ranges, so the entries do not depend on which one ran.
-
-    Budgets are evaluated in ascending order and the value is asserted
-    to be nondecreasing (extra search time can never hurt the searcher);
-    a violation raises :class:`MonotonicityError`.
-    """
-    ks = sorted(set(parse_rational(k) for k in budgets))
-    entries = []
-    for k in ks:
-        spec = game_core.GameSpec(tuple(times), tuple(captures), k)
-        rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
-        matrix = game_core.build_matrix(spec, rows)
-        sol = solve_zero_sum(matrix)
-        hider = sol.col_strategy
-        ranges = certified_ranges(matrix, hider, sol.row_strategy, sol.value)
-        if ranges is None:
-            ranges = hider_uniqueness(matrix, sol.value).ranges
-        unique = all(lo == hi for lo, hi in ranges)
-        entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
-    check_nondecreasing(ks, [e.value for e in entries])
-    return entries
 
 
 def check_nondecreasing(budgets, values) -> None:

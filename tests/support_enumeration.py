@@ -5,19 +5,28 @@ vertex enumeration of the hider's optimal set, which they compare
 
 Both enumerate square linear systems and solve them with the oracle's
 exact Gauss-Jordan elimination, so they share no solving code with the
-simplex.
+simplex; this module imports nothing from ``lp_solver``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from searchpursuit.lp_solver import MixedSolution
 from searchpursuit.oracle import ONE, ZERO, _reduce
 from searchpursuit.rationals import parse_matrix, parse_rational
 
 SUPPORT_ENUMERATION_CAP = 6
+
+
+class Solution(NamedTuple):
+    """Value and one optimal mix per player, in ``MixedSolution``'s
+    field order: the row player maximizes."""
+
+    value: Fraction
+    row_strategy: tuple[Fraction, ...]
+    col_strategy: tuple[Fraction, ...]
 
 
 def _solve_linear(system: list[list[Fraction]]):
@@ -65,7 +74,7 @@ def _square_equilibrium(S, m, n, rows_sel, cols_sel):
 
 def support_enumeration_solve(
     matrix, max_dim: int = SUPPORT_ENUMERATION_CAP
-) -> MixedSolution:
+) -> Solution:
     """Second, simplex-free solver for cross-checks on tiny games.
 
     Shifts the matrix so its minimum entry is 1 (making the value
@@ -90,7 +99,7 @@ def support_enumeration_solve(
                 found = _square_equilibrium(S, m, n, rows_sel, cols_sel)
                 if found is not None:
                     value, x, y = found
-                    return MixedSolution(value - shift, x, y)
+                    return Solution(value - shift, x, y)
     raise RuntimeError("no square support yielded an equilibrium")  # pragma: no cover
 
 

@@ -18,6 +18,7 @@ from searchpursuit import (
     solve_zero_sum,
     verify_equilibrium,
 )
+from searchpursuit.cli import sweep_budget
 from searchpursuit.closed_forms import (
     TwoTypeSpec,
     check_value_floor,
@@ -34,7 +35,6 @@ from searchpursuit.learning import (
     posterior_after_escape,
 )
 from searchpursuit.learning import solve as solve_learning
-from searchpursuit.oracle import sweep_budget
 from support_enumeration import support_enumeration_solve
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))

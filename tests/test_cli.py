@@ -9,7 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from searchpursuit.cli import main
+from conftest import roadmap_game
+from searchpursuit import InstanceTooLarge
+from searchpursuit.cli import DEFAULT_MAX_ROWS, main, sweep_budget
 
 EXAMPLE = {
     "locations": [
@@ -513,6 +515,76 @@ class TestSolveErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --max-subsets: must be at least 1, got {cap}" in err
+
+
+def roadmap_doc(seed, n):
+    spec = roadmap_game(seed, n)
+    locations = [
+        {"time": str(t), "capture": str(p)} for t, p in zip(spec.times, spec.captures)
+    ]
+    return {"locations": locations, "budget": str(spec.budget)}
+
+
+class TestRowCap:
+    """``--max-rows`` refuses an LP over too many maximal sets before it
+    starts."""
+
+    def test_n18_game_is_refused_fast(self, tmp_path):
+        # 6,999 maximal sets: the LP ran past 90 s with Bland's rule, and
+        # enumerating the rows takes well under a second.
+        path = write(tmp_path, "g.json", roadmap_doc(0, 18))
+        code, seconds, err = timed_main_in_child(["solve", path])
+        assert code == 3
+        assert seconds < 2
+        assert (
+            f"6999 maximal feasible sets, more than --max-rows ({DEFAULT_MAX_ROWS})"
+            in err
+        )
+
+    def test_solve_cap_is_on_the_rows(self, tmp_path, capsys):
+        # The worked example has three maximal sets.
+        path = write(tmp_path, "g.json", EXAMPLE)
+        assert main(["solve", path, "--max-rows", "3"]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--max-rows", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: 3 maximal feasible sets, more than --max-rows (2); "
+            "instance too large for the exact LP\n"
+        )
+
+    def test_sweep_cap_is_per_budget(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        # Budgets 0..3 have one maximal set, budget 4 two, 5 and up three.
+        argv = ["sweep", path, "--k-from", "0", "--k-to", "4", "--max-rows"]
+        assert main(argv + ["2"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["1"]) == 3
+        assert "2 maximal feasible sets, more than --max-rows (1)" in capsys.readouterr().err
+        with pytest.raises(InstanceTooLarge, match="3 maximal feasible sets"):
+            sweep_budget((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), [6, 7], max_rows=2)
+
+    def test_two_type_cross_check_keeps_its_own_cap(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", TWO_TYPE)
+        code, doc = run_json(capsys, ["solve", path, "--max-rows", "1", "--format", "json"])
+        assert (code, doc["provenance"]) == (0, "both")
+
+    def test_closed_forms_and_verify_run_no_lp(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", STAIRCASE_80)
+        assert main(["solve", path, "--max-rows", "1", "--format", "json"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, path, "--max-rows", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_max_rows_below_one_is_usage_error(self, tmp_path, capsys, command):
+        path = write(tmp_path, "g.json", EXAMPLE)
+        budgets = ["--k-from", "7", "--k-to", "7"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *budgets, "--max-rows", "0"])
+        assert exc.value.code == 2
+        assert "argument --max-rows: must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     negated_transpose,
     random_game,
     random_matrix,
+    roadmap_game,
     small_games,
     unit_fraction,
 )
@@ -20,7 +22,7 @@ from searchpursuit import (
     solve_zero_sum,
 )
 from searchpursuit.lp_solver import solve_diagonal
-from searchpursuit.oracle import certified_ranges
+from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
 EXAMPLE_MATRIX = [
@@ -189,6 +191,95 @@ class TestSolveDiagonal:
             solve_diagonal((F(1, 2), 0))
         with pytest.raises(ValueError):
             solve_diagonal(())
+
+
+def slack_tableau(A, b):
+    """The constraint rows [A | I | b] of max c.x s.t. Ax <= b, x >= 0,
+    and their all-slack basis; b >= 0."""
+    m, n = len(A), len(A[0])
+    rows = [
+        [F(v) for v in row] + [F(int(k == i)) for k in range(m)] + [F(rhs)]
+        for i, (row, rhs) in enumerate(zip(A, b))
+    ]
+    return rows, list(range(n, n + m))
+
+
+class TestEnteringRule:
+    """Dantzig's column enters, and Bland's wherever Dantzig's would give
+    a zero step."""
+
+    @staticmethod
+    def pivots(monkeypatch, limit=None):
+        """A one-item list that counts ``_pivot`` calls; past ``limit``
+        the next call fails, so a cycling simplex fails instead of
+        hanging."""
+        count = [0]
+        real = lp_solver._pivot
+
+        def counted(*args):
+            count[0] += 1
+            assert limit is None or count[0] <= limit, f"over {limit} pivots"
+            return real(*args)
+
+        monkeypatch.setattr(lp_solver, "_pivot", counted)
+        return count
+
+    def test_largest_reduced_cost_enters(self, monkeypatch):
+        # max x + 2y s.t. x + y <= 1: y enters first and is optimal at
+        # once; entering x first would take a second pivot.
+        count = self.pivots(monkeypatch)
+        rows, basis = slack_tableau([[1, 1]], [1])
+        value, x, _ = lp_solver._reoptimize([1, 2], rows, basis)
+        assert (value, x, count[0]) == (2, [0, 1], 1)
+
+    def test_ties_enter_the_lowest_index(self, monkeypatch):
+        count = self.pivots(monkeypatch)
+        rows, basis = slack_tableau([[1, 1]], [1])
+        value, x, _ = lp_solver._reoptimize([1, 1], rows, basis)
+        assert (value, x, count[0]) == (1, [1, 0], 1)
+
+    def test_beale_cycling_example_reaches_its_optimum(self, monkeypatch):
+        # Beale (1955): max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4 subject to
+        # the rows below. Dantzig's rule alone, with this leaving rule,
+        # cycles through six degenerate bases from the slack basis.
+        count = self.pivots(monkeypatch, limit=30)
+        A = [
+            [F(1, 4), -60, F(-1, 25), 9],
+            [F(1, 2), -90, F(-1, 50), 3],
+            [0, 0, 1, 0],
+        ]
+        rows, basis = slack_tableau(A, [0, 0, 1])
+        value, x, _ = lp_solver._reoptimize([F(3, 4), -150, F(1, 50), -6], rows, basis)
+        assert value == F(1, 20)
+        assert x == [F(1, 25), 0, 1, 0]
+        assert count[0] <= 30
+
+    def test_pivot_count_on_roadmap_games(self, monkeypatch):
+        # The benchmark's n = 12 games, seeds 0..7: 212 pivots with this
+        # rule, 402 with Bland's rule alone.
+        count = self.pivots(monkeypatch)
+        for seed in range(8):
+            spec = roadmap_game(seed, 12)
+            solve_zero_sum(build_matrix(spec, maximal_feasible_sets(spec)))
+        assert count[0] <= 250
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Matrices up to 5x5 over a few small values, so that many bases
+    are degenerate and many optima tie."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2), F(-1, 3)])
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=150)
+@given(degenerate_matrices())
+def test_entering_rule_on_random_matrices(matrix):
+    sol = solve_zero_sum(matrix)
+    assert sol.value == support_enumeration_solve(matrix).value
+    cert = verify_equilibrium(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+    assert cert.ok
 
 
 class TestHiderUniqueness:

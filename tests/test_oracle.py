@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -21,6 +23,7 @@ from searchpursuit import (
     solve_zero_sum,
     verify_equilibrium,
 )
+from searchpursuit.cli import sweep_budget
 from searchpursuit.closed_forms import (
     TwoTypeSpec,
     expand_two_type,
@@ -33,7 +36,6 @@ from searchpursuit.oracle import (
     certified_ranges,
     check_nondecreasing,
     location_certificate,
-    sweep_budget,
 )
 from support_enumeration import support_enumeration_solve
 
@@ -168,6 +170,56 @@ class TestSparseCertificate:
             assert cert.ok == (min(hider_slack + searcher_slack) >= 0)
             if k % 2:
                 assert cert.ok
+
+
+SOURCES = Path(oracle.__file__).parent
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the file at ``path`` imports, by short
+    name, and those they import in turn; importing a name from the
+    package itself counts as importing ``__init__``."""
+    seen: set[str] = set()
+    todo = [path]
+    while todo:
+        tree = ast.parse(todo.pop().read_text(encoding="utf-8"))
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "searchpursuit" * (node.level > 0)
+                module = ".".join(filter(None, [module, node.module]))
+                targets = [(module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in targets:
+                if module.startswith("searchpursuit."):
+                    found.add(module.split(".")[1])
+                elif module == "searchpursuit":
+                    is_module = name and (SOURCES / f"{name}.py").exists()
+                    found.add(name if is_module else "__init__")
+        for name in found - seen:
+            seen.add(name)
+            todo.append(SOURCES / f"{name}.py")
+    return seen
+
+
+class TestCheckersImportNoSolver:
+    """The checkers and the tests' references reach no simplex code
+    through any chain of imports."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [SOURCES / "oracle.py", Path(__file__).with_name("support_enumeration.py")],
+        ids=["oracle", "support_enumeration"],
+    )
+    def test_no_solver_is_imported(self, path):
+        assert package_imports(path).isdisjoint({"lp_solver", "closed_forms"})
+
+    def test_the_walk_finds_the_solver(self):
+        assert {"lp_solver", "closed_forms", "oracle"} <= package_imports(SOURCES / "cli.py")
+        assert "lp_solver" in package_imports(Path(__file__).with_name("test_lp_solver.py"))
 
 
 class TestSupportEnumeration:
@@ -324,8 +376,6 @@ class TestCertifyUnique:
         for module, name in (
             (lp_solver, "solve_zero_sum"),
             (lp_solver, "_pivot"),
-            (oracle, "solve_zero_sum"),
-            (oracle, "hider_uniqueness"),
         ):
             monkeypatch.setattr(module, name, refuse)
         assert unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
@@ -358,7 +408,7 @@ class TestSweepShortcut:
         gave ranges and, per probe call, how many certificate calls
         preceded it."""
         verdicts, probes = [], []
-        real_ranges, real_probe = oracle.certified_ranges, oracle.hider_uniqueness
+        real_ranges, real_probe = oracle.certified_ranges, lp_solver.hider_uniqueness
 
         def ranges(*args):
             found = real_ranges(*args)
@@ -370,7 +420,7 @@ class TestSweepShortcut:
             return real_probe(matrix, value)
 
         monkeypatch.setattr(oracle, "certified_ranges", ranges)
-        monkeypatch.setattr(oracle, "hider_uniqueness", probe)
+        monkeypatch.setattr(lp_solver, "hider_uniqueness", probe)
         return verdicts, probes
 
     @staticmethod
