@@ -11,11 +11,12 @@ ratio test gives a zero step the first positive column enters instead
 (Bland's rule); the leaving row is the minimum ratio, ties going to the
 lowest basic variable. Every pivot then either strictly raises the
 objective or is a Bland pivot, so the pivot sequence is deterministic
-and cycle-free, and on the location games it takes about half the
-pivots of Bland's rule alone. The minimizer's strategy is read off the
-dual multipliers in the final objective row. Matrices with more rows
-than columns are solved through the negated transpose so the tableau
-always has min(m, n) constraint rows.
+and cycle-free; on random location games of 10 to 14 locations it
+takes 0.3 to 0.7 times the pivots of Bland's rule alone. The
+minimizer's strategy is read off the dual multipliers in the final
+objective row. Matrices with more rows than columns are solved through
+the negated transpose so the tableau always has min(m, n) constraint
+rows.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
 {y >= 0, sum(y) = 1, My <= v} with the same pivoting code. It solves
