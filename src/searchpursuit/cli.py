@@ -6,17 +6,17 @@ commands, each mode's certificate, and the rendering of results.
 and its certificate. The general mode enumerates the maximal sets,
 builds the matrix and solves the LP; the constant-times and
 arithmetic-times modes take their answer from the closed form and
-neither enumerate nor run the LP. Every location-list solution, solved
-or verified, is certified by ``oracle.location_certificate``, which
-needs no matrix; two-type and learning solutions are certified on
-their small matrices.
+neither enumerate nor run the LP. Each solver returns its claim as the
+mode's verify reader would, and ``_certify`` runs the mode's
+certificate on it before anything is written: for location lists
+``oracle.location_certificate``, which needs no matrix, for two-type
+and learning games their small matrices.
 
 Results go out as a table, a JSON document or both, in one layout for
 every mode; ``--output`` writes the document to a file in every
-format. Identical inputs produce byte-identical output unless --timing
-is requested. ``main`` may be called any number of times in one
-process: all calls share one parser, built on first use, which parsing
-never changes.
+format. Identical inputs produce byte-identical output. ``main`` may be
+called any number of times in one process: all calls share one parser,
+built on first use, which parsing never changes.
 
 ``sweep_budget`` drives the location-list sweep: one enumeration, LP
 and range certificate per budget, the uniqueness probe only where the
@@ -37,7 +37,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -118,8 +117,8 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
             head: list[str], body: list[str], extras: dict | None = None):
     """The JSON document and table of one solve, in every mode's layout:
     game fields, value, the mode's answer, provenance, certificate, extras;
-    head lines, value line, body, certificate line. A failed certificate
-    raises before anything is rendered, so here it always holds."""
+    head lines, value line, body, certificate line. ``_certify`` raises
+    before anything is written, so what is written always holds."""
     document = {
         **game,
         "value": _value_json(value),
@@ -172,9 +171,8 @@ def _constant_times(spec: game_core.GameSpec, path: str):
 def _arithmetic_times(spec: game_core.GameSpec, path: str):
     if spec.budget != spec.n:
         raise ValueError(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
-    # _solve_locations certifies the solution with the location
-    # certificate and raises before rendering if it fails, so
-    # "verified" is true wherever it is printed.
+    # _certify runs the location certificate and raises before anything
+    # is written if it fails, so "verified" is true wherever it is printed.
     closed = inputs.checked(
         path, closed_forms.solve_arithmetic_times, spec.captures, certify=False
     )
@@ -200,8 +198,7 @@ _CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithme
 
 def _solve_locations(doc, path, args, mode):
     """Solve a location-list game, by its mode's closed form or else by
-    enumeration and the LP, and certify the answer with the location
-    certificate before anything is rendered."""
+    enumeration and the LP."""
     spec = inputs.game_spec_from(doc, path, mode)
     if mode in _CLOSED_FORMS:
         value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
@@ -213,14 +210,7 @@ def _solve_locations(doc, path, args, mode):
         pairs = list(zip(rows, sol.row_strategy))
         header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
         provenance = "lp"
-    try:
-        failure = oracle.location_certificate(
-            spec, hider, [(s.members, w) for s, w in pairs], value, args.max_subsets
-        )
-    except ValueError as exc:
-        raise CertificateFailure(f"closed form: {exc}") from None
-    if failure is not None:
-        raise CertificateFailure(f"{mode} solution failed its certificate")
+    claim = (spec, hider, [(s.members, w) for s, w in pairs], value)
     game = {"mode": mode, "locations": _location_document(spec), "budget": _text(spec.budget)}
     answer = {
         "hider": [_text(p) for p in hider],
@@ -235,7 +225,7 @@ def _solve_locations(doc, path, args, mode):
         "searcher distribution:",
         *(f"  {_set_label(spec, s, args.paper_names)}: {_text(p)}" for s, p in pairs),
     ]
-    return _result(game, value, answer, provenance, header, body, extras)
+    return claim, *_result(game, value, answer, provenance, header, body, extras)
 
 
 def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
@@ -270,12 +260,15 @@ def _two_type_failure(args, spec, hider, pairs, value):
     return _matrix_failure(matrix, hider, searcher, value, rows, ["quick-type", "slow-type"])
 
 
+def _two_type_claim(spec, closed):
+    hider = (closed.type1_mass, 1 - closed.type1_mass)
+    return spec, hider, closed.searcher_mix, closed.value
+
+
 def _solve_two_type(doc, path, args, mode):
     spec = inputs.two_type_spec_from(doc, path)
     closed = inputs.checked(path, closed_forms.solve_two_type, spec)
-    hider = (closed.type1_mass, 1 - closed.type1_mass)
-    if _two_type_failure(args, spec, hider, closed.searcher_mix, closed.value) is not None:
-        raise CertificateFailure("two-type closed form failed the certificate")
+    claim = _two_type_claim(spec, closed)
     # The set cap bounds the rows too, so the row cap never decides here.
     cap = min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS)
     try:
@@ -290,7 +283,7 @@ def _solve_two_type(doc, path, args, mode):
                 f"LP value {lp_value}"
             )
         provenance = "both"
-    quick, slow = (_text(mass) for mass in hider)
+    quick, slow = (_text(mass) for mass in claim[1])
     mean = _text(closed.mean_type2_searches)
     answer = {
         "hider": {"type1_mass": quick, "type2_mass": slow},
@@ -313,12 +306,12 @@ def _solve_two_type(doc, path, args, mode):
         f"mean slow inspections: {mean} (max feasible {closed.max_type2_searches})",
     ]
     game = {"mode": "two-type", "two_type": _two_type_block(spec)}
-    return _result(game, closed.value, answer, provenance, head, body)
+    return claim, *_result(game, closed.value, answer, provenance, head, body)
 
 
-def _learning_document(spec: learning.LearningSpec) -> tuple[dict, list[str]]:
-    # learning.solve certifies its answer with the oracle or raises.
+def _learning_document(spec: learning.LearningSpec):
     sol = learning.solve(spec)
+    mix = (sol.stay_probability, sol.switch_probability)
     favored = learning.stay_is_favored(spec)
     game = {
         "mode": "learning",
@@ -361,20 +354,29 @@ def _learning_document(spec: learning.LearningSpec) -> tuple[dict, list[str]]:
     else:
         body.append("posterior: escape impossible (both escape probabilities 0)")
     provenance = "both" if sol.used_shortcut else "lp"
-    return _result(game, sol.value, answer, provenance, head, body)
+    return (spec, mix, mix, sol.value), *_result(game, sol.value, answer, provenance, head, body)
 
 
 def _solve_learning(doc, path, args, mode):
     return _learning_document(inputs.learning_spec_from(doc, path))
 
 
+def _certify(args, mode: str, claim) -> None:
+    """Raise CertificateFailure unless ``claim``, the (spec, hider, mix,
+    value) of ``mode``'s verify reader, passes the mode's certificate."""
+    try:
+        failure = _MODES[mode][2](args, *claim)
+    except ValueError as exc:
+        raise CertificateFailure(f"closed form: {exc}") from None
+    if failure is not None:
+        raise CertificateFailure(f"{mode} solution failed its certificate")
+
+
 def cmd_solve(args) -> int:
     doc = inputs.load_game_file(args.file, _MODES)
     mode = args.mode or doc["mode"]
-    started = time.perf_counter()
-    document, table = _MODES[mode][0](doc, args.file, args, mode)
-    if args.timing:
-        document["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    claim, document, table = _MODES[mode][0](doc, args.file, args, mode)
+    _certify(args, mode, claim)
     _emit(args, document, table)
     return EXIT_OK
 
@@ -414,6 +416,11 @@ def sweep_budget(
     from ``oracle.certified_ranges`` on the LP's own answer, and from
     ``lp_solver.hider_uniqueness`` only where that returns None; both
     give the exact ranges, so the entries do not depend on which one ran.
+    Where ``certified_ranges`` returns None, ``oracle.verify_equilibrium``
+    runs first and a failure raises ``CertificateFailure``. ``max_rows``
+    was sized from ``solve_zero_sum`` times and does not bound the probe,
+    an LP over all m rows: on a 597-row game it was still running when
+    stopped at about 57 s.
 
     Budgets are evaluated in ascending order and the value is checked
     by ``oracle.check_nondecreasing`` (extra search time can never hurt
@@ -428,6 +435,8 @@ def sweep_budget(
         hider = sol.col_strategy
         ranges = oracle.certified_ranges(matrix, hider, sol.row_strategy, sol.value)
         if ranges is None:
+            if not oracle.verify_equilibrium(matrix, hider, sol.row_strategy, sol.value).ok:
+                raise CertificateFailure(f"budget {_text(k)}: LP solution failed its certificate")
             ranges = lp_solver.hider_uniqueness(matrix, sol.value).ranges
         unique = all(lo == hi for lo, hi in ranges)
         entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
@@ -472,9 +481,12 @@ def _sweep_two_type(doc, args, budgets) -> int:
         raise ValueError("--k-from must be a positive integer in a two-type sweep")
 
     def solve(k):
-        return closed_forms.solve_two_type(replace(spec, budget=int(k)))
+        budget_spec = replace(spec, budget=int(k))
+        closed = inputs.checked(args.file, closed_forms.solve_two_type, budget_spec)
+        _certify(args, "two-type", _two_type_claim(budget_spec, closed))
+        return closed
 
-    solutions = [inputs.checked(args.file, solve, k) for k in budgets]
+    solutions = [solve(k) for k in budgets]
     oracle.check_nondecreasing(budgets, [c.value for c in solutions])
 
     def row(k, c):
@@ -501,7 +513,9 @@ def _sweep_two_type(doc, args, budgets) -> int:
 
 def cmd_learning(args) -> int:
     low, high = inputs.number(args.low, "--low"), inputs.number(args.high, "--high")
-    _emit(args, *_learning_document(learning.LearningSpec(low, high)))
+    claim, document, table = _learning_document(learning.LearningSpec(low, high))
+    _certify(args, "learning", claim)
+    _emit(args, document, table)
     return EXIT_OK
 
 
@@ -584,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     def max_rows(p):
         p.add_argument(
             "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
-            help="cap on the maximal feasible sets the exact LP runs over",
+            help="cap on the maximal feasible sets the exact LP runs over, sized "
+            "from its solve times; it does not bound a sweep's uniqueness probe",
         )
 
     solve = sub.add_parser("solve", help="solve one game file")
@@ -596,11 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     max_subsets(solve)
     max_rows(solve)
-    solve.add_argument(
-        "--timing", action="store_true",
-        help="include wall-clock timing in the JSON document "
-        "(off by default to keep outputs byte-identical)",
-    )
     common_output(solve)
     solve.set_defaults(func=cmd_solve)
 

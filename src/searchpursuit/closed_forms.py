@@ -75,14 +75,9 @@ def solve_constant_times(captures, budget) -> ConstantTimeSolution:
     are raised toward 1, in index order, until they sum to k.
     :func:`_systematic_sets` splits that coverage into k-sets.
     """
-    ps = [parse_rational(p) for p in captures]
-    n = len(ps)
-    if n == 0:
-        raise ValueError("at least one location is required")
-    for p in ps:
-        if not 0 < p <= 1:
-            raise ValueError("capture probabilities must be in (0, 1]")
-    k = parse_rational(budget)
+    captures = tuple(captures)
+    spec = GameSpec((ONE,) * len(captures), captures, budget)
+    ps, n, k = spec.captures, spec.n, spec.budget
     if k.denominator != 1:
         raise ValueError("budget must be an integer number of inspections")
     if not 1 <= k <= n:
@@ -181,13 +176,9 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
     (``verified`` is then False), for callers that certify the solution
     themselves.
     """
-    ps = [parse_rational(p) for p in captures]
-    n = len(ps)
-    if n == 0:
-        raise ValueError("at least one location is required")
-    for p in ps:
-        if not 0 < p <= 1:
-            raise ValueError("capture probabilities must be in (0, 1]")
+    captures = tuple(captures)
+    spec = GameSpec(tuple(range(1, len(captures) + 1)), captures, len(captures))
+    ps, n = spec.captures, spec.n
     for i in range(1, n):
         if ps[i] > ps[i - 1]:
             raise ValueError(
@@ -201,9 +192,6 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
     probs = tuple(
         (ONE / ps[j - 1]) / inv_sum if j >= support_start else ZERO
         for j in range(1, n + 1)
-    )
-    spec = GameSpec(
-        tuple(Fraction(i) for i in range(1, n + 1)), tuple(ps), Fraction(n)
     )
     mix: list[tuple[SearchSet, Fraction]] = []
     for j in range(support_start, n + 1):

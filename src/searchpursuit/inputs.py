@@ -259,7 +259,7 @@ def two_type_solution(game_doc, solution, path: str, where: str):
     """A two-type solution: the hider is (quick-type mass, slow-type
     mass), the mix holds (slow locations inspected, probability) pairs."""
     spec = two_type_spec_from(game_doc, path)
-    m = len(closed_forms.two_type_matrix(spec)) - 1
+    m = spec.budget // spec.type2_time  # the most slow locations inspected
     hider_block = solution.get("hider")
     if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
         raise ValueError(f"{where}: two-type solutions carry hider.type1_mass")

@@ -5,10 +5,12 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import searchpursuit
 from conftest import roadmap_game
 from searchpursuit import InstanceTooLarge
 from searchpursuit.cli import DEFAULT_MAX_ROWS, main, sweep_budget
@@ -38,6 +40,25 @@ TWO_TYPE = {
 
 LEARNING = {"mode": "learning", "learning": {"low": "1/3", "high": "2/3"}}
 
+# Per mode: a game, the solver the CLI calls for it (module, name), and
+# the fields of that solver's answer to change so that the answer fails
+# its certificate.
+BROKEN_ANSWERS = {
+    "general": (EXAMPLE, "lp_solver", "solve_zero_sum", lambda s: {"col_strategy": (1, 0, 0, 0)}),
+    "constant-times": (
+        {"locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")], "budget": 2},
+        "closed_forms", "solve_constant_times", lambda s: {"value": 2 * s.value},
+    ),
+    "arithmetic-times": (
+        STAIRCASE, "closed_forms", "solve_arithmetic_times", lambda s: {"value": 2 * s.value}
+    ),
+    "two-type": (TWO_TYPE, "closed_forms", "solve_two_type", lambda s: {"type1_mass": F(1)}),
+    "learning": (
+        LEARNING, "learning", "solve",
+        lambda s: {"stay_probability": F(1), "switch_probability": F(0)},
+    ),
+}
+
 # 40 unit-time locations at budget 20: about 2**39 feasible sets, far
 # past the enumeration cap, in the interior regime.
 CONSTANT_40_20 = {
@@ -52,6 +73,19 @@ STAIRCASE_80 = {
     "locations": [{"time": i, "capture": f"1/{i + 1}"} for i in range(1, 81)],
     "budget": 80,
 }
+
+
+def break_solver(monkeypatch, module, name, change):
+    """Patch ``searchpursuit.<module>.<name>`` to return its answer with
+    the fields ``change(answer)`` gives replaced."""
+    mod = getattr(searchpursuit, module)
+    real = getattr(mod, name)
+
+    def broken(*args, **kwargs):
+        answer = real(*args, **kwargs)
+        return replace(answer, **change(answer))
+
+    monkeypatch.setattr(mod, name, broken)
 
 
 def write(tmp_path, name, doc):
@@ -126,12 +160,6 @@ class TestSolve:
         first = capsys.readouterr().out
         assert main(["solve", path, "--format", "both"]) == 0
         assert capsys.readouterr().out == first
-
-    def test_timing_flag_adds_timing(self, tmp_path, capsys):
-        path = write(tmp_path, "g.json", EXAMPLE)
-        code, doc = run_json(capsys, ["solve", path, "--format", "json", "--timing"])
-        assert code == 0
-        assert doc["timing"]["seconds"] >= 0
 
     def test_output_file(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
@@ -251,6 +279,20 @@ class TestSolve:
         assert captured.err == (
             "certificate failure: closed form: searcher set [1] is not a row of the game\n"
         )
+
+    @pytest.mark.parametrize("mode", BROKEN_ANSWERS)
+    def test_answer_that_fails_its_certificate_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        game, *solver = BROKEN_ANSWERS[mode]
+        break_solver(monkeypatch, *solver)
+        path = write(tmp_path, "g.json", dict(game, mode=mode))
+        out_path = tmp_path / "result.json"
+        assert main(["solve", path, "--format", "both", "--output", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"certificate failure: {mode} solution failed its certificate\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("mode", ["general", "constant-times", "arithmetic-times"])
     def test_location_solve_certifies_without_the_matrix_certificate(
@@ -682,6 +724,28 @@ class TestSweep:
             "error: --k-from must be a positive integer in a two-type sweep\n",
         )
 
+    def test_two_type_sweep_certifies_every_budget(self, tmp_path, capsys, monkeypatch):
+        break_solver(monkeypatch, *BROKEN_ANSWERS["two-type"][1:])
+        path = write(tmp_path, "g.json", TWO_TYPE)
+        assert main(["sweep", path, "--k-from", "2", "--k-to", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "certificate failure: two-type solution failed its certificate\n"
+
+    def test_location_sweep_refuses_an_uncertified_lp_answer(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The range certificate gives nothing for a hider that is not
+        # optimal; the sweep must not fall back on the probe and print it.
+        break_solver(monkeypatch, *BROKEN_ANSWERS["general"][1:])
+        path = write(tmp_path, "g.json", EXAMPLE)
+        assert main(["sweep", path, "--k-from", "7", "--k-to", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate failure: budget 7: LP solution failed its certificate\n"
+        )
+
     def test_budget_range_past_the_cap_is_refused_fast(self, tmp_path):
         path = write(tmp_path, "g.json", EXAMPLE)
         code, seconds, err = timed_main_in_child(
@@ -722,6 +786,13 @@ class TestLearning:
     def test_invalid_probabilities(self, capsys):
         assert main(["learning", "--low", "2/3", "--high", "1/3"]) == 2
         assert main(["learning", "--low", "0", "--high", "3/2"]) == 2
+
+    def test_answer_that_fails_its_certificate_is_not_printed(self, capsys, monkeypatch):
+        break_solver(monkeypatch, *BROKEN_ANSWERS["learning"][1:])
+        assert main(["learning", "--low", "1/3", "--high", "2/3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "certificate failure: learning solution failed its certificate\n"
 
 
 class TestVerify:
