@@ -3,14 +3,14 @@ commands, each mode's certificate, and the rendering of results.
 
 ``inputs`` reads and checks everything from outside the program.
 ``_MODES`` lists every mode once, with its solver, its verify reader
-and its certificate. The general mode enumerates the maximal sets,
-builds the matrix and solves the LP; the constant-times and
-arithmetic-times modes take their answer from the closed form and
-neither enumerate nor run the LP. Each solver returns its claim as the
-mode's verify reader would, and ``_certify`` runs the mode's
-certificate on it before anything is written: for location lists
-``oracle.location_certificate``, which needs no matrix, for two-type
-and learning games their small matrices.
+and its certificate. The general mode solves by column generation
+(``lp_solver.solve_location_game``) and lists the searcher's support
+only; the constant-times and arithmetic-times modes take their answer
+from the closed form and neither enumerate nor run an LP. Each solver
+returns its claim as the mode's verify reader would, and ``_certify``
+runs the mode's certificate on it before anything is written: for
+location lists ``oracle.location_certificate``, which needs no matrix,
+for two-type and learning games their small matrices.
 
 Results go out as a table, a JSON document or both, in one layout for
 every mode; ``--output`` writes the document to a file in every
@@ -20,8 +20,9 @@ built on first use, which parsing never changes.
 
 ``sweep_budget`` drives the location-list sweep: one enumeration, LP
 and range certificate per budget, the uniqueness probe only where the
-certificate tells nothing. Before any LP starts, ``--max-rows`` caps
-the number of maximal sets it would run over.
+certificate tells nothing. ``--max-rows`` caps the maximal sets an LP
+holds: before a sweep's LP starts, the sets it would run over; during
+column generation, the sets in the master LP.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -54,10 +55,11 @@ EXIT_BROKEN_PIPE = 141
 # feasible sets, maximal or not; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
-# The most maximal sets, and so payoff rows, that ``solve`` and each
-# budget of ``sweep`` run the exact LP over (see ``_location_matrix``).
-# Random 14- to 17-location games up to this size solve in at most
-# about 12 s; one of 3,327 rows took 35 s.
+# The most maximal sets an exact LP holds: the master LP of ``solve``'s
+# column generation, or the payoff rows of each budget of ``sweep``
+# (see ``_location_matrix``). Sized from the full LP: random 14- to
+# 17-location games up to this size solve in at most about 12 s; one
+# of 3,327 rows took 35 s.
 DEFAULT_MAX_ROWS = 3000
 
 
@@ -198,16 +200,21 @@ _CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithme
 
 def _solve_locations(doc, path, args, mode):
     """Solve a location-list game, by its mode's closed form or else by
-    enumeration and the LP."""
+    column generation, after the feasible sets are counted against
+    ``--max-subsets``."""
     spec = inputs.game_spec_from(doc, path, mode)
     if mode in _CLOSED_FORMS:
         value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
         provenance = "closed-form"
     else:
-        rows, matrix = _location_matrix(spec, args.max_subsets, args.max_rows)
-        sol = lp_solver.solve_zero_sum(matrix)
-        value, hider, extras = sol.value, sol.col_strategy, None
-        pairs = list(zip(rows, sol.row_strategy))
+        game_core.check_size(spec, args.max_subsets)
+        try:
+            sol = lp_solver.solve_location_game(spec, args.max_rows)
+        except game_core.InstanceTooLarge as exc:
+            raise game_core.InstanceTooLarge(
+                f"{exc} (--max-rows); instance too large for the exact LP"
+            ) from None
+        value, hider, pairs, extras = sol.value, sol.hider, sol.searcher, None
         header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
         provenance = "lp"
     claim = (spec, hider, [(s.members, w) for s, w in pairs], value)
@@ -353,7 +360,7 @@ def _learning_document(spec: learning.LearningSpec):
         ]
     else:
         body.append("posterior: escape impossible (both escape probabilities 0)")
-    provenance = "both" if sol.used_shortcut else "lp"
+    provenance = "closed-form" if sol.used_shortcut else "lp"
     return (spec, mix, mix, sol.value), *_result(game, sol.value, answer, provenance, head, body)
 
 
@@ -598,8 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     def max_rows(p):
         p.add_argument(
             "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
-            help="cap on the maximal feasible sets the exact LP runs over, sized "
-            "from its solve times; it does not bound a sweep's uniqueness probe",
+            help="cap on the maximal feasible sets an exact LP holds: solve's "
+            "master LP, or each sweep budget's full LP; it does not bound a "
+            "sweep's uniqueness probe",
         )
 
     solve = sub.add_parser("solve", help="solve one game file")
@@ -645,15 +653,17 @@ def main(argv=None) -> int:
     except (game_core.InstanceTooLarge, NumberTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except oracle.MonotonicityError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        # oracle.MonotonicityError, lp_solver.UnboundedError and every
+        # solver's failed postcondition: a fault of the program.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 def run() -> int:

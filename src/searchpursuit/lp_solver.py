@@ -18,6 +18,17 @@ objective row. Matrices with more rows than columns are solved through
 the negated transpose so the tableau always has min(m, n) constraint
 rows.
 
+``solve_location_game`` solves a location game without listing its
+maximal sets, by column generation (Gilmore and Gomory 1961): the
+searcher's LP is a cutting-stock LP whose pricing step is a 0/1
+knapsack over the search times. Its master LP is the swapped game's
+``_game_lp`` over the sets generated so far, on n location rows, seeded
+with one greedy maximal set per location and re-optimized by the same
+``_optimize`` from its last basis after each priced set enters. The
+pricer, ``_best_set``, is a branch and bound of its own, not
+``game_core.max_payoff``, the knapsack of the certificate that checks
+its answers. The searcher's mix comes back over its support only.
+
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
 {y >= 0, sum(y) = 1, My <= v} with the same pivoting code. It solves
 the same LP, ``_game_lp``, on the matrix as given, and checks the
@@ -31,9 +42,11 @@ when the maxima do not already prove the hider unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import game_core
 from .rationals import parse_matrix, parse_rational
 
 ZERO = Fraction(0)
@@ -274,3 +287,159 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     )
     # The maxima sum past 1, so some coordinate takes two values.
     return UniquenessReport(ranges, False)
+
+
+@dataclass(frozen=True)
+class LocationSolution:
+    """Value and one optimal strategy per player of a location game.
+
+    ``searcher`` holds (set, weight) pairs over the searcher's support
+    only, each set maximal, sorted by members.
+    """
+
+    value: Fraction
+    hider: tuple[Fraction, ...]
+    searcher: tuple[tuple[game_core.SearchSet, Fraction], ...]
+
+
+def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, ...]]:
+    """The largest total of ``benefits`` (one nonnegative rational per
+    location) over a set within budget, and the members of one set that
+    reaches it.
+
+    An exact 0/1 knapsack by depth-first branch and bound, in integers
+    over common denominators: the locations that can add something are
+    taken in decreasing benefit per unit of time, each node tries taking
+    its location before skipping it, and a node is dropped once its
+    fractional (Dantzig) bound cannot beat the best set found so far.
+    The certificate's knapsack, ``game_core.max_payoff``, is a different
+    routine, so a set this one misses is not certified as optimal by the
+    same mistake.
+    """
+    scale = math.lcm(spec.budget.denominator, *(t.denominator for t in spec.times))
+    budget = spec.budget.numerator * (scale // spec.budget.denominator)
+    den = math.lcm(*(b.denominator for b in benefits))
+    items = []
+    for i, (t, b) in enumerate(zip(spec.times, benefits), start=1):
+        time = t.numerator * (scale // t.denominator)
+        if b > 0 and time <= budget:
+            items.append((time, b.numerator * (den // b.denominator), i))
+    items.sort(key=lambda item: (Fraction(-item[1], item[0]), item[2]))
+
+    def beats(k, room, gain, best):
+        """Whether the fractional fill of ``room`` from item k on lifts
+        ``gain`` above ``best``."""
+        for time, g, _ in items[k:]:
+            if time > room:
+                # gain + g * room / time > best, cross-multiplied.
+                return (gain - best) * time + g * room > 0
+            room -= time
+            gain += g
+        return gain > best
+
+    best, chosen = 0, ()
+    stack = [(0, budget, 0, ())]
+    while stack:
+        k, room, gain, members = stack.pop()
+        if gain > best:
+            best, chosen = gain, members
+        if k == len(items) or not beats(k, room, gain, best):
+            continue
+        time, g, i = items[k]
+        stack.append((k + 1, room, gain, members))
+        if time <= room:
+            stack.append((k + 1, room - time, gain + g, members + (i,)))
+    return Fraction(best, den), tuple(sorted(chosen))
+
+
+def _extend(spec: game_core.GameSpec, members, order) -> tuple[int, ...]:
+    """``members`` with each location of ``order`` added in turn while it
+    fits: a maximal set, since a location passed over took longer than
+    the time then left, which only shrinks."""
+    room = spec.budget - sum(spec.times[i - 1] for i in members)
+    out = set(members)
+    for i in order:
+        if i not in out and spec.times[i - 1] <= room:
+            out.add(i)
+            room -= spec.times[i - 1]
+    return tuple(sorted(out))
+
+
+def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolution:
+    """Solve a location game exactly by column generation.
+
+    The master LP is ``_game_lp``'s LP of the game with the players
+    swapped, one row per location and one column per generated set A,
+    over N[i][A] = 2 - p_i [i in A] / p_max: max sum(x) s.t. Nx <= 1,
+    x >= 0, whose optimum ``total`` gives the value p_max (2 - 1/total).
+    Slack columns come first, so the dual prices pi are the negated
+    slack entries of the objective row and B^-1 is read from the slack
+    columns; a new set column enters as B^-1 N[., A] with reduced cost
+    1 - 2 sum(pi) + sum over i in A of pi_i p_i / p_max.
+
+    The master starts with one greedy maximal set per location (the
+    location, then others in decreasing capture per unit of time while
+    they fit) and is re-optimized by ``_optimize`` from its last basis
+    after every new column. The pricing step is ``_best_set`` on the
+    benefits pi_i p_i; while the best set's reduced cost is positive it
+    is extended to a maximal set and enters. Once none is, no feasible
+    set pays more than the value against the hider pi / total, so both
+    strategies are optimal in the game over every maximal set.
+
+    Raises ``game_core.InstanceTooLarge`` before the master holds more
+    than ``max_sets`` sets.
+    """
+    n = spec.n
+    p_max = max(spec.captures)
+    share = [p / p_max for p in spec.captures]
+    order = sorted(
+        range(1, n + 1), key=lambda i: (-spec.captures[i - 1] / spec.times[i - 1], i)
+    )
+    rows = [[ONE if k == i else ZERO for k in range(n)] + [ONE] for i in range(n)]
+    obj = [ZERO] * (n + 1)
+    basis = list(range(n))
+    sets: list[tuple[int, ...]] = []
+
+    def add(members):
+        if members in sets:
+            raise RuntimeError("column generation postcondition violated")
+        if len(sets) == max_sets:
+            raise game_core.InstanceTooLarge(
+                f"{len(sets) + 1} maximal feasible sets in the master LP, more than {max_sets}"
+            )
+        # Each entry is s . N[., A] = 2 sum(s) - sum over i in A of
+        # s_i p_i / p_max, for s the row's slack part; the zeros of s,
+        # which add nothing, are skipped. The objective's entry is the
+        # reduced cost, so its column cost 1 is added.
+        for row in rows + [obj]:
+            s = row[:n]
+            entry = 2 * sum(filter(None, s)) - sum(
+                s[i - 1] * share[i - 1] for i in members if s[i - 1]
+            )
+            row.insert(-1, entry)
+        obj[-2] += 1
+        sets.append(members)
+
+    for i in range(1, n + 1):
+        seed = _extend(spec, (i,) if spec.times[i - 1] <= spec.budget else (), order)
+        if seed not in sets:
+            add(seed)
+    while True:
+        _optimize(rows, obj, basis, len(obj) - 1)
+        duals = [-obj[i] for i in range(n)]
+        gain, best = _best_set(spec, [d * p for d, p in zip(duals, spec.captures)])
+        if 1 - 2 * sum(duals) + gain / p_max <= 0:
+            break
+        add(_extend(spec, best, order))
+    total = -obj[-1]
+    if sum(duals) != total:
+        raise RuntimeError("column generation postcondition violated")  # pragma: no cover
+    weights = [ZERO] * len(sets)
+    for r, b in enumerate(basis):
+        if b >= n:
+            weights[b - n] = rows[r][-1] / total
+    searcher = sorted(
+        (game_core.SearchSet(s), w) for s, w in zip(sets, weights) if w
+    )
+    hider = tuple(d / total for d in duals)
+    return LocationSolution(p_max * (2 - 1 / total), hider, tuple(searcher))

@@ -44,7 +44,7 @@ LEARNING = {"mode": "learning", "learning": {"low": "1/3", "high": "2/3"}}
 # the fields of that solver's answer to change so that the answer fails
 # its certificate.
 BROKEN_ANSWERS = {
-    "general": (EXAMPLE, "lp_solver", "solve_zero_sum", lambda s: {"col_strategy": (1, 0, 0, 0)}),
+    "general": (EXAMPLE, "lp_solver", "solve_location_game", lambda s: {"hider": (1, 0, 0, 0)}),
     "constant-times": (
         {"locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")], "budget": 2},
         "closed_forms", "solve_constant_times", lambda s: {"value": 2 * s.value},
@@ -303,12 +303,12 @@ class TestSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("dense certificate, enumeration or LP called")
 
+        # A closed form is its own answer, and column generation lists
+        # only the sets it prices: no row is enumerated and no LP runs
+        # over the full matrix.
         monkeypatch.setattr(oracle, "verify_equilibrium", refuse)
-        if mode != "general":
-            # A closed form is its own answer: no row is enumerated and
-            # no LP is run.
-            monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
-            monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
+        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
+        monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
         if mode == "constant-times":
             doc = {
                 "locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")],
@@ -568,14 +568,22 @@ def roadmap_doc(seed, n):
 
 
 class TestRowCap:
-    """``--max-rows`` refuses an LP over too many maximal sets before it
-    starts."""
+    """``--max-rows`` caps the sets the master LP of ``solve`` holds, and
+    refuses a sweep's LP over too many maximal sets before it starts."""
 
-    def test_n18_game_is_refused_fast(self, tmp_path):
-        # 6,999 maximal sets: the LP ran past 90 s with Bland's rule, and
-        # enumerating the rows takes well under a second.
+    def test_n18_game_solves_by_column_generation(self, tmp_path):
+        # 6,999 maximal sets: the LP over all of them ran past 90 s.
         path = write(tmp_path, "g.json", roadmap_doc(0, 18))
-        code, seconds, err = timed_main_in_child(["solve", path])
+        code, seconds, err = timed_main_in_child(["solve", path, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert seconds < 5
+
+    def test_n18_sweep_is_refused_fast(self, tmp_path):
+        path = write(tmp_path, "g.json", roadmap_doc(0, 18))
+        budget = str(roadmap_game(0, 18).budget)
+        code, seconds, err = timed_main_in_child(
+            ["sweep", path, "--k-from", budget, "--k-to", budget]
+        )
         assert code == 3
         assert seconds < 2
         assert (
@@ -583,15 +591,16 @@ class TestRowCap:
             in err
         )
 
-    def test_solve_cap_is_on_the_rows(self, tmp_path, capsys):
-        # The worked example has three maximal sets.
+    def test_solve_cap_is_on_the_master_lp(self, tmp_path, capsys):
+        # The master LP of the worked example starts from its three
+        # maximal sets, one per location, and needs no other.
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["solve", path, "--max-rows", "3"]) == 0
         capsys.readouterr()
         assert main(["solve", path, "--max-rows", "2"]) == 3
         assert capsys.readouterr().err == (
-            "error: 3 maximal feasible sets, more than --max-rows (2); "
-            "instance too large for the exact LP\n"
+            "error: 3 maximal feasible sets in the master LP, more than 2 "
+            "(--max-rows); instance too large for the exact LP\n"
         )
 
     def test_sweep_cap_is_per_budget(self, tmp_path, capsys):
@@ -737,7 +746,9 @@ class TestSweep:
     ):
         # The range certificate gives nothing for a hider that is not
         # optimal; the sweep must not fall back on the probe and print it.
-        break_solver(monkeypatch, *BROKEN_ANSWERS["general"][1:])
+        break_solver(
+            monkeypatch, "lp_solver", "solve_zero_sum", lambda s: {"col_strategy": (1, 0, 0, 0)}
+        )
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["sweep", path, "--k-from", "7", "--k-to", "7"]) == 1
         captured = capsys.readouterr()
@@ -782,6 +793,16 @@ class TestLearning:
         out = capsys.readouterr().out
         assert "value: 33/80" in out
         assert "P(stay after escape)   = 3/5" in out
+
+    @pytest.mark.parametrize(
+        "low, high, provenance",
+        [("1/3", "2/3", "closed-form"), ("0", "0", "lp"), ("0", "1", "lp"), ("1", "1", "lp")],
+    )
+    def test_provenance_names_the_path_that_ran(self, capsys, low, high, provenance):
+        # The diagonal shortcut runs no LP; only the degenerate corners do.
+        argv = ["learning", "--low", low, "--high", high, "--format", "json"]
+        code, doc = run_json(capsys, argv)
+        assert (code, doc["provenance"]) == (0, provenance)
 
     def test_invalid_probabilities(self, capsys):
         assert main(["learning", "--low", "2/3", "--high", "1/3"]) == 2
@@ -1034,6 +1055,71 @@ class TestVerify:
         sol_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", game_path, str(sol_path)]) == 2
         assert "type2_searched must be an integer" in capsys.readouterr().err
+
+
+def _decreasing(budgets, values):
+    raise searchpursuit.oracle.MonotonicityError("value decreased from 1 to 0 at budget 7")
+
+
+def _off_by_one_total(real):
+    def patched(matrix):
+        value, total, *rest = real(matrix)
+        return (value, total + 1, *rest)
+
+    return patched
+
+
+class TestInternalErrors:
+    """A solver's RuntimeError is a fault of the program: exit 1 with
+    ``internal error: ...`` and nothing on standard output."""
+
+    CASES = {
+        "unbounded": (
+            "lp_solver", "_leaving", lambda real: lambda *args: None,
+            "solve", "unbounded linear program",
+        ),
+        "simplex-postcondition": (
+            "lp_solver", "_game_lp", _off_by_one_total,
+            "sweep", "simplex postcondition violated",
+        ),
+        "column-generation-postcondition": (
+            # The pricer names {1}, already in the master, as improving.
+            "lp_solver", "_best_set", lambda real: lambda spec, benefits: (F(1), (1,)),
+            "solve", "column generation postcondition violated",
+        ),
+        "learning-affine-identity": (
+            "learning", "solve_zero_sum",
+            lambda real: lambda matrix: replace(real(matrix), value=real(matrix).value + 1),
+            "learning-corner", "affine reduction identity violated",
+        ),
+        "learning-certificate": (
+            "learning", "verify_equilibrium",
+            lambda real: lambda *args: replace(real(*args), ok=False),
+            "learning", "learning solution failed its equilibrium certificate",
+        ),
+        "monotonicity": (
+            "oracle", "check_nondecreasing", lambda real: _decreasing,
+            "sweep", "value decreased from 1 to 0 at budget 7",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch, case):
+        module, name, patch, command, message = self.CASES[case]
+        mod = getattr(searchpursuit, module)
+        monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
+        path = write(tmp_path, "g.json", EXAMPLE)
+        argv = {
+            "solve": ["solve", path],
+            "sweep": ["sweep", path, "--k-from", "7", "--k-to", "7"],
+            "learning": ["learning", "--low", "1/3", "--high", "2/3"],
+            # A degenerate corner, which the LP solves.
+            "learning-corner": ["learning", "--low", "0", "--high", "0"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {message}\n"
 
 
 class TestParserReuse:

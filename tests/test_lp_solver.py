@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from conftest import (
     negated_transpose,
     random_game,
     random_matrix,
+    rational_games,
     roadmap_game,
     small_games,
     unit_fraction,
@@ -16,12 +18,13 @@ from conftest import (
 from searchpursuit import lp_solver
 from searchpursuit import (
     GameSpec,
+    InstanceTooLarge,
     build_matrix,
     hider_uniqueness,
     maximal_feasible_sets,
     solve_zero_sum,
 )
-from searchpursuit.lp_solver import solve_diagonal
+from searchpursuit.lp_solver import solve_diagonal, solve_location_game
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
@@ -458,3 +461,98 @@ def test_probe_properties_on_random_games(spec):
     for wrong in (sol.value - F(1, 1000), sol.value + F(1, 1000)):
         with pytest.raises(ValueError, match="not the exact game value"):
             hider_uniqueness(matrix, wrong)
+
+
+def brute_best_set(spec, benefits):
+    """The largest benefit total over every set within budget, by trying
+    them all."""
+    return max(
+        sum((benefits[i - 1] for i in combo), F(0))
+        for r in range(spec.n + 1)
+        for combo in combinations(range(1, spec.n + 1), r)
+        if sum((spec.times[i - 1] for i in combo), F(0)) <= spec.budget
+    )
+
+
+def full_matrix_answer(spec, sol):
+    """The full matrix over every maximal set and ``sol``'s searcher as a
+    weight per row of it."""
+    rows = maximal_feasible_sets(spec)
+    weights = dict(sol.searcher)
+    return build_matrix(spec, rows), [weights.get(row, F(0)) for row in rows]
+
+
+class TestLocationGame:
+    def test_worked_example_settles_on_its_seeds(self):
+        spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)
+        sol = solve_location_game(spec, 3)
+        assert sol.value == F(6, 115)
+        assert sol.hider == (F(12, 23), F(0), F(8, 23), F(3, 23))
+        assert [(s.members, w) for s, w in sol.searcher] == [
+            ((1,), F(12, 23)), ((2, 3), F(8, 23)), ((4,), F(3, 23))
+        ]
+        message = "3 maximal feasible sets in the master LP, more than 2"
+        with pytest.raises(InstanceTooLarge, match=message):
+            solve_location_game(spec, 2)
+
+    def test_budget_below_every_search_time(self):
+        spec = GameSpec((3, 4, 5), ("1/2", "1/3", "1/4"), 2)
+        sol = solve_location_game(spec, 10)
+        assert sol.value == 0
+        assert [(s.members, w) for s, w in sol.searcher] == [((), F(1))]
+        assert sum(sol.hider) == 1
+
+    def test_budget_that_holds_every_location(self):
+        spec = GameSpec((1, 2, 3), ("1/2", "1/5", "1/3"), 6)
+        sol = solve_location_game(spec, 10)
+        assert sol.value == F(1, 5)
+        assert sol.hider == (F(0), F(1), F(0))
+        assert [(s.members, w) for s, w in sol.searcher] == [((1, 2, 3), F(1))]
+
+    def test_location_no_feasible_set_can_hold(self):
+        # Location 3 takes longer than the budget: the hider goes there.
+        spec = GameSpec((1, 2, 9), ("1/2", "1/5", "1/3"), 4)
+        sol = solve_location_game(spec, 10)
+        assert sol.value == 0
+        assert sol.hider == (F(0), F(0), F(1))
+        matrix, searcher = full_matrix_answer(spec, sol)
+        assert verify_equilibrium(matrix, sol.hider, searcher, sol.value).ok
+
+    def test_searcher_lists_its_support_sorted_by_members(self):
+        for seed, n in ((0, 8), (7, 8), (0, 9), (1, 9), (3, 12)):
+            sol = solve_location_game(roadmap_game(seed, n), 3000)
+            sets = [s for s, _ in sol.searcher]
+            assert sets == sorted(sets)
+            assert all(w > 0 for _, w in sol.searcher)
+            assert sum(w for _, w in sol.searcher) == 1
+
+    def test_roadmap_games_match_the_full_lp(self):
+        for seed in range(4):
+            for n in (10, 11):
+                spec = roadmap_game(seed, n)
+                sol = solve_location_game(spec, 3000)
+                matrix, searcher = full_matrix_answer(spec, sol)
+                assert sol.value == solve_zero_sum(matrix).value
+                assert verify_equilibrium(matrix, sol.hider, searcher, sol.value).ok
+
+
+@settings(max_examples=80)
+@given(rational_games(max_n=8))
+def test_column_generation_matches_the_full_lp(spec):
+    sol = solve_location_game(spec, 3000)
+    matrix, searcher = full_matrix_answer(spec, sol)
+    assert sol.value == solve_zero_sum(matrix).value
+    assert verify_equilibrium(matrix, sol.hider, searcher, sol.value).ok
+
+
+@settings(max_examples=100)
+@given(rational_games(), st.data())
+def test_pricer_finds_the_best_feasible_set(spec, data):
+    benefits = [
+        F(data.draw(st.integers(0, 6)), data.draw(st.integers(1, 4))) for _ in range(spec.n)
+    ]
+    gain, members = lp_solver._best_set(spec, benefits)
+    assert gain == brute_best_set(spec, benefits)
+    assert members == tuple(sorted(set(members)))
+    assert sum((spec.times[i - 1] for i in members), F(0)) <= spec.budget
+    assert sum((benefits[i - 1] for i in members), F(0)) == gain
