@@ -571,12 +571,18 @@ class TestRowCap:
     """``--max-rows`` caps the sets the master LP of ``solve`` holds, and
     refuses a sweep's LP over too many maximal sets before it starts."""
 
-    def test_n18_game_solves_by_column_generation(self, tmp_path):
+    def test_n18_game_solves_by_column_generation(self, tmp_path, capsys):
         # 6,999 maximal sets: the LP over all of them ran past 90 s.
         path = write(tmp_path, "g.json", roadmap_doc(0, 18))
-        code, seconds, err = timed_main_in_child(["solve", path, "--format", "json"])
+        sol_path = tmp_path / "s.json"
+        code, seconds, err = timed_main_in_child(
+            ["solve", path, "--format", "json", "--output", str(sol_path)]
+        )
         assert (code, err) == (0, "")
         assert seconds < 5
+        assert json.loads(sol_path.read_text(encoding="utf-8"))["certificate"] == {"ok": True}
+        assert main(["verify", path, str(sol_path)]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
 
     def test_n18_sweep_is_refused_fast(self, tmp_path):
         path = write(tmp_path, "g.json", roadmap_doc(0, 18))
