@@ -7,10 +7,11 @@ and its certificate. The general mode solves by column generation
 (``lp_solver.solve_location_game``) and lists the searcher's support
 only; the constant-times and arithmetic-times modes take their answer
 from the closed form and neither enumerate nor run an LP. Each solver
-returns its claim as the mode's verify reader would, and ``_certify``
-runs the mode's certificate on it before anything is written: for
-location lists ``oracle.location_certificate``, which needs no matrix,
-for two-type and learning games their small matrices.
+returns its claim as the mode's verify reader would, and its rendering,
+not yet run. ``solve`` and ``learning`` end in ``_answer``: the mode's
+certificate (for location lists ``oracle.location_certificate``, which
+needs no matrix, for two-type and learning games their small matrices)
+runs on the claim, then the rendering, then the writing.
 
 Results go out as a table, a JSON document or both, in one layout for
 every mode; ``--output`` writes the document to a file in every
@@ -73,7 +74,7 @@ class CertificateFailure(RuntimeError):
 
 def _text(q: Fraction) -> str:
     """``format_rational`` for everything printed. Documents and tables are
-    built before any output, so a NumberTooLarge comes before all of it."""
+    rendered before any output, so a NumberTooLarge comes before all of it."""
     try:
         return format_rational(q)
     except NumberTooLarge as exc:
@@ -119,8 +120,8 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
             head: list[str], body: list[str], extras: dict | None = None):
     """The JSON document and table of one solve, in every mode's layout:
     game fields, value, the mode's answer, provenance, certificate, extras;
-    head lines, value line, body, certificate line. ``_certify`` raises
-    before anything is written, so what is written always holds."""
+    head lines, value line, body, certificate line. ``_answer`` renders
+    only a claim that passed ``_certify``, so what is written holds."""
     document = {
         **game,
         "value": _value_json(value),
@@ -157,82 +158,99 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _constant_times(spec: game_core.GameSpec, path: str):
+def _general(spec: game_core.GameSpec, path: str, args):
+    """Column generation, once the feasible sets pass ``--max-subsets``."""
+    game_core.check_size(spec, args.max_subsets)
+    try:
+        sol = lp_solver.solve_location_game(spec, args.max_rows)
+    except game_core.InstanceTooLarge as exc:
+        raise game_core.InstanceTooLarge(
+            f"{exc} (--max-rows); instance too large for the exact LP"
+        ) from None
+
+    def details():
+        return None, [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
+
+    return sol.value, sol.hider, sol.searcher, details
+
+
+def _constant_times(spec: game_core.GameSpec, path: str, args):
     closed = inputs.checked(
         path, closed_forms.solve_constant_times, spec.captures, spec.budget
     )
-    extras = {"regime": closed.regime, "inv_capture_sum": _text(closed.inv_capture_sum)}
-    header = [
-        f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
-        f"regime: {closed.regime}",
-    ]
-    mix, extras = closed.searcher_mix, {"constant_times": extras}
-    return closed.value, closed.hider.probs, mix, extras, header
+
+    def details():
+        extras = {"regime": closed.regime, "inv_capture_sum": _text(closed.inv_capture_sum)}
+        header = [
+            f"game: {spec.n} unit-time locations, budget {_text(spec.budget)}",
+            f"regime: {closed.regime}",
+        ]
+        return {"constant_times": extras}, header
+
+    return closed.value, closed.hider.probs, closed.searcher_mix, details
 
 
-def _arithmetic_times(spec: game_core.GameSpec, path: str):
+def _arithmetic_times(spec: game_core.GameSpec, path: str, args):
     if spec.budget != spec.n:
         raise ValueError(f"{path}: mode 'arithmetic-times' requires budget n = {spec.n}")
-    # _certify runs the location certificate and raises before anything
-    # is written if it fails, so "verified" is true wherever it is printed.
+    # _answer runs the location certificate and renders only if it holds,
+    # so "verified" is true wherever it is printed.
     closed = inputs.checked(
         path, closed_forms.solve_arithmetic_times, spec.captures, certify=False
     )
-    extras = {
-        "support_start": closed.support_start,
-        "inv_capture_sum": _text(closed.inv_capture_sum),
-        "verified": True,
-        "uniqueness_expected": closed.uniqueness_expected,
-    }
-    header = [
-        f"game: staircase times 1..{spec.n}, budget {spec.n}",
-        f"hider support: locations {closed.support_start}..{spec.n}",
-    ]
-    mix, extras = closed.searcher_mix, {"arithmetic_times": extras}
-    return closed.value, closed.hider.probs, mix, extras, header
+
+    def details():
+        extras = {
+            "support_start": closed.support_start,
+            "inv_capture_sum": _text(closed.inv_capture_sum),
+            "verified": True,
+            "uniqueness_expected": closed.uniqueness_expected,
+        }
+        header = [
+            f"game: staircase times 1..{spec.n}, budget {spec.n}",
+            f"hider support: locations {closed.support_start}..{spec.n}",
+        ]
+        return {"arithmetic_times": extras}, header
+
+    return closed.value, closed.hider.probs, closed.searcher_mix, details
 
 
-# Closed forms of the location-list modes. Each returns (value, hider,
-# searcher mix as (set, weight) pairs, extras, header lines); "general"
-# has none and solves the LP.
-_CLOSED_FORMS = {"constant-times": _constant_times, "arithmetic-times": _arithmetic_times}
+# The solvers of the location-list modes: the LP for "general", the
+# closed forms for the others. Each returns (value, hider, searcher mix
+# as (set, weight) pairs, and a function that renders the mode's extras
+# and header lines).
+_LOCATION_SOLVERS = {
+    "general": _general,
+    "constant-times": _constant_times,
+    "arithmetic-times": _arithmetic_times,
+}
 
 
 def _solve_locations(doc, path, args, mode):
-    """Solve a location-list game, by its mode's closed form or else by
-    column generation, after the feasible sets are counted against
-    ``--max-subsets``."""
     spec = inputs.game_spec_from(doc, path, mode)
-    if mode in _CLOSED_FORMS:
-        value, hider, pairs, extras, header = _CLOSED_FORMS[mode](spec, path)
-        provenance = "closed-form"
-    else:
-        game_core.check_size(spec, args.max_subsets)
-        try:
-            sol = lp_solver.solve_location_game(spec, args.max_rows)
-        except game_core.InstanceTooLarge as exc:
-            raise game_core.InstanceTooLarge(
-                f"{exc} (--max-rows); instance too large for the exact LP"
-            ) from None
-        value, hider, pairs, extras = sol.value, sol.hider, sol.searcher, None
-        header = [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
-        provenance = "lp"
+    value, hider, pairs, details = _LOCATION_SOLVERS[mode](spec, path, args)
     claim = (spec, hider, [(s.members, w) for s, w in pairs], value)
-    game = {"mode": mode, "locations": _location_document(spec), "budget": _text(spec.budget)}
-    answer = {
-        "hider": [_text(p) for p in hider],
-        "searcher": [{"set": list(s.members), "probability": _text(w)} for s, w in pairs],
-    }
-    body = [
-        "hider distribution:",
-        *(
-            f"  location {_location_label(spec, i, args.paper_names)}: {_text(p)}"
-            for i, p in enumerate(hider, start=1)
-        ),
-        "searcher distribution:",
-        *(f"  {_set_label(spec, s, args.paper_names)}: {_text(p)}" for s, p in pairs),
-    ]
-    return claim, *_result(game, value, answer, provenance, header, body, extras)
+
+    def render():
+        extras, header = details()
+        game = {"mode": mode, "locations": _location_document(spec), "budget": _text(spec.budget)}
+        answer = {
+            "hider": [_text(p) for p in hider],
+            "searcher": [{"set": list(s.members), "probability": _text(w)} for s, w in pairs],
+        }
+        body = [
+            "hider distribution:",
+            *(
+                f"  location {_location_label(spec, i, args.paper_names)}: {_text(p)}"
+                for i, p in enumerate(hider, start=1)
+            ),
+            "searcher distribution:",
+            *(f"  {_set_label(spec, s, args.paper_names)}: {_text(p)}" for s, p in pairs),
+        ]
+        provenance = "lp" if mode == "general" else "closed-form"
+        return _result(game, value, answer, provenance, header, body, extras)
+
+    return claim, render
 
 
 def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
@@ -290,82 +308,88 @@ def _solve_two_type(doc, path, args, mode):
                 f"LP value {lp_value}"
             )
         provenance = "both"
-    quick, slow = (_text(mass) for mass in claim[1])
-    mean = _text(closed.mean_type2_searches)
-    answer = {
-        "hider": {"type1_mass": quick, "type2_mass": slow},
-        "searcher": [
-            {"type2_searched": j, "probability": _text(w)} for j, w in closed.searcher_mix
-        ],
-        "mean_type2_searches": mean,
-        "max_type2_searches": closed.max_type2_searches,
-    }
-    head = [
-        f"game: {spec.type1_count} quick locations (time 1, capture "
-        f"{_text(spec.type1_capture)}) and {spec.type2_count} slow "
-        f"locations (time {spec.type2_time}, capture "
-        f"{_text(spec.type2_capture)}), budget {spec.budget}",
-    ]
-    body = [
-        f"hider: quick-type mass {quick}, slow-type mass {slow}",
-        "searcher (number of slow locations inspected):",
-        *(f"  j={j}: {_text(w)}" for j, w in closed.searcher_mix),
-        f"mean slow inspections: {mean} (max feasible {closed.max_type2_searches})",
-    ]
-    game = {"mode": "two-type", "two_type": _two_type_block(spec)}
-    return claim, *_result(game, closed.value, answer, provenance, head, body)
 
-
-def _learning_document(spec: learning.LearningSpec):
-    sol = learning.solve(spec)
-    mix = (sol.stay_probability, sol.switch_probability)
-    favored = learning.stay_is_favored(spec)
-    game = {
-        "mode": "learning",
-        "learning": {"low": _text(spec.low), "high": _text(spec.high)},
-        "matrix": [[_text(v) for v in row] for row in sol.matrix],
-        "diagonal": [_text(v) for v in sol.diagonal],
-    }
-    answer = {
-        "stay_probability": _text(sol.stay_probability),
-        "switch_probability": _text(sol.switch_probability),
-        "stay_favored": favored,
-        "posterior": None,
-    }
-    head = [
-        f"escape probabilities: low {_text(spec.low)}, high {_text(spec.high)}",
-        "payoff matrix (rows/cols: stay, switch):",
-        *(f"  {_text(row[0])}  {_text(row[1])}" for row in sol.matrix),
-        f"diagonal form: ({', '.join(game['diagonal'])})",
-    ]
-    body = [
-        f"P(stay after escape)   = {answer['stay_probability']}",
-        f"P(switch after escape) = {answer['switch_probability']}",
-        f"stay favored: {'yes' if favored else 'no'}",
-    ]
-    if spec.low + spec.high > 0:
-        posterior = learning.posterior_after_escape(spec, sol)
-        answer["posterior"] = {
-            "high_escape": _text(posterior.high_escape_posterior),
-            "expected_escape": _text(posterior.expected_escape),
-            "implied_capture": _text(posterior.implied_capture),
-            "low_capture": _text(posterior.low_capture_posterior),
+    def render():
+        quick, slow = (_text(mass) for mass in claim[1])
+        mean = _text(closed.mean_type2_searches)
+        answer = {
+            "hider": {"type1_mass": quick, "type2_mass": slow},
+            "searcher": [
+                {"type2_searched": j, "probability": _text(w)} for j, w in closed.searcher_mix
+            ],
+            "mean_type2_searches": mean,
+            "max_type2_searches": closed.max_type2_searches,
         }
-        shown = answer["posterior"]
-        body += [
-            f"posterior P(high escape | escape) = {shown['high_escape']}",
-            f"expected escape probability there = {shown['expected_escape']}",
-            f"implied capture probability there = {shown['implied_capture']}",
-            f"posterior P(low capture | escape) = {shown['low_capture']}",
+        head = [
+            f"game: {spec.type1_count} quick locations (time 1, capture "
+            f"{_text(spec.type1_capture)}) and {spec.type2_count} slow "
+            f"locations (time {spec.type2_time}, capture "
+            f"{_text(spec.type2_capture)}), budget {spec.budget}",
         ]
-    else:
-        body.append("posterior: escape impossible (both escape probabilities 0)")
-    provenance = "closed-form" if sol.used_shortcut else "lp"
-    return (spec, mix, mix, sol.value), *_result(game, sol.value, answer, provenance, head, body)
+        body = [
+            f"hider: quick-type mass {quick}, slow-type mass {slow}",
+            "searcher (number of slow locations inspected):",
+            *(f"  j={j}: {_text(w)}" for j, w in closed.searcher_mix),
+            f"mean slow inspections: {mean} (max feasible {closed.max_type2_searches})",
+        ]
+        game = {"mode": "two-type", "two_type": _two_type_block(spec)}
+        return _result(game, closed.value, answer, provenance, head, body)
+
+    return claim, render
 
 
 def _solve_learning(doc, path, args, mode):
-    return _learning_document(inputs.learning_spec_from(doc, path))
+    return _learning(inputs.learning_spec_from(doc, path))
+
+
+def _learning(spec: learning.LearningSpec):
+    sol = learning.solve(spec)
+    mix = (sol.stay_probability, sol.switch_probability)
+
+    def render():
+        favored = learning.stay_is_favored(spec)
+        game = {
+            "mode": "learning",
+            "learning": {"low": _text(spec.low), "high": _text(spec.high)},
+            "matrix": [[_text(v) for v in row] for row in sol.matrix],
+            "diagonal": [_text(v) for v in sol.diagonal],
+        }
+        answer = {
+            "stay_probability": _text(sol.stay_probability),
+            "switch_probability": _text(sol.switch_probability),
+            "stay_favored": favored,
+            "posterior": None,
+        }
+        head = [
+            f"escape probabilities: low {_text(spec.low)}, high {_text(spec.high)}",
+            "payoff matrix (rows/cols: stay, switch):",
+            *(f"  {_text(row[0])}  {_text(row[1])}" for row in sol.matrix),
+            f"diagonal form: ({', '.join(game['diagonal'])})",
+        ]
+        body = [
+            f"P(stay after escape)   = {answer['stay_probability']}",
+            f"P(switch after escape) = {answer['switch_probability']}",
+            f"stay favored: {'yes' if favored else 'no'}",
+        ]
+        if spec.low + spec.high > 0:
+            posterior = learning.posterior_after_escape(spec, sol)
+            shown = answer["posterior"] = {
+                "high_escape": _text(posterior.high_escape_posterior),
+                "expected_escape": _text(posterior.expected_escape),
+                "implied_capture": _text(posterior.implied_capture),
+                "low_capture": _text(posterior.low_capture_posterior),
+            }
+            body += [
+                f"posterior P(high escape | escape) = {shown['high_escape']}",
+                f"expected escape probability there = {shown['expected_escape']}",
+                f"implied capture probability there = {shown['implied_capture']}",
+                f"posterior P(low capture | escape) = {shown['low_capture']}",
+            ]
+        else:
+            body.append("posterior: escape impossible (both escape probabilities 0)")
+        return _result(game, sol.value, answer, "closed-form", head, body)
+
+    return (spec, mix, mix, sol.value), render
 
 
 def _certify(args, mode: str, claim) -> None:
@@ -379,13 +403,17 @@ def _certify(args, mode: str, claim) -> None:
         raise CertificateFailure(f"{mode} solution failed its certificate")
 
 
+def _answer(args, mode: str, claim, render) -> int:
+    """Certify ``claim``, then render it and write the result."""
+    _certify(args, mode, claim)
+    _emit(args, *render())
+    return EXIT_OK
+
+
 def cmd_solve(args) -> int:
     doc = inputs.load_game_file(args.file, _MODES)
     mode = args.mode or doc["mode"]
-    claim, document, table = _MODES[mode][0](doc, args.file, args, mode)
-    _certify(args, mode, claim)
-    _emit(args, document, table)
-    return EXIT_OK
+    return _answer(args, mode, *_MODES[mode][0](doc, args.file, args, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +548,7 @@ def _sweep_two_type(doc, args, budgets) -> int:
 
 def cmd_learning(args) -> int:
     low, high = inputs.number(args.low, "--low"), inputs.number(args.high, "--high")
-    claim, document, table = _learning_document(learning.LearningSpec(low, high))
-    _certify(args, "learning", claim)
-    _emit(args, document, table)
-    return EXIT_OK
+    return _answer(args, "learning", *_learning(learning.LearningSpec(low, high)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +564,9 @@ def _learning_failure(args, spec, hider, searcher, value):
     return _matrix_failure(learning.payoff_matrix(spec), hider, searcher, value, names, names)
 
 
-# Every mode's solver, verify reader (in ``inputs``) and certificate,
-# which returns None or the first failure as (kind, name, slack). Sweep
+# Every mode's solver, which returns its claim and a function that
+# renders it, verify reader (in ``inputs``) and certificate, which
+# returns None or the first failure as (kind, name, slack). Sweep
 # documents carry no single solution, so ``verify`` refuses them.
 _MODES = {
     "general": (_solve_locations, inputs.location_solution, _locations_failure),

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import game_core
 from .game_core import GameSpec, HiderStrategy, SearchSet
-from .lp_solver import solve_zero_sum
+from .lp_solver import solve_location_game
 from .oracle import location_certificate
 from .rationals import parse_rational
 
@@ -245,7 +245,9 @@ def check_value_floor(
     the one-smaller game, with budget reduced by n, is still worth at
     least that capture probability: then the searcher can always
     inspect location n and still cover the rest well enough, while the
-    hider can cap the value at p_n by hiding there.
+    hider can cap the value at p_n by hiding there. The smaller game is
+    solved by column generation, whose master LP holds at most
+    ``max_sets`` sets.
     """
     n = spec.n
     expected = tuple(Fraction(i) for i in range(1, n + 1))
@@ -259,9 +261,7 @@ def check_value_floor(
     if n == 1:
         return ValueFloorCheck(True, None)
     reduced = GameSpec(expected[:-1], spec.captures[:-1], spec.budget - n)
-    rows = game_core.maximal_feasible_sets(reduced, max_sets=max_sets)
-    matrix = game_core.build_matrix(reduced, rows)
-    reduced_value = solve_zero_sum(matrix).value
+    reduced_value = solve_location_game(reduced, max_sets).value
     return ValueFloorCheck(reduced_value >= spec.captures[-1], reduced_value)
 
 

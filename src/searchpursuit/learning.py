@@ -8,12 +8,13 @@ location ("switch"); symmetry forces the first-round choices to be
 uniform, so each player has just those two plans and the game is a
 symmetric 2x2 matrix, searcher maximizing.
 
-Shifting 8x the matrix by a constant leaves a diagonal matrix, whose
-game is solved by playing each option inversely proportional to its
-diagonal entry. The shift constant cancels in the strategies and maps
-the value back affinely, which is how ``solve`` gets everything in
-closed form; only the degenerate corners, where a diagonal entry
-vanishes, go to the LP solver. Every answer is checked by the oracle's
+Shifting 8x the matrix by a constant leaves a diagonal matrix diag(a, b)
+with a, b >= 0, whose game is solved by playing stay with probability
+b / (a + b), for value ab / (a + b); where a = b = 0 every mix is
+optimal and stay takes 1/2. The shift constant cancels in the
+strategies and maps the value back affinely, so ``solve`` gets
+everything in one closed form for every input, the degenerate corners
+included, and runs no LP. Every answer is checked by the oracle's
 exact two-sided equilibrium certificate, which shares no code with the
 simplex.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp_solver import solve_diagonal, solve_zero_sum
 from .oracle import verify_equilibrium
 from .rationals import parse_rational
 
@@ -134,45 +134,27 @@ def closed_form_value(spec: LearningSpec) -> Fraction:
 
 @dataclass(frozen=True)
 class LearningSolution:
-    """``used_shortcut`` is False only in the degenerate corners (both
-    escape probabilities in {0, 1}) where a diagonal entry vanishes and
-    the matrix is solved by the LP directly."""
-
     matrix: Matrix2
     diagonal: tuple[Fraction, Fraction]
     value: Fraction
     diagonal_value: Fraction
     stay_probability: Fraction
     switch_probability: Fraction
-    used_shortcut: bool
 
 
 def solve(spec: LearningSpec) -> LearningSolution:
     matrix = payoff_matrix(spec)
     a, b = diagonal_entries(spec)
-    shift = 4 - 2 * spec.high - 2 * spec.low
-    if a > 0 and b > 0:
-        diag = solve_diagonal((a, b))
-        diag_value = diag.value
-        stay, switch = diag.col_strategy
-        value = (diag_value + shift) / 8
+    if a + b == 0:  # both entries vanish: every mix is optimal
+        stay, diag_value = HALF, ZERO
     else:
-        # Degenerate corner: solve the matrix directly and keep the shared
-        # strategy from the hider side; the certificate below checks that
-        # it protects the searcher too.
-        lp = solve_zero_sum(matrix)
-        stay, switch = lp.col_strategy
-        value = lp.value
-        diag_value = solve_zero_sum(((a, ZERO), (ZERO, b))).value
-        if value != (diag_value + shift) / 8:
-            raise RuntimeError("affine reduction identity violated")  # pragma: no cover
-    if not verify_equilibrium(matrix, (stay, switch), (stay, switch), value).ok:
+        stay, diag_value = b / (a + b), a * b / (a + b)
+    value = (diag_value + 4 - 2 * spec.high - 2 * spec.low) / 8
+    if not verify_equilibrium(matrix, (stay, 1 - stay), (stay, 1 - stay), value).ok:
         raise RuntimeError(  # pragma: no cover
             "learning solution failed its equilibrium certificate"
         )
-    return LearningSolution(
-        matrix, (a, b), value, diag_value, stay, switch, a > 0 and b > 0
-    )
+    return LearningSolution(matrix, (a, b), value, diag_value, stay, 1 - stay)
 
 
 @dataclass(frozen=True)

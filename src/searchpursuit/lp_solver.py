@@ -226,19 +226,6 @@ def solve_zero_sum(matrix) -> MixedSolution:
     return MixedSolution(value, row, col)
 
 
-def solve_diagonal(diag) -> MixedSolution:
-    """Diagonal game: value 1/sum(1/d_i); each side plays strategy i with
-    probability inversely proportional to its diagonal entry."""
-    d = [parse_rational(v) for v in diag]
-    if not d:
-        raise ValueError("diagonal must be nonempty")
-    if any(v <= 0 for v in d):
-        raise ValueError("diagonal entries must be positive")
-    value = 1 / sum(ONE / v for v in d)
-    probs = tuple(value / v for v in d)
-    return MixedSolution(value, probs, probs)
-
-
 def hider_uniqueness(matrix, value) -> UniquenessReport:
     """Range of each hider coordinate over the optimal-strategy polytope.
 

@@ -244,16 +244,21 @@ def test_criterion_7_learning_identities_on_random_pairs():
     for low, high in pairs:
         spec = LearningSpec(low, high)
         sol = solve_learning(spec)
-        assert sol.used_shortcut
         assert closed_form_value(spec) == sol.value
         assert solve_zero_sum(payoff_matrix(spec)).value == sol.value
         assert sol.stay_probability > F(1, 2)
         post = posterior_after_escape(spec, sol)
         assert post.implied_capture == 1 - (low * low + high * high) / (low + high)
+    for low, high in ((0, 0), (0, 1), (1, 1)):
+        spec = LearningSpec(low, high)
+        sol = solve_learning(spec)
+        lp = solve_zero_sum(payoff_matrix(spec))
+        assert lp.value == sol.value
+        assert lp.col_strategy == (sol.stay_probability, sol.switch_probability)
     report(
         7,
         "learning identities (closed form == diagonal == LP, stay > 1/2, "
-        "implied capture) hold on 200 pairs",
+        "implied capture) hold on 200 pairs; the LP agrees at the 3 corners",
         True,
     )
 

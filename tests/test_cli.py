@@ -40,22 +40,36 @@ TWO_TYPE = {
 
 LEARNING = {"mode": "learning", "learning": {"low": "1/3", "high": "2/3"}}
 
-# Per mode: a game, the solver the CLI calls for it (module, name), and
-# the fields of that solver's answer to change so that the answer fails
-# its certificate.
+# Per case: a game with its mode, the solver the CLI calls for it
+# (module, name), and the fields of that solver's answer to change so
+# that the answer fails its certificate.
 BROKEN_ANSWERS = {
-    "general": (EXAMPLE, "lp_solver", "solve_location_game", lambda s: {"hider": (1, 0, 0, 0)}),
+    "general": (
+        dict(EXAMPLE, mode="general"),
+        "lp_solver", "solve_location_game", lambda s: {"hider": (1, 0, 0, 0)},
+    ),
     "constant-times": (
-        {"locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")], "budget": 2},
+        {
+            "mode": "constant-times",
+            "locations": [{"time": 1, "capture": c} for c in ("1/5", "3/10", "1/2")],
+            "budget": 2,
+        },
         "closed_forms", "solve_constant_times", lambda s: {"value": 2 * s.value},
     ),
     "arithmetic-times": (
-        STAIRCASE, "closed_forms", "solve_arithmetic_times", lambda s: {"value": 2 * s.value}
+        dict(STAIRCASE, mode="arithmetic-times"),
+        "closed_forms", "solve_arithmetic_times", lambda s: {"value": 2 * s.value},
     ),
     "two-type": (TWO_TYPE, "closed_forms", "solve_two_type", lambda s: {"type1_mass": F(1)}),
     "learning": (
         LEARNING, "learning", "solve",
         lambda s: {"stay_probability": F(1), "switch_probability": F(0)},
+    ),
+    # Stay 0 would divide by zero in the posterior, which is rendered
+    # only after the certificate holds.
+    "learning-no-stay": (
+        LEARNING, "learning", "solve",
+        lambda s: {"stay_probability": F(0), "switch_probability": F(1)},
     ),
 }
 
@@ -280,13 +294,14 @@ class TestSolve:
             "certificate failure: closed form: searcher set [1] is not a row of the game\n"
         )
 
-    @pytest.mark.parametrize("mode", BROKEN_ANSWERS)
+    @pytest.mark.parametrize("case", BROKEN_ANSWERS)
     def test_answer_that_fails_its_certificate_writes_nothing(
-        self, tmp_path, capsys, monkeypatch, mode
+        self, tmp_path, capsys, monkeypatch, case
     ):
-        game, *solver = BROKEN_ANSWERS[mode]
+        game, *solver = BROKEN_ANSWERS[case]
         break_solver(monkeypatch, *solver)
-        path = write(tmp_path, "g.json", dict(game, mode=mode))
+        mode = game["mode"]
+        path = write(tmp_path, "g.json", game)
         out_path = tmp_path / "result.json"
         assert main(["solve", path, "--format", "both", "--output", str(out_path)]) == 1
         captured = capsys.readouterr()
@@ -802,10 +817,15 @@ class TestLearning:
 
     @pytest.mark.parametrize(
         "low, high, provenance",
-        [("1/3", "2/3", "closed-form"), ("0", "0", "lp"), ("0", "1", "lp"), ("1", "1", "lp")],
+        [
+            ("1/3", "2/3", "closed-form"),
+            ("0", "0", "closed-form"),
+            ("0", "1", "closed-form"),
+            ("1", "1", "closed-form"),
+        ],
     )
     def test_provenance_names_the_path_that_ran(self, capsys, low, high, provenance):
-        # The diagonal shortcut runs no LP; only the degenerate corners do.
+        # One closed form solves every input, the degenerate corners too.
         argv = ["learning", "--low", low, "--high", high, "--format", "json"]
         code, doc = run_json(capsys, argv)
         assert (code, doc["provenance"]) == (0, provenance)
@@ -815,11 +835,15 @@ class TestLearning:
         assert main(["learning", "--low", "0", "--high", "3/2"]) == 2
 
     def test_answer_that_fails_its_certificate_is_not_printed(self, capsys, monkeypatch):
-        break_solver(monkeypatch, *BROKEN_ANSWERS["learning"][1:])
-        assert main(["learning", "--low", "1/3", "--high", "2/3"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "certificate failure: learning solution failed its certificate\n"
+        for case in ("learning", "learning-no-stay"):
+            break_solver(monkeypatch, *BROKEN_ANSWERS[case][1:])
+            assert main(["learning", "--low", "1/3", "--high", "2/3"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "certificate failure: learning solution failed its certificate\n"
+            )
+            monkeypatch.undo()
 
 
 class TestVerify:
@@ -1093,11 +1117,6 @@ class TestInternalErrors:
             "lp_solver", "_best_set", lambda real: lambda spec, benefits: (F(1), (1,)),
             "solve", "column generation postcondition violated",
         ),
-        "learning-affine-identity": (
-            "learning", "solve_zero_sum",
-            lambda real: lambda matrix: replace(real(matrix), value=real(matrix).value + 1),
-            "learning-corner", "affine reduction identity violated",
-        ),
         "learning-certificate": (
             "learning", "verify_equilibrium",
             lambda real: lambda *args: replace(real(*args), ok=False),
@@ -1119,8 +1138,6 @@ class TestInternalErrors:
             "solve": ["solve", path],
             "sweep": ["sweep", path, "--k-from", "7", "--k-to", "7"],
             "learning": ["learning", "--low", "1/3", "--high", "2/3"],
-            # A degenerate corner, which the LP solves.
-            "learning-corner": ["learning", "--low", "0", "--high", "0"],
         }[command]
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -95,7 +95,6 @@ class TestSolve:
         assert sol.value == F(21, 68)
         assert sol.stay_probability == F(9, 17)
         assert sol.switch_probability == F(8, 17)
-        assert sol.used_shortcut
 
     def test_equal_probabilities_split_evenly(self):
         sol = solve_learning(LearningSpec("2/5", "2/5"))
@@ -109,35 +108,6 @@ class TestSolve:
         assert sol.value == F(33, 80)
         assert solve_zero_sum(sol.matrix).value == F(33, 80)
 
-    def test_degenerate_corners_bypass_shortcut(self):
-        certain_capture = solve_learning(LearningSpec(0, 0))
-        assert certain_capture.value == F(1, 2)
-        assert not certain_capture.used_shortcut
-        certain_escape = solve_learning(LearningSpec(1, 1))
-        assert certain_escape.value == F(0)
-        assert not certain_escape.used_shortcut
-        mixed = solve_learning(LearningSpec(0, 1))
-        assert mixed.value == F(1, 4)
-        assert not mixed.used_shortcut
-        assert mixed.stay_probability == 1
-
-    def test_lp_runs_only_in_degenerate_corners(self, monkeypatch):
-        from searchpursuit import learning
-
-        calls = []
-        real = learning.solve_zero_sum
-
-        def counted(matrix):
-            calls.append(matrix)
-            return real(matrix)
-
-        monkeypatch.setattr(learning, "solve_zero_sum", counted)
-        for low, high in ((F(1, 3), F(2, 3)), (F(0), F(1, 2)), (F(1, 2), F(1))):
-            assert solve_learning(LearningSpec(low, high)).used_shortcut
-        assert calls == []
-        assert solve_learning(LearningSpec(0, 1)).value == F(1, 4)
-        assert calls
-
     def test_three_solution_paths_agree(self):
         rng = random.Random(43)
         for _ in range(30):
@@ -146,9 +116,16 @@ class TestSolve:
                 continue
             spec = LearningSpec(low, high)
             sol = solve_learning(spec)
-            assert sol.used_shortcut
             assert closed_form_value(spec) == sol.value
             assert solve_zero_sum(payoff_matrix(spec)).value == sol.value
+        # At the degenerate corners a diagonal entry vanishes and
+        # closed_form_value divides by zero; the LP still agrees, mix too.
+        for low, high, value in ((0, 0, F(1, 2)), (0, 1, F(1, 4)), (1, 1, F(0))):
+            spec = LearningSpec(low, high)
+            sol = solve_learning(spec)
+            lp = solve_zero_sum(payoff_matrix(spec))
+            assert lp.value == sol.value == value
+            assert lp.col_strategy == (sol.stay_probability, sol.switch_probability)
 
 
 class TestPosterior:

@@ -13,7 +13,6 @@ from conftest import (
     rational_games,
     roadmap_game,
     small_games,
-    unit_fraction,
 )
 from searchpursuit import lp_solver
 from searchpursuit import (
@@ -24,7 +23,7 @@ from searchpursuit import (
     maximal_feasible_sets,
     solve_zero_sum,
 )
-from searchpursuit.lp_solver import solve_diagonal, solve_location_game
+from searchpursuit.lp_solver import solve_location_game
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
@@ -154,46 +153,6 @@ class TestSolveZeroSum:
             solve_zero_sum([[]])
         with pytest.raises(ValueError):
             solve_zero_sum([[1, 2], [3]])
-
-
-class TestSolveDiagonal:
-    def test_learning_diagonal(self):
-        sol = solve_diagonal((F(8, 9), 1))
-        assert sol.value == F(8, 17)
-        assert sol.row_strategy == sol.col_strategy == (F(9, 17), F(8, 17))
-
-    def test_equal_entries_split_evenly(self):
-        sol = solve_diagonal((F(3, 7), F(3, 7)))
-        assert sol.value == F(3, 14)
-        assert sol.row_strategy == (F(1, 2), F(1, 2))
-
-    def test_three_entry_diagonal_against_lp(self):
-        d = (F(1, 3), F(1, 5), F(1, 7))
-        sol = solve_diagonal(d)
-        assert sol.value == F(1, 15)
-        assert sol.row_strategy == (F(1, 5), F(1, 3), F(7, 15))
-        lp = solve_zero_sum(
-            [[d[i] if i == j else F(0) for j in range(3)] for i in range(3)]
-        )
-        assert lp.value == sol.value
-
-    def test_matches_lp_on_random_diagonals(self):
-        rng = random.Random(25)
-        for _ in range(20):
-            size = rng.randint(2, 6)
-            d = [unit_fraction(rng, positive=True) for _ in range(size)]
-            sol = solve_diagonal(d)
-            lp = solve_zero_sum(
-                [[d[i] if i == j else F(0) for j in range(size)] for i in range(size)]
-            )
-            assert sol.value == lp.value
-            assert sol.col_strategy == lp.col_strategy
-
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ValueError):
-            solve_diagonal((F(1, 2), 0))
-        with pytest.raises(ValueError):
-            solve_diagonal(())
 
 
 def slack_tableau(A, b):

@@ -206,13 +206,17 @@ def package_imports(path: Path) -> set[str]:
 
 
 class TestCheckersImportNoSolver:
-    """The checkers and the tests' references reach no simplex code
-    through any chain of imports."""
+    """The checkers, the tests' references and the learning game's closed
+    form reach no simplex code through any chain of imports."""
 
     @pytest.mark.parametrize(
         "path",
-        [SOURCES / "oracle.py", Path(__file__).with_name("support_enumeration.py")],
-        ids=["oracle", "support_enumeration"],
+        [
+            SOURCES / "oracle.py",
+            Path(__file__).with_name("support_enumeration.py"),
+            SOURCES / "learning.py",
+        ],
+        ids=["oracle", "support_enumeration", "learning"],
     )
     def test_no_solver_is_imported(self, path):
         assert package_imports(path).isdisjoint({"lp_solver", "closed_forms"})
