@@ -19,11 +19,11 @@ format. Identical inputs produce byte-identical output. ``main`` may be
 called any number of times in one process: all calls share one parser,
 built on first use, which parsing never changes.
 
-``sweep_budget`` drives the location-list sweep: one enumeration, LP
-and range certificate per budget, the uniqueness probe only where the
-certificate tells nothing. ``--max-rows`` caps the maximal sets an LP
-holds: before a sweep's LP starts, the sets it would run over; during
-column generation, the sets in the master LP.
+``sweep_budget`` drives the location-list sweep: per budget the
+column generation of ``solve`` and the range certificate, and the full
+matrix and the uniqueness probe only where that certificate tells
+nothing. ``--max-rows`` caps the maximal sets an exact LP holds: the
+master LP of column generation, and the full matrix of a probe.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -56,9 +56,9 @@ EXIT_BROKEN_PIPE = 141
 # feasible sets, maximal or not; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
-# The most maximal sets an exact LP holds: the master LP of ``solve``'s
-# column generation, or the payoff rows of each budget of ``sweep``
-# (see ``_location_matrix``). Sized from the full LP: random 14- to
+# The most maximal sets an exact LP holds: the master LP of column
+# generation, or the payoff rows of a sweep's uniqueness probe (see
+# ``_location_matrix``). Sized from the full LP: random 14- to
 # 17-location games up to this size solve in at most about 12 s; one
 # of 3,327 rows took 35 s.
 DEFAULT_MAX_ROWS = 3000
@@ -139,9 +139,9 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
 
 def _location_matrix(spec: game_core.GameSpec, max_sets: int, max_rows: int):
     """The rows (maximal feasible sets) and payoff matrix of a
-    location-list game, for the LP to solve. More than ``max_rows`` rows
-    raise ``InstanceTooLarge`` before the matrix is built: listing the
-    rows is quick even where the LP over them would not be."""
+    location-list game, for a full LP or the probe. More than ``max_rows``
+    rows raise ``InstanceTooLarge`` before the matrix is built: listing
+    the rows is quick even where the LP over them would not be."""
     rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
     if len(rows) > max_rows:
         raise game_core.InstanceTooLarge(
@@ -158,15 +158,19 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _general(spec: game_core.GameSpec, path: str, args):
+def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int):
     """Column generation, once the feasible sets pass ``--max-subsets``."""
-    game_core.check_size(spec, args.max_subsets)
+    game_core.check_size(spec, max_sets)
     try:
-        sol = lp_solver.solve_location_game(spec, args.max_rows)
+        return lp_solver.solve_location_game(spec, max_rows)
     except game_core.InstanceTooLarge as exc:
         raise game_core.InstanceTooLarge(
             f"{exc} (--max-rows); instance too large for the exact LP"
         ) from None
+
+
+def _general(spec: game_core.GameSpec, path: str, args):
+    sol = _location_lp(spec, args.max_subsets, args.max_rows)
 
     def details():
         return None, [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
@@ -446,16 +450,15 @@ def sweep_budget(
 ) -> list[SweepEntry]:
     """Solve one game per budget; report value and hider uniqueness.
 
-    Each budget is enumerated, capped and solved like ``solve`` in
-    general mode. The hider's ranges, and with them uniqueness, come
-    from ``oracle.certified_ranges`` on the LP's own answer, and from
-    ``lp_solver.hider_uniqueness`` only where that returns None; both
-    give the exact ranges, so the entries do not depend on which one ran.
-    Where ``certified_ranges`` returns None, ``oracle.verify_equilibrium``
-    runs first and a failure raises ``CertificateFailure``. ``max_rows``
-    was sized from ``solve_zero_sum`` times and does not bound the probe,
-    an LP over all m rows: on a 597-row game it was still running when
-    stopped at about 57 s.
+    Each budget is capped and solved like ``solve`` in general mode, by
+    column generation. The hider's ranges, and with them uniqueness,
+    come from ``oracle.certified_ranges`` on that answer. Where it
+    returns None, ``oracle.location_certificate`` decides: a failure
+    raises ``CertificateFailure``, and otherwise the ranges come from
+    ``lp_solver.hider_uniqueness`` on the full matrix, capped by
+    ``max_rows``. Both give the exact ranges, so the entries do not
+    depend on which one ran. The probe is an LP over all m rows: on a
+    597-row game it was still running when stopped at about 57 s.
 
     Budgets are evaluated in ascending order and the value is checked
     by ``oracle.check_nondecreasing`` (extra search time can never hurt
@@ -465,16 +468,16 @@ def sweep_budget(
     entries = []
     for k in ks:
         spec = game_core.GameSpec(tuple(times), tuple(captures), k)
-        _, matrix = _location_matrix(spec, max_sets, max_rows)
-        sol = lp_solver.solve_zero_sum(matrix)
-        hider = sol.col_strategy
-        ranges = oracle.certified_ranges(matrix, hider, sol.row_strategy, sol.value)
+        sol = _location_lp(spec, max_sets, max_rows)
+        mix = [(s.members, w) for s, w in sol.searcher]
+        ranges = oracle.certified_ranges(spec, sol.hider, mix, sol.value, max_sets)
         if ranges is None:
-            if not oracle.verify_equilibrium(matrix, hider, sol.row_strategy, sol.value).ok:
+            if oracle.location_certificate(spec, sol.hider, mix, sol.value, max_sets) is not None:
                 raise CertificateFailure(f"budget {_text(k)}: LP solution failed its certificate")
+            _, matrix = _location_matrix(spec, max_sets, max_rows)
             ranges = lp_solver.hider_uniqueness(matrix, sol.value).ranges
         unique = all(lo == hi for lo, hi in ranges)
-        entries.append(SweepEntry(k, sol.value, hider, ranges, unique))
+        entries.append(SweepEntry(k, sol.value, sol.hider, ranges, unique))
     oracle.check_nondecreasing(ks, [e.value for e in entries])
     return entries
 
@@ -631,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     def max_rows(p):
         p.add_argument(
             "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
-            help="cap on the maximal feasible sets an exact LP holds: solve's "
-            "master LP, or each sweep budget's full LP; it does not bound a "
-            "sweep's uniqueness probe",
+            help="cap on the maximal feasible sets an exact LP holds: the "
+            "master LP of column generation, or the full matrix of a sweep's "
+            "uniqueness probe",
         )
 
     solve = sub.add_parser("solve", help="solve one game file")

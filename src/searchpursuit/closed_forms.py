@@ -201,13 +201,7 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
             members = (j,) if partner == 0 else (partner, j)
         else:
             # Even n, j == n/2: pack small locations around it while they fit.
-            chosen = [j]
-            total = j
-            for i in range(1, n + 1):
-                if i != j and total + i <= n:
-                    chosen.append(i)
-                    total += i
-            members = tuple(sorted(chosen))
+            members = game_core.greedy_fill(spec, (j,), range(1, n + 1))
         mix.append((game_core.search_set(spec, members), weight))
     # Every set of the mix fills the budget or is filled greedily, so each
     # one is a maximal feasible set, hence a row.

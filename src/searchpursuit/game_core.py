@@ -215,6 +215,19 @@ def is_maximal(spec: GameSpec, members: Sequence[int]) -> bool:
     return True
 
 
+def greedy_fill(spec: GameSpec, members, order) -> tuple[int, ...]:
+    """``members`` with each location of ``order`` added in turn while it
+    fits: a maximal set, since a location passed over took longer than
+    the time then left, which only shrinks."""
+    room = spec.budget - sum(spec.times[i - 1] for i in members)
+    out = set(members)
+    for i in order:
+        if i not in out and spec.times[i - 1] <= room:
+            out.add(i)
+            room -= spec.times[i - 1]
+    return tuple(sorted(out))
+
+
 def max_payoff(
     spec: GameSpec, hider: Sequence[Fraction], max_sets: int = DEFAULT_MAX_SETS
 ) -> Fraction:

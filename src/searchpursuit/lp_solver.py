@@ -339,19 +339,6 @@ def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, 
     return Fraction(best, den), tuple(sorted(chosen))
 
 
-def _extend(spec: game_core.GameSpec, members, order) -> tuple[int, ...]:
-    """``members`` with each location of ``order`` added in turn while it
-    fits: a maximal set, since a location passed over took longer than
-    the time then left, which only shrinks."""
-    room = spec.budget - sum(spec.times[i - 1] for i in members)
-    out = set(members)
-    for i in order:
-        if i not in out and spec.times[i - 1] <= room:
-            out.add(i)
-            room -= spec.times[i - 1]
-    return tuple(sorted(out))
-
-
 def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolution:
     """Solve a location game exactly by column generation.
 
@@ -408,7 +395,7 @@ def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolu
         sets.append(members)
 
     for i in range(1, n + 1):
-        seed = _extend(spec, (i,) if spec.times[i - 1] <= spec.budget else (), order)
+        seed = game_core.greedy_fill(spec, (i,) if spec.times[i - 1] <= spec.budget else (), order)
         if seed not in sets:
             add(seed)
     while True:
@@ -417,7 +404,7 @@ def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolu
         gain, best = _best_set(spec, [d * p for d, p in zip(duals, spec.captures)])
         if 1 - 2 * sum(duals) + gain / p_max <= 0:
             break
-        add(_extend(spec, best, order))
+        add(game_core.greedy_fill(spec, best, order))
     total = -obj[-1]
     if sum(duals) != total:
         raise RuntimeError("column generation postcondition violated")  # pragma: no cover

@@ -16,10 +16,11 @@ from ``game_core``, the searcher side a sum over the listed sets only.
 ``verify_equilibrium`` itself certifies the games whose matrix is
 explicit and small, and stays the reference the tests compare with.
 
-``certified_ranges`` bounds every optimal hider strategy from one
-optimal pair, the equilibrium certificate and the rank of the
-complementary-slackness system, with the same elimination: a point at
-full rank, a segment one below it.
+``certified_ranges`` bounds every optimal hider of a location game
+from one optimal pair, the location certificate and the rank of the
+complementary-slackness system over the played sets, with the same
+elimination: a point at full rank, a segment one below it, whose ends
+a ratio test over the maximal sets finds, all without a matrix.
 
 ``check_nondecreasing`` is the value-monotonicity check of every
 sweep, which ``cli`` drives.
@@ -185,35 +186,36 @@ def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
     return rows, pivots
 
 
-def certified_ranges(matrix, hider, searcher, value):
-    """Exact (min, max) of each coordinate over the optimal hider set,
-    from one optimal pair, or None when this test cannot tell.
+def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SETS):
+    """Exact (min, max) of each coordinate over the optimal hider set of
+    a location game, from one optimal pair (``mix`` as for
+    :func:`location_certificate`), or None when this test cannot tell.
 
     Every optimal hider y meets complementary slackness with an optimal
-    searcher mix x: (My)_A = v on each row A that x plays, and y_j = 0 on
-    each column that x covers above v; and any hider mix that meets those
-    equations, y >= 0 and My <= v is optimal. When ``verify_equilibrium``
-    accepts the triple, ``hider`` solves that system with sum(y) = 1. If
-    the system has rank n, ``hider`` is its one solution and the only
-    optimal hider. If it has rank n - 1, its solutions are the line
-    through ``hider`` along the one null direction d, and the optimal
-    hiders are the segment of it where y >= 0 and My <= v; a ratio test
-    on those inequalities gives the segment's two ends, and each
-    coordinate's range is read off them. With a lower rank, or a failed
-    certificate, the result is None. The rank comes from the elimination
-    above, not from the simplex.
+    searcher mix x: (My)_A = v on each set A that x plays, and y_j = 0 on
+    each location that x covers above v; and any hider mix that meets
+    those equations, y >= 0 and My <= v is optimal. When
+    ``location_certificate`` accepts the triple, ``hider`` solves that
+    system with sum(y) = 1. If the system has rank n, ``hider`` is its
+    one solution and the only optimal hider. If it has rank n - 1, its
+    solutions are the line through ``hider`` along the one null
+    direction d, and the optimal hiders are the segment of it where
+    y >= 0 and My <= v; a ratio test on those inequalities, over the
+    sets of ``game_core.maximal_feasible_sets``, gives the segment's two
+    ends, and each coordinate's range is read off them. With a lower
+    rank, or a failed certificate, the result is None. The rank comes
+    from the elimination above, not from the simplex; no matrix is built.
     """
-    cert = verify_equilibrium(matrix, hider, searcher, value)
-    if not cert.ok:
+    if location_certificate(spec, hider, mix, value, max_sets) is not None:
         return None
-    y = [parse_rational(h) for h in hider]
-    # y_j = 0 on the over-covered columns: drop them from the system.
-    free = [j for j, s in enumerate(cert.searcher_slack) if s == 0]
-    M = parse_matrix(matrix)
+    y, v = [parse_rational(h) for h in hider], parse_rational(value)
+    # Each set as its 0-based indices, and its weight.
+    played = [({i - 1 for i in s}, parse_rational(w)) for s, w in mix]
+    # y_j = 0 on the over-covered locations: drop them from the system.
+    cover = [sum(w for s, w in played if j in s) for j in range(spec.n)]
+    free = [j for j, (p, c) in enumerate(zip(spec.captures, cover)) if p * c == v]
     system = [[ONE] * len(free) + [ONE]]
-    for w, row in zip(searcher, M):
-        if parse_rational(w):
-            system.append([row[j] for j in free] + [cert.claimed_value])
+    system += [[spec.captures[j] if j in s else ZERO for j in free] + [v] for s, w in played if w]
     reduced = _reduce(system, len(free), nullity=1)
     if reduced is None:
         return None
@@ -227,14 +229,14 @@ def certified_ranges(matrix, hider, searcher, value):
     d[free[spare]] = ONE
     for row, col in zip(rows, pivots):
         d[free[col]] = -row[spare]
-    # y + z*d stays optimal while each y_j + z*d_j >= 0 and each row's
+    # y + z*d stays optimal while each y_j + z*d_j >= 0 and each set's
     # payoff (My)_A + z*(Md)_A <= v, that is while g*z <= h for every
     # (g, h) below. sum(d) = 0 and d != 0, so both ends are finite.
     limits = [(-dj, yj) for dj, yj in zip(d, y)]
-    limits += [
-        (sum(row[j] * dj for j, dj in enumerate(d) if dj), slack)
-        for row, slack in zip(M, cert.hider_slack)
-    ]
+    for row in game_core.maximal_feasible_sets(spec, max_sets):
+        g = sum(spec.captures[i - 1] * d[i - 1] for i in row.members if d[i - 1])
+        if g:
+            limits.append((g, v - sum(spec.captures[i - 1] * y[i - 1] for i in row.members)))
     z_hi = min(h / g for g, h in limits if g > 0)
     z_lo = max(h / g for g, h in limits if g < 0)
     ends = [(yj + z_lo * dj, yj + z_hi * dj) for yj, dj in zip(y, d)]

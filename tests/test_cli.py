@@ -583,8 +583,8 @@ def roadmap_doc(seed, n):
 
 
 class TestRowCap:
-    """``--max-rows`` caps the sets the master LP of ``solve`` holds, and
-    refuses a sweep's LP over too many maximal sets before it starts."""
+    """``--max-rows`` caps the sets the master LP of column generation
+    holds, in ``solve`` and in each budget of a ``sweep``."""
 
     def test_n18_game_solves_by_column_generation(self, tmp_path, capsys):
         # 6,999 maximal sets: the LP over all of them ran past 90 s.
@@ -599,18 +599,32 @@ class TestRowCap:
         assert main(["verify", path, str(sol_path)]) == 0
         assert capsys.readouterr().out == "certificate: ok\n"
 
-    def test_n18_sweep_is_refused_fast(self, tmp_path):
+    def test_n18_sweep_completes(self, tmp_path):
+        # Budget k has 6,999 maximal sets, past the default --max-rows,
+        # so exit 0 shows that no budget fell back on the full matrix.
+        from searchpursuit import game_core, lp_solver, oracle
+
+        spec = roadmap_game(0, 18)
         path = write(tmp_path, "g.json", roadmap_doc(0, 18))
-        budget = str(roadmap_game(0, 18).budget)
+        out = tmp_path / "sweep.json"
+        k = spec.budget
         code, seconds, err = timed_main_in_child(
-            ["sweep", path, "--k-from", budget, "--k-to", budget]
+            ["sweep", path, "--k-from", str(k - 1), "--k-to", str(k + 1), "--output", str(out)]
         )
-        assert code == 3
-        assert seconds < 2
-        assert (
-            f"6999 maximal feasible sets, more than --max-rows ({DEFAULT_MAX_ROWS})"
-            in err
-        )
+        assert (code, err) == (0, "")
+        assert seconds < 10
+        entries = json.loads(out.read_text(encoding="utf-8"))["sweep"]
+        assert [F(e["budget"]) for e in entries] == [k - 1, k, k + 1]
+        for entry in entries:
+            # Re-certified: the hider holds every set to the value, and
+            # the value is that of a certified column-generation answer.
+            budget_spec = replace(spec, budget=F(entry["budget"]))
+            hider, value = [F(h) for h in entry["hider"]], F(entry["value"]["fraction"])
+            assert game_core.max_payoff(budget_spec, hider) == value
+            sol = lp_solver.solve_location_game(budget_spec, DEFAULT_MAX_ROWS)
+            mix = [(s.members, w) for s, w in sol.searcher]
+            assert oracle.location_certificate(budget_spec, sol.hider, mix, sol.value) is None
+            assert sol.value == value
 
     def test_solve_cap_is_on_the_master_lp(self, tmp_path, capsys):
         # The master LP of the worked example starts from its three
@@ -626,13 +640,17 @@ class TestRowCap:
 
     def test_sweep_cap_is_per_budget(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
-        # Budgets 0..3 have one maximal set, budget 4 two, 5 and up three.
+        # Budgets 0..3 have one maximal set, budget 4 two, 5 and up three,
+        # and the master LP starts with all of them.
         argv = ["sweep", path, "--k-from", "0", "--k-to", "4", "--max-rows"]
         assert main(argv + ["2"]) == 0
         capsys.readouterr()
         assert main(argv + ["1"]) == 3
-        assert "2 maximal feasible sets, more than --max-rows (1)" in capsys.readouterr().err
-        with pytest.raises(InstanceTooLarge, match="3 maximal feasible sets"):
+        assert capsys.readouterr().err == (
+            "error: 2 maximal feasible sets in the master LP, more than 1 "
+            "(--max-rows); instance too large for the exact LP\n"
+        )
+        with pytest.raises(InstanceTooLarge, match="3 maximal feasible sets in the master LP"):
             sweep_budget((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), [6, 7], max_rows=2)
 
     def test_two_type_cross_check_keeps_its_own_cap(self, tmp_path, capsys):
@@ -767,9 +785,7 @@ class TestSweep:
     ):
         # The range certificate gives nothing for a hider that is not
         # optimal; the sweep must not fall back on the probe and print it.
-        break_solver(
-            monkeypatch, "lp_solver", "solve_zero_sum", lambda s: {"col_strategy": (1, 0, 0, 0)}
-        )
+        break_solver(monkeypatch, *BROKEN_ANSWERS["general"][1:])
         path = write(tmp_path, "g.json", EXAMPLE)
         assert main(["sweep", path, "--k-from", "7", "--k-to", "7"]) == 1
         captured = capsys.readouterr()
@@ -1109,8 +1125,9 @@ class TestInternalErrors:
             "solve", "unbounded linear program",
         ),
         "simplex-postcondition": (
+            # The two-type cross-check still runs the full LP.
             "lp_solver", "_game_lp", _off_by_one_total,
-            "sweep", "simplex postcondition violated",
+            "two-type", "simplex postcondition violated",
         ),
         "column-generation-postcondition": (
             # The pricer names {1}, already in the master, as improving.
@@ -1136,6 +1153,7 @@ class TestInternalErrors:
         path = write(tmp_path, "g.json", EXAMPLE)
         argv = {
             "solve": ["solve", path],
+            "two-type": ["solve", write(tmp_path, "t.json", TWO_TYPE)],
             "sweep": ["sweep", path, "--k-from", "7", "--k-to", "7"],
             "learning": ["learning", "--low", "1/3", "--high", "2/3"],
         }[command]

@@ -26,8 +26,12 @@ from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from searchpursuit.rationals import format_rational
 
 
+def solved(spec: GameSpec):
+    return solve_zero_sum(build_matrix(spec, maximal_feasible_sets(spec)))
+
+
 def game_value(spec: GameSpec) -> F:
-    return solve_zero_sum(build_matrix(spec, maximal_feasible_sets(spec))).value
+    return solved(spec).value
 
 
 @settings(max_examples=100)
@@ -55,11 +59,6 @@ def test_value_is_nondecreasing_in_each_capture(spec, data):
     assert game_value(higher) >= game_value(spec)
 
 
-def solved(spec: GameSpec):
-    matrix = build_matrix(spec, maximal_feasible_sets(spec))
-    return matrix, solve_zero_sum(matrix)
-
-
 @settings(max_examples=60)
 @given(small_games(), st.data())
 def test_permuting_the_locations_permutes_the_answer(spec, data):
@@ -69,10 +68,10 @@ def test_permuting_the_locations_permutes_the_answer(spec, data):
         tuple(spec.captures[i] for i in order),
         spec.budget,
     )
-    matrix, sol = solved(spec)
-    _, permuted_sol = solved(permuted)
+    sol, permuted_sol = solved(spec), solved(permuted)
     assert permuted_sol.value == sol.value
-    ranges = certified_ranges(matrix, sol.col_strategy, sol.row_strategy, sol.value)
+    mix = zip((s.members for s in maximal_feasible_sets(spec)), sol.row_strategy)
+    ranges = certified_ranges(spec, sol.col_strategy, list(mix), sol.value)
     if ranges is not None and all(lo == hi for lo, hi in ranges):
         # The one optimal hider of a relabelled game is the relabelled one.
         assert list(permuted_sol.col_strategy) == [sol.col_strategy[i] for i in order]

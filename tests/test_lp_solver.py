@@ -50,14 +50,20 @@ def assert_probe_matches(matrix, reference=optimal_hider_ranges):
     return report
 
 
-def certified_or_vertex_ranges(matrix, value):
-    """``certified_ranges`` on the LP's answer where it gives ranges, the
-    vertex enumeration elsewhere: both are simplex-free, and the vertex
-    enumeration is slow on games with many rows, which
+def certified_or_vertex_ranges(spec):
+    """The probe's reference on ``spec``'s full matrix:
+    ``certified_ranges`` on the column-generation answer where it gives
+    ranges, the vertex enumeration elsewhere. Both are simplex-free, and
+    the vertex enumeration is slow on games with many rows, which
     ``certified_ranges`` settles."""
-    sol = solve_zero_sum(matrix)
-    ranges = certified_ranges(matrix, sol.col_strategy, sol.row_strategy, value)
-    return optimal_hider_ranges(matrix, value) if ranges is None else ranges
+
+    def reference(matrix, value):
+        sol = solve_location_game(spec, len(matrix))
+        mix = [(s.members, w) for s, w in sol.searcher]
+        ranges = certified_ranges(spec, sol.hider, mix, value)
+        return optimal_hider_ranges(matrix, value) if ranges is None else ranges
+
+    return reference
 
 
 def assert_equilibrium(matrix, sol):
@@ -361,7 +367,7 @@ class TestWarmProbeAgainstColdReference:
             captures = tuple(F(rng.randint(1, 20), 20) for _ in range(n))
             spec = GameSpec(times, captures, rng.randint(0, sum(times)))
             matrix = build_matrix(spec, maximal_feasible_sets(spec))
-            report = assert_probe_matches(matrix, certified_or_vertex_ranges)
+            report = assert_probe_matches(matrix, certified_or_vertex_ranges(spec))
             unique_flags.add(report.unique)
         assert unique_flags == {True, False}
 
@@ -415,7 +421,7 @@ class TestWarmProbeAgainstColdReference:
 def test_probe_properties_on_random_games(spec):
     matrix = build_matrix(spec, maximal_feasible_sets(spec))
     sol = solve_zero_sum(matrix)
-    report = assert_probe_matches(matrix, certified_or_vertex_ranges)
+    report = assert_probe_matches(matrix, certified_or_vertex_ranges(spec))
     assert all(lo <= y <= hi for (lo, hi), y in zip(report.ranges, sol.col_strategy))
     for wrong in (sol.value - F(1, 1000), sol.value + F(1, 1000)):
         with pytest.raises(ValueError, match="not the exact game value"):

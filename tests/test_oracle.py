@@ -8,13 +8,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    negated_transpose,
+    random_game,
     random_matrix,
     rational_games,
     roadmap_game,
     small_games,
 )
-from searchpursuit import game_core, lp_solver, oracle
+from searchpursuit import cli, game_core, lp_solver, oracle
 from searchpursuit import (
     GameSpec,
     build_matrix,
@@ -47,6 +47,10 @@ EXAMPLE_MATRIX = [
 EXAMPLE_HIDER = (F(12, 23), 0, F(8, 23), F(3, 23))
 EXAMPLE_SEARCHER = (F(12, 23), F(3, 23), F(8, 23))
 STAIRCASE = ((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"))
+# The worked example as a location game, with its searcher mix over the
+# rows of EXAMPLE_MATRIX: {1}, {4} and {2, 3}.
+EXAMPLE_SPEC = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)
+EXAMPLE_MIX = tuple(zip([(1,), (4,), (2, 3)], EXAMPLE_SEARCHER))
 
 
 def unique(*args):
@@ -56,20 +60,38 @@ def unique(*args):
     return ranges is not None and all(lo == hi for lo, hi in ranges)
 
 
-def assert_certificate_implies_probe(matrix):
-    """Run both uniqueness tests on the LP's answer; whenever the
-    certificate gives ranges, the probe must give the same ones. Returns
-    the certificate's uniqueness verdict."""
-    sol = solve_zero_sum(matrix)
-    args = (matrix, sol.col_strategy, sol.row_strategy, sol.value)
-    ranges, certified = certified_ranges(*args), unique(*args)
-    if ranges is not None:
-        report = hider_uniqueness(matrix, sol.value)
-        assert report.ranges == ranges
-        assert report.unique == certified
-    if certified:
-        assert ranges == tuple((h, h) for h in sol.col_strategy)
-    return certified
+def answers(spec):
+    """Two optimal (hider, mix, value) triples of ``spec``: column
+    generation's, and the full LP's with its mix over every row."""
+    sol = lp_solver.solve_location_game(spec, game_core.DEFAULT_MAX_SETS)
+    yield sol.hider, [(s.members, w) for s, w in sol.searcher], sol.value
+    rows = maximal_feasible_sets(spec)
+    lp = solve_zero_sum(build_matrix(spec, rows))
+    yield lp.col_strategy, [(s.members, w) for s, w in zip(rows, lp.row_strategy)], lp.value
+
+
+def full_matrix_probe(spec, value):
+    """The reference ranges: ``hider_uniqueness`` on the full matrix."""
+    return hider_uniqueness(build_matrix(spec, maximal_feasible_sets(spec)), value)
+
+
+def assert_certificate_implies_probe(spec):
+    """Run both uniqueness tests on each answer of ``answers``; whenever
+    the certificate gives ranges, the probe on the full matrix must give
+    the same ones. Returns the certificate's uniqueness verdict on
+    column generation's answer."""
+    verdicts = []
+    for hider, mix, value in answers(spec):
+        args = (spec, hider, mix, value)
+        ranges, certified = certified_ranges(*args), unique(*args)
+        if ranges is not None:
+            report = full_matrix_probe(spec, value)
+            assert report.ranges == ranges
+            assert report.unique == certified
+        if certified:
+            assert ranges == tuple((h, h) for h in hider)
+        verdicts.append(certified)
+    return verdicts[0]
 
 
 class TestVerifyEquilibrium:
@@ -325,82 +347,105 @@ class TestSweep:
 
 class TestCertifyUnique:
     def test_worked_example_is_certified(self):
-        assert unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
-        # Inputs in any form parse_rational takes.
-        assert unique(
-            EXAMPLE_MATRIX, ("12/23", 0, "8/23", "3/23"), ("12/23", "3/23", "8/23"), "6/115"
+        # Rank n: location 2 is covered above the value, and the three
+        # played sets fix the other three coordinates.
+        assert certified_ranges(EXAMPLE_SPEC, EXAMPLE_HIDER, EXAMPLE_MIX, F(6, 115)) == tuple(
+            (h, h) for h in EXAMPLE_HIDER
         )
+        # Inputs in any form parse_rational takes.
+        mix = [((1,), "12/23"), ((4,), "3/23"), ((3, 2), "8/23")]
+        assert unique(EXAMPLE_SPEC, ("12/23", 0, "8/23", "3/23"), mix, "6/115")
 
     def test_failed_equilibrium_proves_nothing(self):
-        assert not unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115))
-        assert not unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(5, 115))
-        assert not unique(
-            EXAMPLE_MATRIX, (F(1, 4),) * 4, EXAMPLE_SEARCHER, F(6, 115)
-        )
+        for value in (F(7, 115), F(5, 115)):
+            assert certified_ranges(EXAMPLE_SPEC, EXAMPLE_HIDER, EXAMPLE_MIX, value) is None
+        assert certified_ranges(EXAMPLE_SPEC, (F(1, 4),) * 4, EXAMPLE_MIX, F(6, 115)) is None
+        # An optimal hider with a searcher mix that is not optimal.
+        mix = [((1,), F(1, 3)), ((4,), F(1, 3)), ((2, 3), F(1, 3))]
+        assert certified_ranges(EXAMPLE_SPEC, EXAMPLE_HIDER, mix, F(6, 115)) is None
 
     def test_rank_deficient_system_proves_nothing(self):
-        # Every hider of a constant game is optimal.
-        assert not unique([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3))
-        # The staircase's searcher side is not unique, so the hider of its
-        # negated transpose is not either.
-        spec = GameSpec(*STAIRCASE, 5)
-        flipped = negated_transpose(build_matrix(spec, maximal_feasible_sets(spec)))
-        assert not assert_certificate_implies_probe(flipped)
+        # One set holds all three locations at equal captures: every
+        # hider is optimal.
+        spec = GameSpec((2, 1, 3), ("1/10",) * 3, 6)
+        assert not unique(spec, (1, 0, 0), [((1, 2, 3), 1)], F(1, 10))
+        assert not assert_certificate_implies_probe(spec)
+        assert not full_matrix_probe(spec, F(1, 10)).unique
 
     def test_rank_one_below_full_gives_the_segment(self):
         # One set covering both locations: every hider mix is optimal.
-        args = ([[F(1, 2), F(1, 2)]], (F(1, 3), F(2, 3)), (1,), F(1, 2))
+        spec = GameSpec((3, 2), ("4/5", "4/5"), 5)
+        args = (spec, (F(1, 3), F(2, 3)), [((1, 2), 1)], F(4, 5))
         assert certified_ranges(*args) == ((0, 1), (0, 1))
         assert not unique(*args)
-        # A segment cut short by a row's payoff at one end: the searcher
-        # plays only the first row, and the second caps y_2 at 1/3.
-        matrix = [[1, 1, 2], [0, 3, 0]]
-        ranges = ((F(2, 3), 1), (0, F(1, 3)), (0, 0))
-        assert certified_ranges(matrix, (1, 0, 0), (1, 0), 1) == ranges
-        assert certified_ranges(matrix, ("5/6", "1/6", 0), (1, 0), 1) == ranges
-        assert hider_uniqueness(matrix, 1).ranges == ranges
+        # A segment cut short by an unplayed set's payoff: the searcher
+        # plays {1, 2} and {2, 3}, and {1, 3} caps y_1 + y_3 at 1/2.
+        spec = GameSpec((2, 3, 4), ("3/5", "3/10", "3/5"), 8)
+        mix = [((1, 2), F(1, 2)), ((2, 3), F(1, 2))]
+        ranges = ((0, F(1, 4)), (F(1, 2), 1), (0, F(1, 4)))
+        assert certified_ranges(spec, (F(1, 4), F(1, 2), F(1, 4)), mix, F(3, 10)) == ranges
+        assert certified_ranges(spec, (0, 1, 0), mix, F(3, 10)) == ranges
+        assert full_matrix_probe(spec, F(3, 10)).ranges == ranges
+
+    def test_segment_cut_to_a_point(self):
+        # One null direction, y_3 against y_1 and y_2; once y_3 drops
+        # below 1 the unplayed set {1, 2, 3} pays more than the value, so
+        # the hider is unique.
+        spec = GameSpec((2, 4, 2, 1), ("1/5", "1/5", "1/10", "1"), 8)
+        mix = [((1, 3, 4), F(1, 2)), ((2, 3, 4), F(1, 2))]
+        ranges = ((0, 0), (0, 0), (1, 1), (0, 0))
+        assert certified_ranges(spec, (0, 0, 1, 0), mix, F(1, 10)) == ranges
+        assert full_matrix_probe(spec, F(1, 10)).ranges == ranges
 
     def test_lower_rank_gives_nothing(self):
-        # Three locations, one row played: nullity 2.
-        assert certified_ranges([[F(1, 3)] * 3] * 2, (F(1, 3),) * 3, (F(1, 2),) * 2, F(1, 3)) is None
-        assert certified_ranges(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(7, 115)) is None
+        # Value 0 with {1} played: location 1 is covered above the value
+        # and drops out, and {1} holds none of the other three, so their
+        # system has nullity 2.
+        spec = GameSpec((1, 4, 2, 4), ("4/5", "3/10", "3/5", "3/5"), 2)
+        assert certified_ranges(spec, (0, 1, 0, 0), [((1,), 1)], 0) is None
+        # Budgets 5 and 6 of the worked example leave two null directions.
+        for budget in (5, 6):
+            spec = GameSpec(EXAMPLE_SPEC.times, EXAMPLE_SPEC.captures, budget)
+            hider, mix, value = next(answers(spec))
+            assert certified_ranges(spec, hider, mix, value) is None
 
     def test_single_location_and_single_set(self):
-        assert unique([[F(1, 2)], [F(1, 3)]], (1,), (1, 0), F(1, 2))
-        assert unique([[F(1, 2), F(1, 3)]], (0, 1), (1,), F(1, 3))
+        assert unique(GameSpec((4,), ("2/5",), 4), (1,), [((1,), 1)], F(2, 5))
+        spec = GameSpec((1, 3), ("1/5", "1"), 4)
+        assert unique(spec, (1, 0), [((1, 2), 1)], F(1, 5))
 
     def test_needs_no_simplex(self, monkeypatch):
         spec = GameSpec(*STAIRCASE, 5)
-        matrix = build_matrix(spec, maximal_feasible_sets(spec))
-        sol = solve_zero_sum(matrix)
+        hider, mix, value = next(answers(spec))
 
         def refuse(*args):
-            raise AssertionError("simplex code called")
+            raise AssertionError("simplex code or the matrix called")
 
         for module, name in (
             (lp_solver, "solve_zero_sum"),
             (lp_solver, "_pivot"),
+            (game_core, "build_matrix"),
+            (oracle, "verify_equilibrium"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        assert unique(matrix, sol.col_strategy, sol.row_strategy, sol.value)
-        assert unique(EXAMPLE_MATRIX, EXAMPLE_HIDER, EXAMPLE_SEARCHER, F(6, 115))
-        assert certified_ranges([[1, 1, 2], [0, 3, 0]], (1, 0, 0), (1, 0), 1)[1] == (0, F(1, 3))
+        assert unique(spec, hider, mix, value)
+        assert unique(EXAMPLE_SPEC, EXAMPLE_HIDER, EXAMPLE_MIX, F(6, 115))
+        segment = GameSpec((2, 3, 4), ("3/5", "3/10", "3/5"), 8)
+        mix = [((1, 2), F(1, 2)), ((2, 3), F(1, 2))]
+        assert certified_ranges(segment, (0, 1, 0), mix, F(3, 10))[1] == (F(1, 2), 1)
 
-    def test_random_matrices_and_their_negated_transposes(self):
+    def test_random_location_games(self):
         rng = random.Random(61)
         verdicts = set()
         for _ in range(30):
-            matrix = random_matrix(rng, max_dim=5)
-            verdicts.add(assert_certificate_implies_probe(matrix))
-            verdicts.add(assert_certificate_implies_probe(negated_transpose(matrix)))
+            verdicts.add(assert_certificate_implies_probe(random_game(rng, max_n=5)))
         assert verdicts == {True, False}
 
 
 @settings(max_examples=60)
 @given(small_games())
 def test_certificate_implies_the_probe_on_random_games(spec):
-    matrix = build_matrix(spec, maximal_feasible_sets(spec))
-    assert_certificate_implies_probe(matrix)
+    assert_certificate_implies_probe(spec)
 
 
 class TestSweepShortcut:
@@ -463,6 +508,28 @@ class TestSweepShortcut:
         assert entries == probed
         assert [e.unique for e in entries] == unique
 
+    def test_settled_entries_build_no_matrix(self, monkeypatch):
+        # Budgets 5 and 6 of the worked example need the probe, 7 to 10
+        # do not; no budget runs the full LP or its certificate.
+        def refuse(*args):
+            raise AssertionError("full-matrix path called")
+
+        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
+        monkeypatch.setattr(oracle, "verify_equilibrium", refuse)
+        built, real = [], cli._location_matrix
+
+        def location_matrix(spec, *args):
+            built.append(spec.budget)
+            return real(spec, *args)
+
+        monkeypatch.setattr(cli, "_location_matrix", location_matrix)
+        times, captures = (5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4")
+        sweep_budget(times, captures, range(5, 11))
+        assert built == [5, 6]
+        monkeypatch.setattr(game_core, "build_matrix", refuse)
+        entries = sweep_budget(times, captures, range(7, 11))
+        assert [e.unique for e in entries] == [True] * 4
+
     def test_n14_entry_needs_no_probe(self, monkeypatch):
         # The probe alone runs past a minute on this game.
         spec = roadmap_game(2, 14)
@@ -471,6 +538,29 @@ class TestSweepShortcut:
         assert (verdicts, probes) == ([True], [])
         assert entry.unique
         assert entry.hider_ranges == tuple((h, h) for h in entry.hider)
+
+
+@settings(max_examples=60)
+@given(rational_games(max_n=8), st.integers(0, 24))
+def test_sweep_entries_match_the_full_matrix(spec, share):
+    """Each entry's value and uniqueness flag are the full LP's and the
+    probe's on the full matrix, and a unique hider is the full LP's."""
+    budgets = {spec.budget, sum(spec.times) * F(share, 24)}
+    for entry in sweep_budget(spec.times, spec.captures, budgets):
+        matrix = build_matrix(*budget_rows(spec, entry.budget))
+        sol = solve_zero_sum(matrix)
+        report = hider_uniqueness(matrix, sol.value)
+        assert (entry.value, entry.unique) == (sol.value, report.unique)
+        assert entry.hider_ranges == report.ranges
+        if entry.unique:
+            assert entry.hider == sol.col_strategy
+        event(f"n={spec.n} rows={len(matrix)} unique={entry.unique}")
+
+
+def budget_rows(spec, budget):
+    """``spec`` at ``budget``, and its maximal feasible sets."""
+    spec = GameSpec(spec.times, spec.captures, budget)
+    return spec, maximal_feasible_sets(spec)
 
 
 def outcome(check, *args):
