@@ -547,7 +547,8 @@ def test_sweep_entries_match_the_full_matrix(spec, share):
     probe's on the full matrix, and a unique hider is the full LP's."""
     budgets = {spec.budget, sum(spec.times) * F(share, 24)}
     for entry in sweep_budget(spec.times, spec.captures, budgets):
-        matrix = build_matrix(*budget_rows(spec, entry.budget))
+        budget_spec = GameSpec(spec.times, spec.captures, entry.budget)
+        matrix = build_matrix(budget_spec, maximal_feasible_sets(budget_spec))
         sol = solve_zero_sum(matrix)
         report = hider_uniqueness(matrix, sol.value)
         assert (entry.value, entry.unique) == (sol.value, report.unique)
@@ -555,12 +556,6 @@ def test_sweep_entries_match_the_full_matrix(spec, share):
         if entry.unique:
             assert entry.hider == sol.col_strategy
         event(f"n={spec.n} rows={len(matrix)} unique={entry.unique}")
-
-
-def budget_rows(spec, budget):
-    """``spec`` at ``budget``, and its maximal feasible sets."""
-    spec = GameSpec(spec.times, spec.captures, budget)
-    return spec, maximal_feasible_sets(spec)
 
 
 def outcome(check, *args):
