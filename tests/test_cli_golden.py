@@ -208,6 +208,8 @@ BASE_FILES = {
         '{"locations": [{"time": 1, "capture": 1e-4299}], "budget": 1}'
     ),
     **{f"roadmap-{seed}-{n}.json": _roadmap(seed, n) for seed, n in ROADMAP_GAMES},
+    # Budget 10 has a segment of optimal hiders (rank n - 1).
+    "roadmap-28-8.json": _roadmap(28, 8),
 }
 
 # Games whose solution documents are verified, as they come and with the
@@ -308,6 +310,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("sweep-example-decimal-budget", "sweep", "example.json", "--k-from", "6.5", "--k-to", "7.5", "--format", "json")
     add("sweep-staircase5-both", "sweep", "staircase5.json", "--k-from", "5", "--k-to", "10", "--format", "both")
     add("sweep-staircase5-arith-json", "sweep", "staircase5-arith.json", "--k-from", "4", "--k-to", "6", "--format", "json")
+    add("sweep-roadmap-28-8-both", "sweep", "roadmap-28-8.json", "--k-from", "8", "--k-to", "10", "--format", "both")
     add("sweep-const-interior-both", "sweep", "const-interior.json", "--k-from", "0", "--k-to", "3", "--format", "both")
     add("sweep-example-mode-constant", "sweep", "example.json", "--k-from", "1", "--k-to", "2", "--mode", "constant-times")
     for fmt in ("table", "json", "both"):
