@@ -20,10 +20,9 @@ called any number of times in one process: all calls share one parser,
 built on first use, which parsing never changes.
 
 ``sweep_budget`` drives the location-list sweep: per budget the
-column generation of ``solve`` and the range certificate, and the full
-matrix and the uniqueness probe only where that certificate tells
-nothing. ``--max-rows`` caps the maximal sets an exact LP holds: the
-master LP of column generation, and the full matrix of a probe.
+column generation of ``solve``, the range certificate, and where that
+tells nothing the uniqueness probe on generated sets, never a list of
+the maximal sets. ``--max-rows`` caps the sets each of those LPs holds.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -57,10 +56,9 @@ EXIT_BROKEN_PIPE = 141
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
 # The most maximal sets an exact LP holds: the master LP of column
-# generation, or the payoff rows of a sweep's uniqueness probe (see
-# ``_location_matrix``). Sized from the full LP: random 14- to
-# 17-location games up to this size solve in at most about 12 s; one
-# of 3,327 rows took 35 s.
+# generation, or the generated rows of a sweep's uniqueness probe. Sized
+# from the full LP: random 14- to 17-location games up to this size
+# solve in at most about 12 s; one of 3,327 rows took 35 s.
 DEFAULT_MAX_ROWS = 3000
 
 
@@ -137,20 +135,6 @@ def _result(game: dict, value: Fraction, answer: dict, provenance: str,
 # solve
 
 
-def _location_matrix(spec: game_core.GameSpec, max_sets: int, max_rows: int):
-    """The rows (maximal feasible sets) and payoff matrix of a
-    location-list game, for a full LP or the probe. More than ``max_rows``
-    rows raise ``InstanceTooLarge`` before the matrix is built: listing
-    the rows is quick even where the LP over them would not be."""
-    rows = game_core.maximal_feasible_sets(spec, max_sets=max_sets)
-    if len(rows) > max_rows:
-        raise game_core.InstanceTooLarge(
-            f"{len(rows)} maximal feasible sets, more than --max-rows "
-            f"({max_rows}); instance too large for the exact LP"
-        )
-    return rows, game_core.build_matrix(spec, rows)
-
-
 def _location_document(spec: game_core.GameSpec) -> list[dict]:
     return [
         {"time": _text(t), "capture": _text(p)}
@@ -158,15 +142,20 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int):
-    """Column generation, once the feasible sets pass ``--max-subsets``."""
-    game_core.check_size(spec, max_sets)
+def _row_capped(solver, spec: game_core.GameSpec, *args):
+    """``solver(spec, *args)``, whose refusal at ``--max-rows`` names it."""
     try:
-        return lp_solver.solve_location_game(spec, max_rows)
+        return solver(spec, *args)
     except game_core.InstanceTooLarge as exc:
         raise game_core.InstanceTooLarge(
             f"{exc} (--max-rows); instance too large for the exact LP"
         ) from None
+
+
+def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int):
+    """Column generation, once the feasible sets pass ``--max-subsets``."""
+    game_core.check_size(spec, max_sets)
+    return _row_capped(lp_solver.solve_location_game, spec, max_rows)
 
 
 def _general(spec: game_core.GameSpec, path: str, args):
@@ -298,10 +287,10 @@ def _solve_two_type(doc, path, args, mode):
     spec = inputs.two_type_spec_from(doc, path)
     closed = inputs.checked(path, closed_forms.solve_two_type, spec)
     claim = _two_type_claim(spec, closed)
-    # The set cap bounds the rows too, so the row cap never decides here.
     cap = min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS)
     try:
-        _, matrix = _location_matrix(closed_forms.expand_two_type(spec), cap, cap)
+        expanded = closed_forms.expand_two_type(spec)
+        matrix = game_core.build_matrix(expanded, game_core.maximal_feasible_sets(expanded, cap))
     except game_core.InstanceTooLarge:
         provenance = "closed-form"
     else:
@@ -455,10 +444,9 @@ def sweep_budget(
     come from ``oracle.certified_ranges`` on that answer. Where it
     returns None, ``oracle.location_certificate`` decides: a failure
     raises ``CertificateFailure``, and otherwise the ranges come from
-    ``lp_solver.hider_uniqueness`` on the full matrix, capped by
-    ``max_rows``. Both give the exact ranges, so the entries do not
-    depend on which one ran. The probe is an LP over all m rows: on a
-    597-row game it was still running when stopped at about 57 s.
+    ``lp_solver.location_uniqueness``, whose generated sets ``max_rows``
+    caps. Both give the exact ranges, so the entries do not depend on
+    which one ran. No budget lists the maximal sets.
 
     Budgets are evaluated in ascending order and the value is checked
     by ``oracle.check_nondecreasing`` (extra search time can never hurt
@@ -474,8 +462,7 @@ def sweep_budget(
         if ranges is None:
             if oracle.location_certificate(spec, sol.hider, mix, sol.value, max_sets) is not None:
                 raise CertificateFailure(f"budget {_text(k)}: LP solution failed its certificate")
-            _, matrix = _location_matrix(spec, max_sets, max_rows)
-            ranges = lp_solver.hider_uniqueness(matrix, sol.value).ranges
+            ranges = _row_capped(lp_solver.location_uniqueness, spec, sol, max_rows).ranges
         unique = all(lo == hi for lo, hi in ranges)
         entries.append(SweepEntry(k, sol.value, sol.hider, ranges, unique))
     oracle.check_nondecreasing(ks, [e.value for e in entries])
@@ -635,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
             help="cap on the maximal feasible sets an exact LP holds: the "
-            "master LP of column generation, or the full matrix of a sweep's "
-            "uniqueness probe",
+            "master LP of column generation, or the generated sets of a "
+            "sweep's uniqueness probe",
         )
 
     solve = sub.add_parser("solve", help="solve one game file")

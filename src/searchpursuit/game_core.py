@@ -230,39 +230,40 @@ def greedy_fill(spec: GameSpec, members, order) -> tuple[int, ...]:
 
 def max_payoff(
     spec: GameSpec, hider: Sequence[Fraction], max_sets: int = DEFAULT_MAX_SETS
-) -> Fraction:
-    """The most any feasible set pays against the hider mix ``hider``:
-    max of sum(p_i * h_i) over the members i of a set within budget.
+) -> tuple[Fraction, tuple[int, ...]]:
+    """The most any feasible set pays against the hider mix ``hider``
+    (max of sum(p_i * h_i) over sets within budget), and one such set.
 
     An exact 0/1 knapsack over a dict from each reachable scaled total to
-    the best payoff that reaches it, in integers over the payoffs' common
-    denominator. Locations the hider never uses add nothing and are
-    skipped. Each total in the dict belongs to at least one feasible set,
-    so it never outgrows the count :func:`check_size` bounds; it is
-    bounded itself, and raises :class:`InstanceTooLarge` once it holds
-    more than ``max_sets`` totals.
+    the best payoff that reaches it and a bit mask of one set that does,
+    in integers over the payoffs' common denominator. Locations the hider
+    never uses add nothing and are skipped. Each total in the dict
+    belongs to at least one feasible set, so it never outgrows the count
+    :func:`check_size` bounds; it is bounded itself, and raises
+    :class:`InstanceTooLarge` once it holds more than ``max_sets`` totals.
     """
     times, budget = spec._scaled
     # Each benefit p_i * h_i as an integer pair, left unreduced.
     used = [
-        (t, p.numerator * h.numerator, p.denominator * h.denominator)
-        for t, p, h in zip(times, spec.captures, hider)
+        (i, t, p.numerator * h.numerator, p.denominator * h.denominator)
+        for i, (t, p, h) in enumerate(zip(times, spec.captures, hider), start=1)
         if h
     ]
-    den = math.lcm(*(d for _, _, d in used))
-    best = {0: 0}
-    for t, b, d in used:
+    den = math.lcm(*(d for *_, d in used))
+    best = {0: (0, 0)}
+    for i, t, b, d in used:
         gain = b * (den // d)
-        for total, payoff in list(best.items()):
+        for total, (payoff, mask) in list(best.items()):
             reached, reward = total + t, payoff + gain
-            if reached <= budget and (reached not in best or best[reached] < reward):
-                best[reached] = reward
+            if reached <= budget and (reached not in best or best[reached][0] < reward):
+                best[reached] = reward, mask | 1 << i
         if len(best) > max_sets:
             raise InstanceTooLarge(
                 f"more than {max_sets} distinct set totals; "
                 "instance too large for the knapsack certificate"
             )
-    return Fraction(max(best.values()), den)
+    payoff, mask = max(best.values())
+    return Fraction(payoff, den), tuple(i for i in range(1, spec.n + 1) if mask >> i & 1)
 
 
 def build_matrix(

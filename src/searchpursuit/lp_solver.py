@@ -30,14 +30,8 @@ pricer, ``_best_set``, is a branch and bound of its own, not
 its answers. The searcher's mix comes back over its support only.
 
 ``hider_uniqueness`` probes the hider's optimal-strategy polytope
-{y >= 0, sum(y) = 1, My <= v} with the same pivoting code. It solves
-the same LP, ``_game_lp``, on the matrix as given, and checks the
-claimed value against that LP's optimum. The columns whose final
-reduced cost is negative are 0 at every optimum; deleting them leaves a
-tableau of the optimal face at a feasible basis, and every later step
-is a phase-2 re-optimization over it, warm-started from the basis the
-previous one ended at: the n maxima of the y_j, and the minima only
-when the maxima do not already prove the hider unique.
+{y >= 0, sum(y) = 1, My <= v} with the same pivoting code, and
+``location_uniqueness`` runs that probe on generated rows only.
 """
 
 from __future__ import annotations
@@ -244,8 +238,11 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     min y_j is re-optimized too, except where a vertex already found has
     y_j = 0. Every endpoint is the exact optimum of its LP.
     """
-    M = parse_matrix(matrix)
-    v = parse_rational(value)
+    return _probe(parse_matrix(matrix), parse_rational(value))[0]
+
+
+def _probe(M, v):
+    """``hider_uniqueness`` of parsed input, and the hiders its LPs end at."""
     n = len(M[0])
     actual, total, point, rows, basis, obj = _game_lp(M)
     if actual != v:
@@ -256,24 +253,25 @@ def hider_uniqueness(matrix, value) -> UniquenessReport:
     basis = [at[b] for b in basis]
     # The hider columns left, which lead the kept columns.
     hider = [c for c in keep if c < n]
-    seen_zero = {j for j in range(n) if point[j] == 0}
+    visited = {tuple(x / total for x in point): None}  # the hiders found, in order
 
     def bound(j, sign):
         """max y_j for sign 1, min y_j for sign -1; 0 for a deleted j."""
         cost = [sign if c == j else ZERO for c in hider]
         best, x, _ = _reoptimize(cost, rows, basis)
-        seen_zero.update(c for c, xc in zip(hider, x) if xc == 0)
+        found = dict(zip(hider, x))
+        visited[tuple(found.get(c, ZERO) / total for c in range(n))] = None
         return sign * best / total
 
     highs = [bound(j, ONE) for j in range(n)]
     if sum(highs) == 1:
-        return UniquenessReport(tuple((hi, hi) for hi in highs), True)
+        return UniquenessReport(tuple((hi, hi) for hi in highs), True), list(visited)
     # min y_j is 0 once any vertex found so far has y_j = 0.
     ranges = tuple(
-        (ZERO if j in seen_zero else bound(j, -ONE), highs[j]) for j in range(n)
+        (ZERO if any(y[j] == 0 for y in visited) else bound(j, -ONE), highs[j]) for j in range(n)
     )
     # The maxima sum past 1, so some coordinate takes two values.
-    return UniquenessReport(ranges, False)
+    return UniquenessReport(ranges, False), list(visited)
 
 
 @dataclass(frozen=True)
@@ -417,3 +415,31 @@ def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolu
     )
     hider = tuple(d / total for d in duals)
     return LocationSolution(p_max * (2 - 1 / total), hider, tuple(searcher))
+
+
+def location_uniqueness(spec: game_core.GameSpec, solution: LocationSolution, max_rows: int):
+    """``hider_uniqueness`` of a location game on generated rows only.
+
+    The rows start as the support of ``solution``, a column-generation
+    answer of value v; every optimal hider of the whole game is optimal
+    over them. Each set ``_best_set`` finds paying more than v at a hider
+    the probe ended at is filled to a maximal set and added, until none
+    is; those hiders, which reach every range end, are then optimal in
+    the whole game. Raises ``game_core.InstanceTooLarge`` past ``max_rows`` sets.
+    """
+    sets = {s: None for s, _ in solution.searcher}
+    while True:
+        if len(sets) > max_rows:
+            raise game_core.InstanceTooLarge(
+                f"{len(sets)} maximal feasible sets in the uniqueness probe, more than {max_rows}"
+            )
+        report, visited = _probe(game_core.build_matrix(spec, list(sets)), solution.value)
+        cuts = {}
+        for y in visited:
+            gain, best = _best_set(spec, [p * h for p, h in zip(spec.captures, y)])
+            if gain > solution.value:
+                members = game_core.greedy_fill(spec, best, range(1, spec.n + 1))
+                cuts[game_core.SearchSet(members)] = None
+        if not cuts:
+            return report
+        sets.update(cuts)

@@ -20,7 +20,8 @@ explicit and small, and stays the reference the tests compare with.
 from one optimal pair, the location certificate and the rank of the
 complementary-slackness system over the played sets, with the same
 elimination: a point at full rank, a segment one below it, whose ends
-a ratio test over the maximal sets finds, all without a matrix.
+a ratio test on the sets ``game_core.max_payoff`` names finds, all
+without a matrix or a list of sets.
 
 ``check_nondecreasing`` is the value-monotonicity check of every
 sweep, which ``cli`` drives.
@@ -132,7 +133,7 @@ def location_certificate(
         weights[members] = weights.get(members, 0) + w.numerator * (den // w.denominator)
     _require_distribution(weights.values(), den, "searcher")
     v = parse_rational(claimed_value)
-    if game_core.max_payoff(spec, hider, max_sets) > v:
+    if game_core.max_payoff(spec, hider, max_sets)[0] > v:
         for row in game_core.maximal_feasible_sets(spec, max_sets):
             slack = v - sum(spec.captures[i - 1] * hider[i - 1] for i in row.members)
             if slack < 0:
@@ -200,11 +201,12 @@ def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SET
     one solution and the only optimal hider. If it has rank n - 1, its
     solutions are the line through ``hider`` along the one null
     direction d, and the optimal hiders are the segment of it where
-    y >= 0 and My <= v; a ratio test on those inequalities, over the
-    sets of ``game_core.maximal_feasible_sets``, gives the segment's two
-    ends, and each coordinate's range is read off them. With a lower
-    rank, or a failed certificate, the result is None. The rank comes
-    from the elimination above, not from the simplex; no matrix is built.
+    y >= 0 and My <= v. A ratio test from y >= 0 gives the segment's two
+    ends, and each coordinate's range is read off them; while the set
+    ``game_core.max_payoff`` names at a candidate end pays more than v,
+    that set, a new one each time, joins the test. With a lower rank, or
+    a failed certificate, the result is None. The rank comes from the
+    elimination above, not from the simplex; no matrix is built.
     """
     if location_certificate(spec, hider, mix, value, max_sets) is not None:
         return None
@@ -231,16 +233,20 @@ def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SET
         d[free[col]] = -row[spare]
     # y + z*d stays optimal while each y_j + z*d_j >= 0 and each set's
     # payoff (My)_A + z*(Md)_A <= v, that is while g*z <= h for every
-    # (g, h) below. sum(d) = 0 and d != 0, so both ends are finite.
+    # limit (g, h). sum(d) = 0 and d != 0, so both ends are finite.
     limits = [(-dj, yj) for dj, yj in zip(d, y)]
-    for row in game_core.maximal_feasible_sets(spec, max_sets):
-        g = sum(spec.captures[i - 1] * d[i - 1] for i in row.members if d[i - 1])
-        if g:
-            limits.append((g, v - sum(spec.captures[i - 1] * y[i - 1] for i in row.members)))
-    z_hi = min(h / g for g, h in limits if g > 0)
-    z_lo = max(h / g for g, h in limits if g < 0)
-    ends = [(yj + z_lo * dj, yj + z_hi * dj) for yj, dj in zip(y, d)]
-    return tuple((min(a, b), max(a, b)) for a, b in ends)
+    ends = []
+    for sign in (-1, 1):
+        while True:
+            z = sign * min(h / (sign * g) for g, h in limits if sign * g > 0)
+            point = [yj + z * dj for yj, dj in zip(y, d)]
+            payoff, members = game_core.max_payoff(spec, point, max_sets)
+            if payoff <= v:
+                break
+            g, paid = (sum(spec.captures[i - 1] * x[i - 1] for i in members) for x in (d, y))
+            limits.append((g, v - paid))
+        ends.append(point)
+    return tuple((min(a, b), max(a, b)) for a, b in zip(*ends))
 
 
 def check_nondecreasing(budgets, values) -> None:

@@ -599,13 +599,14 @@ class TestRowCap:
         assert main(["verify", path, str(sol_path)]) == 0
         assert capsys.readouterr().out == "certificate: ok\n"
 
-    def test_n18_sweep_completes(self, tmp_path):
-        # Budget k has 6,999 maximal sets, past the default --max-rows,
-        # so exit 0 shows that no budget fell back on the full matrix.
+    @staticmethod
+    def assert_sweep_completes(tmp_path, seed, n):
+        """``sweep`` of ``roadmap_game(seed, n)`` over k - 1..k + 1 exits 0
+        in under 10 s, and every entry re-certifies."""
         from searchpursuit import game_core, lp_solver, oracle
 
-        spec = roadmap_game(0, 18)
-        path = write(tmp_path, "g.json", roadmap_doc(0, 18))
+        spec = roadmap_game(seed, n)
+        path = write(tmp_path, "g.json", roadmap_doc(seed, n))
         out = tmp_path / "sweep.json"
         k = spec.budget
         code, seconds, err = timed_main_in_child(
@@ -620,11 +621,23 @@ class TestRowCap:
             # the value is that of a certified column-generation answer.
             budget_spec = replace(spec, budget=F(entry["budget"]))
             hider, value = [F(h) for h in entry["hider"]], F(entry["value"]["fraction"])
-            assert game_core.max_payoff(budget_spec, hider) == value
+            assert game_core.max_payoff(budget_spec, hider)[0] == value
             sol = lp_solver.solve_location_game(budget_spec, DEFAULT_MAX_ROWS)
             mix = [(s.members, w) for s, w in sol.searcher]
             assert oracle.location_certificate(budget_spec, sol.hider, mix, sol.value) is None
             assert sol.value == value
+
+    def test_n18_sweep_completes(self, tmp_path):
+        # Budget k has 6,999 maximal sets, past the default --max-rows,
+        # so exit 0 shows that no budget fell back on the full matrix.
+        self.assert_sweep_completes(tmp_path, 0, 18)
+
+    @pytest.mark.parametrize("seed, n", [(2, 22), (0, 24)])
+    def test_probed_sweeps_complete(self, tmp_path, seed, n):
+        # Entries the rank test cannot settle, over 54,821 maximal sets
+        # at n = 22; the ratio test over the maximal sets of the n = 24
+        # game took 34 s.
+        self.assert_sweep_completes(tmp_path, seed, n)
 
     def test_solve_cap_is_on_the_master_lp(self, tmp_path, capsys):
         # The master LP of the worked example starts from its three

@@ -23,7 +23,8 @@ from searchpursuit import (
     maximal_feasible_sets,
     solve_zero_sum,
 )
-from searchpursuit.lp_solver import solve_location_game
+from searchpursuit.game_core import max_payoff
+from searchpursuit.lp_solver import location_uniqueness, solve_location_game
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
@@ -521,3 +522,36 @@ def test_pricer_finds_the_best_feasible_set(spec, data):
     assert members == tuple(sorted(set(members)))
     assert sum((spec.times[i - 1] for i in members), F(0)) <= spec.budget
     assert sum((benefits[i - 1] for i in members), F(0)) == gain
+
+
+@settings(max_examples=100)
+@given(rational_games(max_n=8), st.data())
+def test_certificate_knapsack_names_a_set_that_pays_its_maximum(spec, data):
+    hider = [F(data.draw(st.integers(0, 5)), 5) for _ in range(spec.n)]
+    benefits = [p * h for p, h in zip(spec.captures, hider)]
+    payoff, members = max_payoff(spec, hider)
+    assert payoff == brute_best_set(spec, benefits)
+    assert members == tuple(sorted(set(members)))
+    assert all(1 <= i <= spec.n for i in members)
+    assert sum((spec.times[i - 1] for i in members), F(0)) <= spec.budget
+    assert sum((benefits[i - 1] for i in members), F(0)) == payoff
+
+
+@settings(max_examples=100)
+@given(rational_games(max_n=8))
+def test_generated_probe_matches_the_full_matrix(spec):
+    sol = solve_location_game(spec, 3000)
+    matrix = build_matrix(spec, maximal_feasible_sets(spec))
+    assert location_uniqueness(spec, sol, 3000) == hider_uniqueness(matrix, sol.value)
+
+
+def test_generated_probe_is_capped():
+    # Budget 5 of the worked example: column generation's searcher plays
+    # {1} alone, and the probe adds {2} and {3}, the other maximal sets.
+    spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 5)
+    sol = solve_location_game(spec, 3)
+    assert [s.members for s, _ in sol.searcher] == [(1,)]
+    assert location_uniqueness(spec, sol, 3).unique
+    message = "3 maximal feasible sets in the uniqueness probe, more than 2"
+    with pytest.raises(InstanceTooLarge, match=message):
+        location_uniqueness(spec, sol, 2)

@@ -14,7 +14,7 @@ from conftest import (
     roadmap_game,
     small_games,
 )
-from searchpursuit import cli, game_core, lp_solver, oracle
+from searchpursuit import game_core, lp_solver, oracle
 from searchpursuit import (
     GameSpec,
     build_matrix,
@@ -73,6 +73,25 @@ def answers(spec):
 def full_matrix_probe(spec, value):
     """The reference ranges: ``hider_uniqueness`` on the full matrix."""
     return hider_uniqueness(build_matrix(spec, maximal_feasible_sets(spec)), value)
+
+
+def assert_full_matrix_entries(spec, entries):
+    """Each sweep entry's value, uniqueness flag and ranges are the full
+    LP's and the probe's on the full matrix at its budget, and a unique
+    hider is the full LP's."""
+    for entry in entries:
+        budget_spec = GameSpec(spec.times, spec.captures, entry.budget)
+        matrix = build_matrix(budget_spec, maximal_feasible_sets(budget_spec))
+        sol = solve_zero_sum(matrix)
+        report = hider_uniqueness(matrix, sol.value)
+        assert (entry.value, entry.unique) == (sol.value, report.unique)
+        assert entry.hider_ranges == report.ranges
+        if entry.unique:
+            assert entry.hider == sol.col_strategy
+
+
+def refuse_listing(*args):
+    raise AssertionError("maximal sets listed")
 
 
 def assert_certificate_implies_probe(spec):
@@ -424,7 +443,9 @@ class TestCertifyUnique:
         for module, name in (
             (lp_solver, "solve_zero_sum"),
             (lp_solver, "_pivot"),
+            (lp_solver, "_best_set"),
             (game_core, "build_matrix"),
+            (game_core, "maximal_feasible_sets"),
             (oracle, "verify_equilibrium"),
         ):
             monkeypatch.setattr(module, name, refuse)
@@ -449,7 +470,7 @@ def test_certificate_implies_the_probe_on_random_games(spec):
 
 
 class TestSweepShortcut:
-    """Which sweep entries run the probe."""
+    """Which sweep entries run the probe; no sweep lists the maximal sets."""
 
     @staticmethod
     def record(monkeypatch):
@@ -457,19 +478,19 @@ class TestSweepShortcut:
         gave ranges and, per probe call, how many certificate calls
         preceded it."""
         verdicts, probes = [], []
-        real_ranges, real_probe = oracle.certified_ranges, lp_solver.hider_uniqueness
+        real_ranges, real_probe = oracle.certified_ranges, lp_solver.location_uniqueness
 
         def ranges(*args):
             found = real_ranges(*args)
             verdicts.append(found is not None)
             return found
 
-        def probe(matrix, value):
+        def probe(*args):
             probes.append(len(verdicts))
-            return real_probe(matrix, value)
+            return real_probe(*args)
 
         monkeypatch.setattr(oracle, "certified_ranges", ranges)
-        monkeypatch.setattr(lp_solver, "hider_uniqueness", probe)
+        monkeypatch.setattr(lp_solver, "location_uniqueness", probe)
         return verdicts, probes
 
     @staticmethod
@@ -481,14 +502,27 @@ class TestSweepShortcut:
 
     def test_worked_example_budgets(self, monkeypatch):
         times, captures = (5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4")
-        probed = self.probed(monkeypatch, times, captures, range(5, 11))
+        probed = self.probed(monkeypatch, times, captures, range(13))
         verdicts, probes = self.record(monkeypatch)
-        entries = sweep_budget(times, captures, range(5, 11))
+        with monkeypatch.context() as patch:
+            patch.setattr(game_core, "maximal_feasible_sets", refuse_listing)
+            entries = sweep_budget(times, captures, range(13))
         assert entries == probed
-        # Budgets 5 and 6 leave two null directions.
-        assert verdicts == [False, False, True, True, True, True]
+        # Budgets 0 to 6 leave two null directions or more.
+        assert verdicts == [False] * 7 + [True] * 6
         # The probe runs right after each failed certificate, and only then.
-        assert probes == [1, 2]
+        assert probes == [1, 2, 3, 4, 5, 6, 7]
+        assert_full_matrix_entries(GameSpec(times, captures, 0), entries)
+
+    def test_roadmap_sweeps_list_no_maximal_sets(self, monkeypatch):
+        for seed in range(10):
+            for n in range(5, 10):
+                spec = roadmap_game(seed, n)
+                k = spec.budget
+                with monkeypatch.context() as patch:
+                    patch.setattr(game_core, "maximal_feasible_sets", refuse_listing)
+                    entries = sweep_budget(spec.times, spec.captures, (k - 1, k, k + 1))
+                assert_full_matrix_entries(spec, entries)
 
     @pytest.mark.parametrize(
         "seed, budgets, unique",
@@ -510,28 +544,36 @@ class TestSweepShortcut:
 
     def test_settled_entries_build_no_matrix(self, monkeypatch):
         # Budgets 5 and 6 of the worked example need the probe, 7 to 10
-        # do not; no budget runs the full LP or its certificate.
+        # do not. The probe's matrices hold generated maximal sets only;
+        # no budget lists the maximal sets, runs the full LP or its
+        # certificate.
         def refuse(*args):
             raise AssertionError("full-matrix path called")
 
-        monkeypatch.setattr(lp_solver, "solve_zero_sum", refuse)
-        monkeypatch.setattr(oracle, "verify_equilibrium", refuse)
-        built, real = [], cli._location_matrix
+        for module, name in (
+            (lp_solver, "solve_zero_sum"),
+            (oracle, "verify_equilibrium"),
+            (game_core, "maximal_feasible_sets"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        built, real = [], game_core.build_matrix
 
-        def location_matrix(spec, *args):
-            built.append(spec.budget)
-            return real(spec, *args)
+        def build_matrix(spec, rows):
+            built.append((spec, [row.members for row in rows]))
+            return real(spec, rows)
 
-        monkeypatch.setattr(cli, "_location_matrix", location_matrix)
+        monkeypatch.setattr(game_core, "build_matrix", build_matrix)
         times, captures = (5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4")
         sweep_budget(times, captures, range(5, 11))
-        assert built == [5, 6]
+        assert sorted({spec.budget for spec, _ in built}) == [5, 6]
+        for spec, rows in built:
+            assert all(game_core.is_maximal(spec, row) for row in rows)
         monkeypatch.setattr(game_core, "build_matrix", refuse)
         entries = sweep_budget(times, captures, range(7, 11))
         assert [e.unique for e in entries] == [True] * 4
 
     def test_n14_entry_needs_no_probe(self, monkeypatch):
-        # The probe alone runs past a minute on this game.
+        # The rank test settles this entry, so no probe runs.
         spec = roadmap_game(2, 14)
         verdicts, probes = self.record(monkeypatch)
         (entry,) = sweep_budget(spec.times, spec.captures, [spec.budget])
@@ -546,16 +588,10 @@ def test_sweep_entries_match_the_full_matrix(spec, share):
     """Each entry's value and uniqueness flag are the full LP's and the
     probe's on the full matrix, and a unique hider is the full LP's."""
     budgets = {spec.budget, sum(spec.times) * F(share, 24)}
-    for entry in sweep_budget(spec.times, spec.captures, budgets):
-        budget_spec = GameSpec(spec.times, spec.captures, entry.budget)
-        matrix = build_matrix(budget_spec, maximal_feasible_sets(budget_spec))
-        sol = solve_zero_sum(matrix)
-        report = hider_uniqueness(matrix, sol.value)
-        assert (entry.value, entry.unique) == (sol.value, report.unique)
-        assert entry.hider_ranges == report.ranges
-        if entry.unique:
-            assert entry.hider == sol.col_strategy
-        event(f"n={spec.n} rows={len(matrix)} unique={entry.unique}")
+    entries = sweep_budget(spec.times, spec.captures, budgets)
+    assert_full_matrix_entries(spec, entries)
+    for entry in entries:
+        event(f"n={spec.n} unique={entry.unique}")
 
 
 def outcome(check, *args):
