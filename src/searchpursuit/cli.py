@@ -55,12 +55,6 @@ EXIT_BROKEN_PIPE = 141
 # feasible sets, maximal or not; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
-# The most maximal sets an exact LP holds: the master LP of column
-# generation, or the generated rows of a sweep's uniqueness probe. Sized
-# from the full LP: random 14- to 17-location games up to this size
-# solve in at most about 12 s; one of 3,327 rows took 35 s.
-DEFAULT_MAX_ROWS = 3000
-
 
 class CertificateFailure(RuntimeError):
     pass
@@ -435,7 +429,7 @@ def sweep_budget(
     captures,
     budgets,
     max_sets: int = game_core.DEFAULT_MAX_SETS,
-    max_rows: int = DEFAULT_MAX_ROWS,
+    max_rows: int = lp_solver.DEFAULT_MAX_ROWS,
 ) -> list[SweepEntry]:
     """Solve one game per budget; report value and hider uniqueness.
 
@@ -556,7 +550,7 @@ def _learning_failure(args, spec, hider, searcher, value):
 
 # Every mode's solver, which returns its claim and a function that
 # renders it, verify reader (in ``inputs``) and certificate, which
-# returns None or the first failure as (kind, name, slack). Sweep
+# returns None or a failure as (kind, name, slack). Sweep
 # documents carry no single solution, so ``verify`` refuses them.
 _MODES = {
     "general": (_solve_locations, inputs.location_solution, _locations_failure),
@@ -620,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def max_rows(p):
         p.add_argument(
-            "--max-rows", type=inputs.set_cap, default=DEFAULT_MAX_ROWS,
+            "--max-rows", type=inputs.set_cap, default=lp_solver.DEFAULT_MAX_ROWS,
             help="cap on the maximal feasible sets an exact LP holds: the "
             "master LP of column generation, or the generated sets of a "
             "sweep's uniqueness probe",

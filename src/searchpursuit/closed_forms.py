@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import game_core
 from .game_core import GameSpec, HiderStrategy, SearchSet
-from .lp_solver import solve_location_game
+from .lp_solver import DEFAULT_MAX_ROWS, solve_location_game
 from .oracle import location_certificate
 from .rationals import parse_rational
 
@@ -228,9 +228,7 @@ class ValueFloorCheck:
     reduced_value: Fraction | None
 
 
-def check_value_floor(
-    spec: GameSpec, max_sets: int = game_core.DEFAULT_MAX_SETS
-) -> ValueFloorCheck:
+def check_value_floor(spec: GameSpec) -> ValueFloorCheck:
     """Has the value bottomed out at the slowest location's capture
     probability?
 
@@ -241,7 +239,7 @@ def check_value_floor(
     inspect location n and still cover the rest well enough, while the
     hider can cap the value at p_n by hiding there. The smaller game is
     solved by column generation, whose master LP holds at most
-    ``max_sets`` sets.
+    ``DEFAULT_MAX_ROWS`` sets.
     """
     n = spec.n
     expected = tuple(Fraction(i) for i in range(1, n + 1))
@@ -255,7 +253,7 @@ def check_value_floor(
     if n == 1:
         return ValueFloorCheck(True, None)
     reduced = GameSpec(expected[:-1], spec.captures[:-1], spec.budget - n)
-    reduced_value = solve_location_game(reduced, max_sets).value
+    reduced_value = solve_location_game(reduced, DEFAULT_MAX_ROWS).value
     return ValueFloorCheck(reduced_value >= spec.captures[-1], reduced_value)
 
 

@@ -233,7 +233,7 @@ def _claimed_value(solution, where) -> Fraction:
 
 def location_solution(game_doc, solution, path: str, where: str):
     """A location-list solution: the mix holds (members, probability)
-    pairs, each set an undominated feasible set of the game."""
+    pairs; the certificate refuses a set that is no row of the game."""
     # A solution is certified in any game; no mode's rule on times applies.
     spec = game_spec_from(game_doc, path, "general")
     hider = [number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)]
@@ -246,11 +246,6 @@ def location_solution(game_doc, solution, path: str, where: str):
         if not isinstance(item, dict) or "set" not in item or "probability" not in item:
             raise ValueError(f"{where}: searcher entries need 'set' and 'probability'")
         members = _set_members(item["set"], where)
-        if not game_core.is_maximal(spec, members):
-            raise ValueError(
-                f"{where}: searcher set {list(members)} is not an "
-                "undominated feasible set of this game"
-            )
         mix.append((members, number(item["probability"], f"{where}: searcher probability")))
     return spec, hider, mix, _claimed_value(solution, where)
 

@@ -46,6 +46,13 @@ from .rationals import parse_matrix, parse_rational
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The most maximal sets an exact LP of a location game holds: the master
+# LP of column generation, or the generated rows of a sweep's uniqueness
+# probe. Both stay far below it: the masters of random games of 16 to 30
+# locations (times 1..6, captures k/20, budget a third of the total
+# time) held 12 to 46 sets, the probes of 20 to 24 locations 4 to 14.
+DEFAULT_MAX_ROWS = 3000
+
 
 class UnboundedError(RuntimeError):
     """The linear program is unbounded (cannot happen for finite games)."""
@@ -337,7 +344,7 @@ def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, 
     return Fraction(best, den), tuple(sorted(chosen))
 
 
-def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolution:
+def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolution:
     """Solve a location game exactly by column generation.
 
     The master LP is ``_game_lp``'s LP of the game with the players
@@ -359,7 +366,7 @@ def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolu
     strategies are optimal in the game over every maximal set.
 
     Raises ``game_core.InstanceTooLarge`` before the master holds more
-    than ``max_sets`` sets.
+    than ``max_rows`` sets.
     """
     n = spec.n
     p_max = max(spec.captures)
@@ -375,9 +382,9 @@ def solve_location_game(spec: game_core.GameSpec, max_sets: int) -> LocationSolu
     def add(members):
         if members in sets:
             raise RuntimeError("column generation postcondition violated")
-        if len(sets) == max_sets:
+        if len(sets) == max_rows:
             raise game_core.InstanceTooLarge(
-                f"{len(sets) + 1} maximal feasible sets in the master LP, more than {max_sets}"
+                f"{len(sets) + 1} maximal feasible sets in the master LP, more than {max_rows}"
             )
         # Each entry is s . N[., A] = 2 sum(s) - sum over i in A of
         # s_i p_i / p_max, for s the row's slack part; the zeros of s,

@@ -10,10 +10,11 @@ support enumeration solver and the vertex enumeration of the optimal
 hider set, solve their square systems with ``_reduce`` too.
 
 ``location_certificate`` is the certificate of every location-game
-solution, the first failure ``verify_equilibrium`` would name on its
-matrix, found without one: the hider side is one exact knapsack optimum
-from ``game_core``, the searcher side a sum over the listed sets only.
-``verify_equilibrium`` itself certifies the games whose matrix is
+solution, the check ``verify_equilibrium`` makes on its matrix, made
+without the matrix or a list of its rows: the hider side is one exact
+knapsack optimum from ``game_core``, whose set, filled to a maximal one,
+names a failed row; the searcher side is a sum over the listed sets
+only. ``verify_equilibrium`` itself certifies the games whose matrix is
 explicit and small, and stays the reference the tests compare with.
 
 ``certified_ranges`` bounds every optimal hider of a location game
@@ -91,22 +92,22 @@ def location_certificate(
     spec, hider_mix, searcher_mix, claimed_value, max_sets=game_core.DEFAULT_MAX_SETS
 ):
     """The certificate of a location game's solution, checked without its
-    payoff matrix: None when it holds, otherwise the first negative slack
-    that :func:`verify_equilibrium` reports on the matrix over
-    ``game_core.maximal_feasible_sets``, as ``("row", set, v - payoff)``
-    or ``("column", j, p_j * c_j - v)``.
+    payoff matrix or a list of its rows: None when it holds, otherwise a
+    negative slack of the check :func:`verify_equilibrium` makes on the
+    matrix over the maximal feasible sets. Rows come first: a failed row
+    is ``("row", set, v - payoff)`` for the row of least slack, and
+    otherwise the first short column is ``("column", j, p_j * c_j - v)``.
 
     ``searcher_mix`` holds (members, weight) pairs, the members being
-    location numbers of a set in ``game_core.maximal_feasible_sets``; a
-    set listed more than once carries the sum of its weights. Both mixes
-    are checked to be probability distributions first, with the same
-    errors as ``verify_equilibrium``, each summed in integers over its
-    common denominator. Then every benefit p_i * h_i is
-    nonnegative, so every feasible set lies in a maximal one that pays
-    at least as much: no row pays more than v exactly when the best
-    feasible set, an exact knapsack optimum, does not. Only when one
-    does are the rows walked to name the first. ``max_sets`` caps both
-    the knapsack's table of totals and that walk, with
+    location numbers of a maximal feasible set (``game_core.is_maximal``),
+    else ValueError; a set listed more than once carries the sum of its
+    weights. Both mixes are checked to be probability distributions
+    first, with the same errors as ``verify_equilibrium``, each summed in
+    integers over its common denominator. Then every benefit p_i * h_i is
+    nonnegative, so the best feasible set, an exact knapsack optimum,
+    still pays the most of any row once greedily filled to a maximal
+    set: some row pays more than v exactly when it does, and it is the
+    row named. ``max_sets`` caps the knapsack's table of totals, with
     ``game_core.InstanceTooLarge``. Column j pays p_j times the weight
     c_j of the listed sets that hold j, which must reach v; the
     comparison is cross-multiplied, and only a failed column's slack is
@@ -133,11 +134,10 @@ def location_certificate(
         weights[members] = weights.get(members, 0) + w.numerator * (den // w.denominator)
     _require_distribution(weights.values(), den, "searcher")
     v = parse_rational(claimed_value)
-    if game_core.max_payoff(spec, hider, max_sets)[0] > v:
-        for row in game_core.maximal_feasible_sets(spec, max_sets):
-            slack = v - sum(spec.captures[i - 1] * hider[i - 1] for i in row.members)
-            if slack < 0:
-                return "row", row, slack
+    payoff, best = game_core.max_payoff(spec, hider, max_sets)
+    if payoff > v:
+        filled = game_core.greedy_fill(spec, best, range(1, n + 1))
+        return "row", game_core.SearchSet(filled), v - payoff
     covered = [0] * n
     for members, w in weights.items():
         for i in members:

@@ -13,7 +13,7 @@ import pytest
 import searchpursuit
 from conftest import roadmap_game
 from searchpursuit import InstanceTooLarge
-from searchpursuit.cli import DEFAULT_MAX_ROWS, main, sweep_budget
+from searchpursuit.cli import main, sweep_budget
 
 EXAMPLE = {
     "locations": [
@@ -349,6 +349,15 @@ class TestSolve:
         code, seconds, err = timed_main_in_child(["verify", game_path, sol_path])
         assert (code, err) == (0, "")
         assert seconds < 1
+        # A claimed value 1/1000 too low fails on a row, named without a
+        # list of the rows.
+        doc = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+        doc["value"]["fraction"] = str(F(doc["value"]["fraction"]) - F(1, 1000))
+        down_path = write(tmp_path, "down.json", doc)
+        code, seconds, err = timed_main_in_child(["verify", game_path, down_path])
+        assert code == 1
+        assert err.startswith("certificate failure: row {")
+        assert seconds < 1
 
     def test_general_mode_past_the_cap_is_still_refused(self, tmp_path):
         # The game the closed form above solves in milliseconds.
@@ -622,7 +631,7 @@ class TestRowCap:
             budget_spec = replace(spec, budget=F(entry["budget"]))
             hider, value = [F(h) for h in entry["hider"]], F(entry["value"]["fraction"])
             assert game_core.max_payoff(budget_spec, hider)[0] == value
-            sol = lp_solver.solve_location_game(budget_spec, DEFAULT_MAX_ROWS)
+            sol = lp_solver.solve_location_game(budget_spec, lp_solver.DEFAULT_MAX_ROWS)
             mix = [(s.members, w) for s, w in sol.searcher]
             assert oracle.location_certificate(budget_spec, sol.hider, mix, sol.value) is None
             assert sol.value == value
@@ -1073,13 +1082,10 @@ class TestVerify:
     def test_failed_location_verify_names_its_row(self, tmp_path, capsys, monkeypatch):
         from searchpursuit import game_core
 
-        calls = []
-        real = game_core.maximal_feasible_sets
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify enumerated rows")
 
-        monkeypatch.setattr(game_core, "maximal_feasible_sets", counted)
+        monkeypatch.setattr(game_core, "maximal_feasible_sets", refuse)
         game_path, sol_path = self.staircase_documents(tmp_path, 10, -F(1, 1000))
         assert main(["verify", game_path, sol_path]) == 1
         out = capsys.readouterr()
@@ -1088,7 +1094,6 @@ class TestVerify:
         )
         assert out.out.endswith(" (slack -1/1000)\n")
         assert out.err.startswith("certificate failure: row {")
-        assert calls == [1]
 
     def test_verify_past_the_cap_needs_no_enumeration(self, tmp_path, capsys):
         # The staircase at n = 10 has 43 feasible sets; its hider's
@@ -1097,15 +1102,12 @@ class TestVerify:
         assert main(["verify", game_path, sol_path, "--max-subsets", "20"]) == 0
         assert capsys.readouterr().out == "certificate: ok\n"
 
-    def test_failed_row_check_past_the_cap_is_resource_error(self, tmp_path, capsys):
+    def test_failed_row_check_past_the_cap_names_its_row(self, tmp_path, capsys):
         game_path, sol_path = self.staircase_documents(tmp_path, 10, -F(1, 1000))
-        assert main(["verify", game_path, sol_path, "--max-subsets", "20"]) == 3
+        assert main(["verify", game_path, sol_path, "--max-subsets", "20"]) == 1
         out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == (
-            "error: more than 20 feasible sets; "
-            "instance too large for exhaustive enumeration\n"
-        )
+        assert out.out.endswith(" (slack -1/1000)\n")
+        assert out.err.startswith("certificate failure: row {")
 
     def test_bool_type2_count_is_input_error(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, TWO_TYPE, "t")
