@@ -1,13 +1,16 @@
 """Closed-form solutions for structured game families.
 
-Four families admit exact solutions without touching the LP:
+Three families admit exact solutions without touching the LP:
 
 * constant search times (every location takes one time unit),
 * staircase times (location i takes i units, captures decreasing,
   budget exactly n),
-* a floor test for whether the value has bottomed out at the last
-  location's capture probability,
 * two location types (many interchangeable locations of two kinds).
+
+A fourth result, the floor test for whether a staircase game's value
+has bottomed out at the last location's capture probability, reduces
+the question to a game one location smaller, which it solves by column
+generation (``lp_solver.solve_location_game``).
 
 The constant-times and staircase solvers return a whole answer: the
 value, the hider's mix and a searcher mix over maximal feasible sets,

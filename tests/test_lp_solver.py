@@ -251,6 +251,90 @@ def test_entering_rule_on_random_matrices(matrix):
     assert cert.ok
 
 
+def dense_pivot(rows, obj, basis, r, c):
+    """The reference for ``lp_solver._pivot``: the full row operation,
+    every entry of every row with a nonzero in column c, and of the
+    objective, recomputed as a - f * b."""
+    inv = F(1) / rows[r][c]
+    row_r = [v * inv for v in rows[r]]
+    rows[r] = row_r
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            rows[i] = [a - f * b for a, b in zip(row, row_r)]
+    f = obj[c]
+    if f:
+        obj[:] = [a - f * b for a, b in zip(obj, row_r)]
+    basis[r] = c
+
+
+@st.composite
+def pivot_cases(draw):
+    """A tableau up to 6 rows by 8 columns, its objective and basis, and
+    a pivot entry that is not zero. The entries are drawn from a few
+    small values, int and Fraction zeros among them, so that most pivot
+    rows have zero columns."""
+    m, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.sampled_from([F(0), 0, F(1), F(-1), F(1, 2), F(2), F(-1, 3)])
+    line = st.lists(entry, min_size=width, max_size=width)
+    rows = [draw(line) for _ in range(m)]
+    obj = draw(line)
+    basis = draw(st.lists(st.integers(0, width - 1), min_size=m, max_size=m))
+    r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, width - 1))
+    rows[r][c] = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(2), F(-1, 3)]))
+    return rows, obj, basis, r, c
+
+
+class TestPivotKernel:
+    """``_pivot`` updates only the pivot row's nonzero columns, with the
+    exact values of the dense update."""
+
+    @settings(max_examples=300)
+    @given(pivot_cases())
+    def test_matches_the_dense_update(self, case):
+        rows, obj, basis, r, c = case
+        dense = ([row[:] for row in rows], obj[:], basis[:])
+        lp_solver._pivot(rows, obj, basis, r, c)
+        dense_pivot(*dense, r, c)
+        assert (rows, obj, basis) == dense
+
+    def test_zero_columns_keep_their_entries(self):
+        # Row 0 is zero in columns 1 and 3; every other row and the
+        # objective have a nonzero in the pivot column 0, so a dense
+        # update would rebuild all their entries.
+        rows = [
+            [F(2), F(0), F(1), F(0), F(4)],
+            [F(1), F(3), F(0), F(5), F(6)],
+            [F(3), F(1, 2), F(-1), F(7), F(1)],
+        ]
+        obj = [F(5), F(2, 3), F(1), F(-4), F(0)]
+        before = [row[:] for row in rows + [obj]]
+        lp_solver._pivot(rows, obj, [3, 4, 5], 0, 0)
+        for row, old in zip(rows[1:] + [obj], before[1:]):
+            assert all(row[j] is old[j] for j in (1, 3))
+        assert rows[0] == [1, 0, F(1, 2), 0, 2]
+        assert rows[1] == [0, 3, F(-1, 2), 5, 4]
+        assert obj == [0, F(2, 3), F(-3, 2), -4, -10]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_whole_solves_match_the_dense_update(self, monkeypatch, seed):
+        # The goldens pin four general-mode games; these are 32 more,
+        # solved by column generation and by the full matrix's LP.
+        def solves():
+            out = []
+            for n in range(8, 12):
+                spec = roadmap_game(seed, n)
+                out.append(solve_location_game(spec, 3000))
+                out.append(solve_zero_sum(build_matrix(spec, maximal_feasible_sets(spec))))
+            return out
+
+        sparse = solves()
+        monkeypatch.setattr(lp_solver, "_pivot", dense_pivot)
+        dense = solves()
+        assert sparse == dense
+        assert repr(sparse) == repr(dense)
+
+
 class TestHiderUniqueness:
     def test_staircase_hider_is_unique(self):
         _, matrix = staircase_matrix()
