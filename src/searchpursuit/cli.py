@@ -22,7 +22,9 @@ built on first use, which parsing never changes.
 ``sweep_budget`` drives the location-list sweep: per budget the
 column generation of ``solve``, the range certificate, and where that
 tells nothing the uniqueness probe on generated sets, never a list of
-the maximal sets. ``--max-rows`` caps the sets each of those LPs holds.
+the maximal sets. ``--max-subsets`` caps the feasible sets counted
+before each solve and the certificate's knapsack table, ``--max-rows``
+the sets each of those LPs holds; the layer that counts names the flag.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -136,20 +138,10 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _row_capped(solver, spec: game_core.GameSpec, *args):
-    """``solver(spec, *args)``, whose refusal at ``--max-rows`` names it."""
-    try:
-        return solver(spec, *args)
-    except game_core.InstanceTooLarge as exc:
-        raise game_core.InstanceTooLarge(
-            f"{exc} (--max-rows); instance too large for the exact LP"
-        ) from None
-
-
 def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int):
     """Column generation, once the feasible sets pass ``--max-subsets``."""
     game_core.check_size(spec, max_sets)
-    return _row_capped(lp_solver.solve_location_game, spec, max_rows)
+    return lp_solver.solve_location_game(spec, max_rows)
 
 
 def _general(spec: game_core.GameSpec, path: str, args):
@@ -456,7 +448,7 @@ def sweep_budget(
         if ranges is None:
             if oracle.location_certificate(spec, sol.hider, mix, sol.value, max_sets) is not None:
                 raise CertificateFailure(f"budget {_text(k)}: LP solution failed its certificate")
-            ranges = _row_capped(lp_solver.location_uniqueness, spec, sol, max_rows).ranges
+            ranges = lp_solver.location_uniqueness(spec, sol, max_rows).ranges
         unique = all(lo == hi for lo, hi in ranges)
         entries.append(SweepEntry(k, sol.value, sol.hider, ranges, unique))
     oracle.check_nondecreasing(ks, [e.value for e in entries])

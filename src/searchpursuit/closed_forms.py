@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import game_core
 from .game_core import GameSpec, HiderStrategy, SearchSet
-from .lp_solver import DEFAULT_MAX_ROWS, solve_location_game
+from .lp_solver import solve_location_game
 from .oracle import location_certificate
 from .rationals import parse_rational
 
@@ -241,8 +241,7 @@ def check_value_floor(spec: GameSpec) -> ValueFloorCheck:
     least that capture probability: then the searcher can always
     inspect location n and still cover the rest well enough, while the
     hider can cap the value at p_n by hiding there. The smaller game is
-    solved by column generation, whose master LP holds at most
-    ``DEFAULT_MAX_ROWS`` sets.
+    solved by column generation at its default row cap.
     """
     n = spec.n
     expected = tuple(Fraction(i) for i in range(1, n + 1))
@@ -256,7 +255,7 @@ def check_value_floor(spec: GameSpec) -> ValueFloorCheck:
     if n == 1:
         return ValueFloorCheck(True, None)
     reduced = GameSpec(expected[:-1], spec.captures[:-1], spec.budget - n)
-    reduced_value = solve_location_game(reduced, DEFAULT_MAX_ROWS).value
+    reduced_value = solve_location_game(reduced).value
     return ValueFloorCheck(reduced_value >= spec.captures[-1], reduced_value)
 
 

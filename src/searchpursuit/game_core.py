@@ -144,7 +144,7 @@ def check_size(spec: GameSpec, max_sets: int = DEFAULT_MAX_SETS) -> None:
                 found += c
     if found > max_sets:
         raise InstanceTooLarge(
-            f"more than {max_sets} feasible sets; "
+            f"more than {max_sets} feasible sets (--max-subsets); "
             "instance too large for exhaustive enumeration"
         )
 
@@ -259,7 +259,7 @@ def max_payoff(
                 best[reached] = reward, mask | 1 << i
         if len(best) > max_sets:
             raise InstanceTooLarge(
-                f"more than {max_sets} distinct set totals; "
+                f"more than {max_sets} distinct set totals (--max-subsets); "
                 "instance too large for the knapsack certificate"
             )
     payoff, mask = max(best.values())

@@ -27,7 +27,9 @@ searcher's LP is a cutting-stock LP whose pricing step is a 0/1
 knapsack over the search times. Its master LP is the swapped game's
 ``_game_lp`` over the sets generated so far, on n location rows, seeded
 with one greedy maximal set per location and re-optimized by the same
-``_optimize`` from its last basis after each priced set enters. The
+``_optimize`` from its last basis after each priced set enters. A new
+column's constant part, twice a row's slack sum, is read off the exact
+tableau's right-hand side, since every right-hand side is 1. The
 pricer, ``_best_set``, is a branch and bound of its own, not
 ``game_core.max_payoff``, the knapsack of the certificate that checks
 its answers. The searcher's mix comes back over its support only.
@@ -362,7 +364,9 @@ def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, 
     return Fraction(best, den), tuple(sorted(chosen))
 
 
-def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolution:
+def solve_location_game(
+    spec: game_core.GameSpec, max_rows: int = DEFAULT_MAX_ROWS
+) -> LocationSolution:
     """Solve a location game exactly by column generation.
 
     The master LP is ``_game_lp``'s LP of the game with the players
@@ -372,7 +376,10 @@ def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolu
     Slack columns come first, so the dual prices pi are the negated
     slack entries of the objective row and B^-1 is read from the slack
     columns; a new set column enters as B^-1 N[., A] with reduced cost
-    1 - 2 sum(pi) + sum over i in A of pi_i p_i / p_max.
+    1 - 2 sum(pi) + sum over i in A of pi_i p_i / p_max. Every
+    right-hand side is 1, so a row's slack part sums to its last entry,
+    exactly, the objective row's to -sum(pi); the closing check that
+    sum(pi) is the optimum checks this identity.
 
     The master starts with one greedy maximal set per location (the
     location, then others in decreasing capture per unit of time while
@@ -402,17 +409,15 @@ def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolu
             raise RuntimeError("column generation postcondition violated")
         if len(sets) == max_rows:
             raise game_core.InstanceTooLarge(
-                f"{len(sets) + 1} maximal feasible sets in the master LP, more than {max_rows}"
+                f"{len(sets) + 1} maximal feasible sets in the master LP, more than "
+                f"{max_rows} (--max-rows); instance too large for the exact LP"
             )
         # Each entry is s . N[., A] = 2 sum(s) - sum over i in A of
-        # s_i p_i / p_max, for s the row's slack part; the zeros of s,
-        # which add nothing, are skipped. The objective's entry is the
-        # reduced cost, so its column cost 1 is added.
+        # s_i p_i / p_max, for s the row's slack part, and sum(s) is the
+        # row's last entry. The objective's entry is the reduced cost,
+        # so its column cost 1 is added.
         for row in rows + [obj]:
-            s = row[:n]
-            entry = 2 * sum(filter(None, s)) - sum(
-                s[i - 1] * share[i - 1] for i in members if s[i - 1]
-            )
+            entry = 2 * row[-1] - sum(row[i - 1] * share[i - 1] for i in members if row[i - 1])
             row.insert(-1, entry)
         obj[-2] += 1
         sets.append(members)
@@ -425,7 +430,7 @@ def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolu
         _optimize(rows, obj, basis, len(obj) - 1)
         duals = [-obj[i] for i in range(n)]
         gain, best = _best_set(spec, [d * p for d, p in zip(duals, spec.captures)])
-        if 1 - 2 * sum(duals) + gain / p_max <= 0:
+        if 1 + 2 * obj[-1] + gain / p_max <= 0:
             break
         add(game_core.greedy_fill(spec, best, order))
     total = -obj[-1]
@@ -442,7 +447,9 @@ def solve_location_game(spec: game_core.GameSpec, max_rows: int) -> LocationSolu
     return LocationSolution(p_max * (2 - 1 / total), hider, tuple(searcher))
 
 
-def location_uniqueness(spec: game_core.GameSpec, solution: LocationSolution, max_rows: int):
+def location_uniqueness(
+    spec: game_core.GameSpec, solution: LocationSolution, max_rows: int = DEFAULT_MAX_ROWS
+):
     """``hider_uniqueness`` of a location game on generated rows only.
 
     The rows start as the support of ``solution``, a column-generation
@@ -456,7 +463,8 @@ def location_uniqueness(spec: game_core.GameSpec, solution: LocationSolution, ma
     while True:
         if len(sets) > max_rows:
             raise game_core.InstanceTooLarge(
-                f"{len(sets)} maximal feasible sets in the uniqueness probe, more than {max_rows}"
+                f"{len(sets)} maximal feasible sets in the uniqueness probe, more than "
+                f"{max_rows} (--max-rows); instance too large for the exact LP"
             )
         report, visited = _probe(game_core.build_matrix(spec, list(sets)), solution.value)
         cuts = {}

@@ -10,14 +10,7 @@ from fractions import Fraction as F
 from math import comb
 
 from conftest import report, strictly_decreasing_captures, unit_fraction
-from searchpursuit import (
-    GameSpec,
-    build_matrix,
-    hider_uniqueness,
-    maximal_feasible_sets,
-    solve_zero_sum,
-    verify_equilibrium,
-)
+from searchpursuit import GameSpec
 from searchpursuit.cli import sweep_budget
 from searchpursuit.closed_forms import (
     TwoTypeSpec,
@@ -28,6 +21,7 @@ from searchpursuit.closed_forms import (
     solve_two_type,
     two_type_payoff,
 )
+from searchpursuit.game_core import build_matrix, maximal_feasible_sets
 from searchpursuit.learning import (
     LearningSpec,
     closed_form_value,
@@ -35,6 +29,8 @@ from searchpursuit.learning import (
     posterior_after_escape,
 )
 from searchpursuit.learning import solve as solve_learning
+from searchpursuit.lp_solver import hider_uniqueness, solve_zero_sum
+from searchpursuit.oracle import verify_equilibrium
 from support_enumeration import support_enumeration_solve
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))

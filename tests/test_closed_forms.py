@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import unit_fraction
-from searchpursuit import GameSpec, build_matrix, maximal_feasible_sets, solve_zero_sum
+from searchpursuit import GameSpec
 from searchpursuit.closed_forms import (
     RegimeError,
     TwoTypeSpec,
@@ -16,6 +16,8 @@ from searchpursuit.closed_forms import (
     two_type_matrix,
     two_type_payoff,
 )
+from searchpursuit.game_core import build_matrix, maximal_feasible_sets
+from searchpursuit.lp_solver import solve_zero_sum
 
 FAMILY = (F(1, 2), F(2, 5), F(3, 10), F(1, 5), F(1, 10))
 

@@ -7,21 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_game, rational_games
-from searchpursuit import (
-    GameSpec,
-    InstanceTooLarge,
-    build_matrix,
-    maximal_feasible_sets,
-    solve_zero_sum,
-)
+from searchpursuit import GameSpec, InstanceTooLarge
 from searchpursuit.game_core import (
     HiderStrategy,
     SearchSet,
+    build_matrix,
     check_size,
     is_maximal,
     max_payoff,
+    maximal_feasible_sets,
     search_set,
 )
+from searchpursuit.lp_solver import solve_zero_sum
 
 EXAMPLE = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 7)
 STAIR5 = GameSpec((1, 2, 3, 4, 5), ("0.5", "0.4", "0.3", "0.2", "0.1"), 5)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_games
-from searchpursuit import GameSpec, build_matrix, maximal_feasible_sets, solve_zero_sum
+from searchpursuit import GameSpec
 from searchpursuit.cli import main
 from searchpursuit.closed_forms import (
     RegimeError,
@@ -22,6 +22,8 @@ from searchpursuit.closed_forms import (
     solve_constant_times,
     solve_two_type,
 )
+from searchpursuit.game_core import build_matrix, maximal_feasible_sets
+from searchpursuit.lp_solver import solve_zero_sum
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from searchpursuit.rationals import format_rational
 

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import unit_fraction
-from searchpursuit import solve_zero_sum
 from searchpursuit.learning import (
     LearningSpec,
     closed_form_value,
@@ -16,6 +15,7 @@ from searchpursuit.learning import (
     stay_is_favored,
 )
 from searchpursuit.learning import solve as solve_learning
+from searchpursuit.lp_solver import solve_zero_sum
 
 
 def random_pair(rng, max_den=20, strict=False):

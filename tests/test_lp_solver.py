@@ -1,6 +1,9 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +17,14 @@ from conftest import (
     roadmap_game,
     small_games,
 )
-from searchpursuit import lp_solver
-from searchpursuit import (
-    GameSpec,
-    InstanceTooLarge,
-    build_matrix,
+from searchpursuit import GameSpec, InstanceTooLarge, lp_solver
+from searchpursuit.game_core import build_matrix, max_payoff, maximal_feasible_sets
+from searchpursuit.lp_solver import (
     hider_uniqueness,
-    maximal_feasible_sets,
+    location_uniqueness,
+    solve_location_game,
     solve_zero_sum,
 )
-from searchpursuit.game_core import max_payoff
-from searchpursuit.lp_solver import location_uniqueness, solve_location_game
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from support_enumeration import optimal_hider_ranges, support_enumeration_solve
 
@@ -593,6 +593,45 @@ def test_column_generation_matches_the_full_lp(spec):
     matrix, searcher = full_matrix_answer(spec, sol)
     assert sol.value == solve_zero_sum(matrix).value
     assert verify_equilibrium(matrix, sol.hider, searcher, sol.value).ok
+
+
+@settings(max_examples=100)
+@given(st.one_of(small_games(), rational_games()))
+def test_master_slack_sums_are_the_right_hand_sides(spec):
+    # A new master column reads each row's slack sum off its last entry
+    # (every right-hand side is 1), and the pricing test reads -sum(pi)
+    # off the objective's. Both must hold after every re-optimization.
+    optimize = lp_solver._optimize
+    runs = []
+
+    def checked(rows, obj, basis, width):
+        optimize(rows, obj, basis, width)
+        for row in rows + [obj]:
+            assert sum(row[: len(rows)]) == row[-1]
+        runs.append(width)
+
+    with mock.patch.object(lp_solver, "_optimize", checked):
+        solve_location_game(spec)
+    assert runs
+
+
+# Column generation's exact answers for roadmap_game(s, n), s = 0..7 and
+# n = 8..13. The CLI goldens pin only four general-mode games; a change
+# to the master's columns, pivots or pricing that moves any answer
+# shows here.
+PINNED_ANSWERS = json.loads(
+    Path(__file__).with_name("golden").joinpath("location_games.json").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_ANSWERS, ids=lambda case: f"roadmap-{case['seed']}-{case['n']}"
+)
+def test_column_generation_answers_are_pinned(case):
+    sol = solve_location_game(roadmap_game(case["seed"], case["n"]))
+    assert str(sol.value) == case["value"]
+    assert [str(h) for h in sol.hider] == case["hider"]
+    assert [[str(s), str(w)] for s, w in sol.searcher] == case["searcher"]
 
 
 @settings(max_examples=100)

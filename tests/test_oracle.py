@@ -14,15 +14,7 @@ from conftest import (
     roadmap_game,
     small_games,
 )
-from searchpursuit import game_core, lp_solver, oracle
-from searchpursuit import (
-    GameSpec,
-    build_matrix,
-    hider_uniqueness,
-    maximal_feasible_sets,
-    solve_zero_sum,
-    verify_equilibrium,
-)
+from searchpursuit import GameSpec, game_core, lp_solver, oracle
 from searchpursuit.cli import sweep_budget
 from searchpursuit.closed_forms import (
     TwoTypeSpec,
@@ -31,11 +23,14 @@ from searchpursuit.closed_forms import (
     solve_constant_times,
     solve_two_type,
 )
+from searchpursuit.game_core import build_matrix, maximal_feasible_sets
+from searchpursuit.lp_solver import hider_uniqueness, solve_zero_sum
 from searchpursuit.oracle import (
     MonotonicityError,
     certified_ranges,
     check_nondecreasing,
     location_certificate,
+    verify_equilibrium,
 )
 from support_enumeration import support_enumeration_solve
 
