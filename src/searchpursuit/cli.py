@@ -138,10 +138,10 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int):
+def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int, seeds=()):
     """Column generation, once the feasible sets pass ``--max-subsets``."""
     game_core.check_size(spec, max_sets)
-    return lp_solver.solve_location_game(spec, max_rows)
+    return lp_solver.solve_location_game(spec, max_rows, seeds)
 
 
 def _general(spec: game_core.GameSpec, path: str, args):
@@ -426,7 +426,12 @@ def sweep_budget(
     """Solve one game per budget; report value and hider uniqueness.
 
     Each budget is capped and solved like ``solve`` in general mode, by
-    column generation. The hider's ranges, and with them uniqueness,
+    column generation. Budgets are solved in ascending order, and each
+    after the first warm-starts its master LP from the previous budget's
+    searcher support (``seeds``): those sets still fit, since the budget
+    only grew. A value is the same from any start; where the hider is
+    not unique, the one reported may differ from a cold solve's, while
+    its ranges do not. The hider's ranges, and with them uniqueness,
     come from ``oracle.certified_ranges`` on that answer. Where it
     returns None, ``oracle.location_certificate`` decides: a failure
     raises ``CertificateFailure``, and otherwise the ranges come from
@@ -434,15 +439,16 @@ def sweep_budget(
     caps. Both give the exact ranges, so the entries do not depend on
     which one ran. No budget lists the maximal sets.
 
-    Budgets are evaluated in ascending order and the value is checked
-    by ``oracle.check_nondecreasing`` (extra search time can never hurt
-    the searcher), which raises ``oracle.MonotonicityError``.
+    The values are checked by ``oracle.check_nondecreasing`` (extra
+    search time can never hurt the searcher), which raises
+    ``oracle.MonotonicityError``.
     """
     ks = sorted(set(parse_rational(k) for k in budgets))
     entries = []
+    mix = []
     for k in ks:
         spec = game_core.GameSpec(tuple(times), tuple(captures), k)
-        sol = _location_lp(spec, max_sets, max_rows)
+        sol = _location_lp(spec, max_sets, max_rows, [s for s, _ in mix])
         mix = [(s.members, w) for s, w in sol.searcher]
         ranges = oracle.certified_ranges(spec, sol.hider, mix, sol.value, max_sets)
         if ranges is None:

@@ -26,7 +26,8 @@ maximal sets, by column generation (Gilmore and Gomory 1961): the
 searcher's LP is a cutting-stock LP whose pricing step is a 0/1
 knapsack over the search times. Its master LP is the swapped game's
 ``_game_lp`` over the sets generated so far, on n location rows, seeded
-with one greedy maximal set per location and re-optimized by the same
+with one greedy maximal set per location, or with given sets such as
+the previous budget's support in a sweep, and re-optimized by the same
 ``_optimize`` from its last basis after each priced set enters. A new
 column's constant part, twice a row's slack sum, is read off the exact
 tableau's right-hand side, since every right-hand side is 1. The
@@ -365,7 +366,7 @@ def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, 
 
 
 def solve_location_game(
-    spec: game_core.GameSpec, max_rows: int = DEFAULT_MAX_ROWS
+    spec: game_core.GameSpec, max_rows: int = DEFAULT_MAX_ROWS, seeds=()
 ) -> LocationSolution:
     """Solve a location game exactly by column generation.
 
@@ -383,12 +384,18 @@ def solve_location_game(
 
     The master starts with one greedy maximal set per location (the
     location, then others in decreasing capture per unit of time while
-    they fit) and is re-optimized by ``_optimize`` from its last basis
-    after every new column. The pricing step is ``_best_set`` on the
-    benefits pi_i p_i; while the best set's reduced cost is positive it
-    is extended to a maximal set and enters. Once none is, no feasible
-    set pays more than the value against the hider pi / total, so both
-    strategies are optimal in the game over every maximal set.
+    they fit), or, when ``seeds`` is given, with those sets of location
+    numbers, each filled greedily in the same order and taken once; a
+    seed that does not fit the budget or names no location of the game
+    raises ``ValueError``. A sweep seeds each budget with the previous
+    budget's support. The seeds choose only where the exact loop starts,
+    not whether its answer is optimal. The master is re-optimized by
+    ``_optimize`` from its last basis after every new column. The
+    pricing step is ``_best_set`` on the benefits pi_i p_i; while the
+    best set's reduced cost is positive it is extended to a maximal set
+    and enters. Once none is, no feasible set pays more than the value
+    against the hider pi / total, so both strategies are optimal in the
+    game over every maximal set.
 
     Raises ``game_core.InstanceTooLarge`` before the master holds more
     than ``max_rows`` sets.
@@ -422,10 +429,17 @@ def solve_location_game(
         obj[-2] += 1
         sets.append(members)
 
-    for i in range(1, n + 1):
-        seed = game_core.greedy_fill(spec, (i,) if spec.times[i - 1] <= spec.budget else (), order)
-        if seed not in sets:
-            add(seed)
+    if not seeds:
+        seeds = [(i,) if spec.times[i - 1] <= spec.budget else () for i in range(1, n + 1)]
+    for seed in seeds:
+        members = tuple(sorted(set(seed)))
+        if not all(1 <= i <= n for i in members) or (
+            sum(spec.times[i - 1] for i in members) > spec.budget
+        ):
+            raise ValueError(f"seed {list(members)} is not a feasible set of the game")
+        filled = game_core.greedy_fill(spec, members, order)
+        if filled not in sets:
+            add(filled)
     while True:
         _optimize(rows, obj, basis, len(obj) - 1)
         duals = [-obj[i] for i in range(n)]

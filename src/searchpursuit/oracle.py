@@ -3,9 +3,10 @@
 The checking routines here deliberately share no solving code with
 :mod:`searchpursuit.lp_solver`, and import neither it nor
 ``closed_forms``: equilibrium claims are verified by direct slack
-evaluation, and linear systems are solved by plain Gauss-Jordan
-elimination (``_reduce``). A bug in the simplex cannot hide behind an
-identical bug here. The tests' simplex-free references, the
+evaluation, and linear systems are solved by Gauss-Jordan elimination
+run fraction-free on integer rows (``_reduce``), whose reduced rows are
+those of the plain Fraction elimination. A bug in the simplex cannot
+hide behind an identical bug here. The tests' simplex-free references, the
 support enumeration solver and the vertex enumeration of the optimal
 hider set, solve their square systems with ``_reduce`` too.
 
@@ -166,25 +167,44 @@ def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
     over the first ``width`` columns. With full rank the first ``width``
     rows read [I | solution]. Returns None as soon as more than
     ``nullity`` columns lack a pivot.
+
+    The elimination is fraction-free: each row is scaled to integers
+    over the lcm of its denominators, row y with leading entry x clears
+    column c of row a as x * a - a[c] * y, and that row is divided by the
+    gcd of its entries. A row is thus always a nonzero multiple of the
+    row that Fraction elimination with the same row choices holds, so
+    the pivots are the same, and only at the end is each pivot row
+    divided by its leading entry. The reduced row echelon form is
+    unique, so the pivot rows are exactly those of the Fraction
+    elimination. A row past ``len(pivots)`` is a nonzero multiple of the
+    Fraction elimination's, so the two are equal where the system is
+    consistent (both zero); the tests keep that elimination as the
+    reference.
     """
-    rows = [row[:] for row in system]
+    rows = []
+    for row in system:
+        den = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (den // v.denominator) for v in row])
     pivots: list[int] = []
     for col in range(width):
         top = len(pivots)
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if pivot is None:
             if col - top >= nullity:
                 return None
             continue
         rows[top], rows[pivot] = rows[pivot], rows[top]
-        lead = rows[top][col]
-        rows[top] = [v / lead for v in rows[top]]
-        for r in range(len(rows)):
-            if r != top and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        y = rows[top]
+        x = y[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != top:
+                row = [x * a - f * b for a, b in zip(row, y)]
+                g = math.gcd(*row) or 1
+                rows[r] = [a // g for a in row]
         pivots.append(col)
-    return rows, pivots
+    reduced = [[Fraction(v, row[col]) for v in row] for row, col in zip(rows, pivots)]
+    return reduced + [[Fraction(v) for v in row] for row in rows[len(pivots):]], pivots
 
 
 def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SETS):

@@ -662,18 +662,35 @@ class TestRowCap:
 
     def test_sweep_cap_is_per_budget(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)
-        # Budgets 0..3 have one maximal set, budget 4 two, 5 and up three,
-        # and the master LP starts with all of them.
-        argv = ["sweep", path, "--k-from", "0", "--k-to", "4", "--max-rows"]
-        assert main(argv + ["2"]) == 0
+        # Budgets 0..3 have one maximal set, budget 4 two, 5 to 8 three.
+        # Each master starts from the previous budget's support. Budget
+        # 5's starts from {2} alone, and pricing adds {1}, then {3},
+        # before its hider settles at location 4, which no set reaches.
+        def sweep(k_to, max_rows):
+            return main(["sweep", path, "--k-from", "0", "--k-to", k_to, "--max-rows", max_rows])
+
+        assert sweep("8", "3") == 0
+        assert sweep("4", "2") == 0
         capsys.readouterr()
-        assert main(argv + ["1"]) == 3
+        assert sweep("5", "2") == 3
         assert capsys.readouterr().err == (
-            "error: 2 maximal feasible sets in the master LP, more than 1 "
+            "error: 3 maximal feasible sets in the master LP, more than 2 "
             "(--max-rows); instance too large for the exact LP\n"
         )
+        # A cold first budget starts from one greedy set per location.
         with pytest.raises(InstanceTooLarge, match="3 maximal feasible sets in the master LP"):
             sweep_budget((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), [6, 7], max_rows=2)
+
+    def test_sweep_cap_also_bounds_the_probe(self, tmp_path, capsys):
+        # Budget 4's warm master holds budget 3's {2} alone, but its
+        # hider is not unique, and the uniqueness probe adds {3}.
+        path = write(tmp_path, "g.json", EXAMPLE)
+        argv = ["sweep", path, "--k-from", "0", "--k-to", "4", "--max-rows", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: 2 maximal feasible sets in the uniqueness probe, more than 1 "
+            "(--max-rows); instance too large for the exact LP\n"
+        )
 
     def test_two_type_cross_check_keeps_its_own_cap(self, tmp_path, capsys):
         path = write(tmp_path, "t.json", TWO_TYPE)

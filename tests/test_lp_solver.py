@@ -576,6 +576,32 @@ class TestLocationGame:
             assert all(w > 0 for _, w in sol.searcher)
             assert sum(w for _, w in sol.searcher) == 1
 
+    def test_seeds_are_filled_and_taken_once(self):
+        # {1, 2, 3} is the only maximal set at budget 6; each seed fills
+        # to it, so the master holds one set and passes a cap of one.
+        spec = GameSpec((1, 2, 3), ("1/2", "1/5", "1/3"), 6)
+        sol = solve_location_game(spec, 1, seeds=[(1,), (2,), (3, 1)])
+        assert sol == solve_location_game(spec)
+        assert [(s.members, w) for s, w in sol.searcher] == [((1, 2, 3), F(1))]
+
+    def test_seeds_start_the_master(self):
+        # Budget 5 of the worked example: cold, the master starts from
+        # {1}, {2} and {3}; seeded with {2}, it still prices in {1} and
+        # {3}, and settles on another optimal searcher.
+        spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 5)
+        cold, warm = solve_location_game(spec), solve_location_game(spec, seeds=[(2,)])
+        assert (cold.value, cold.hider) == (warm.value, warm.hider) == (0, (0, 0, 0, 1))
+        assert [s.members for s, _ in cold.searcher] == [(1,)]
+        assert [s.members for s, _ in warm.searcher] == [(2,)]
+
+    @pytest.mark.parametrize("seed", [(1, 2), (4,), (5,), (0,)])
+    def test_seed_outside_the_game_is_refused(self, seed):
+        # {1, 2} takes 8 and {4} takes 7 of a budget of 6; 5 and 0 name
+        # no location.
+        spec = GameSpec((5, 3, 4, 7), ("0.1", "0.2", "0.15", "0.4"), 6)
+        with pytest.raises(ValueError, match="is not a feasible set of the game"):
+            solve_location_game(spec, seeds=[(3,), seed])
+
     def test_roadmap_games_match_the_full_lp(self):
         for seed in range(4):
             for n in (10, 11):

@@ -359,6 +359,144 @@ class TestSweep:
         assert ccert.ok
 
 
+def fraction_reduce(system, width, nullity=0):
+    """The reference for ``oracle._reduce``: Gauss-Jordan elimination in
+    Fractions, each pivot row divided by its leading entry as soon as it
+    is chosen."""
+    rows = [row[:] for row in system]
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            if col - top >= nullity:
+                return None
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        lead = rows[top][col]
+        rows[top] = [v / lead for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+@st.composite
+def linear_systems(draw):
+    """An augmented system over ``width`` columns with zero rows,
+    duplicate rows and rows summed from others, so every rank occurs;
+    consistent (its right-hand side is A x) when the flag says so.
+    Returns ``(system, width, nullity, consistent)``."""
+    width = draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    nonzero = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    consistent = draw(st.booleans())
+    x = [draw(entry) for _ in range(width)]
+    base = []
+    for _ in range(draw(st.integers(1, width + 1))):
+        row = [draw(entry) for _ in range(width)]
+        b = sum(a * xj for a, xj in zip(row, x)) if consistent else draw(entry)
+        base.append(row + [b])
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled", "sum"]))
+        u, w = (draw(st.sampled_from(base)) for _ in range(2))
+        c = draw(nonzero)
+        extra.append({
+            "zero": [F(0)] * (width + 1),
+            "duplicate": u[:],
+            "scaled": [c * a for a in u],
+            "sum": [a + c * b for a, b in zip(u, w)],
+        }[kind])
+    system = draw(st.permutations(base + extra))
+    return system, width, draw(st.integers(0, width)), consistent
+
+
+class TestFractionFreeReduce:
+    @settings(max_examples=400)
+    @given(linear_systems())
+    def test_matches_fraction_elimination(self, case):
+        system, width, nullity, consistent = case
+        before = [row[:] for row in system]
+        got = oracle._reduce(system, width, nullity)
+        ref = fraction_reduce(system, width, nullity)
+        assert system == before
+        if ref is None:
+            event(f"more than {nullity} columns without a pivot")
+            assert got is None
+            return
+        (rows, pivots), (ref_rows, ref_pivots) = got, ref
+        event(f"{width - len(pivots)} columns without a pivot")
+        assert all(type(v) is F for row in rows for v in row)
+        assert pivots == ref_pivots
+        assert rows[: len(pivots)] == ref_rows[: len(pivots)]
+        # A row past the pivots is zero over the first width columns; its
+        # right-hand side is a nonzero multiple of the reference's.
+        for row, ref_row in zip(rows[len(pivots):], ref_rows[len(pivots):]):
+            assert row[:width] == ref_row[:width] == [0] * width
+            assert (row[-1] == 0) == (ref_row[-1] == 0)
+        if consistent:
+            assert got == ref
+
+    def test_pivot_rows_end_with_a_leading_one(self):
+        system = [
+            [F(0), F(2), F(4)],
+            [F(0), F(0), F(0)],
+            [F(3), F(1), F(2)],
+            [F(3), F(3), F(6)],
+        ]
+        rows, pivots = oracle._reduce(system, 2)
+        assert pivots == [0, 1]
+        assert rows == [[1, 0, 0], [0, 1, 2], [0, 0, 0], [0, 0, 0]]
+        assert oracle._reduce(system[:2], 2) is None
+        assert oracle._reduce(system[:2], 2, nullity=1) == ([[0, 1, 2], [0, 0, 0]], [1])
+
+
+def assert_warm_sweep_matches_cold(spec, budgets):
+    """Each budget's master starts from the previous budget's support.
+    Every warm answer must pass the certificate, and each entry must
+    have the cold solve's value and ranges, and its hider where that is
+    unique. Returns the budgets whose hider differs from the cold one."""
+    entries = sweep_budget(spec.times, spec.captures, budgets)
+    seeds, moved = (), []
+    for entry in entries:
+        budget_spec = GameSpec(spec.times, spec.captures, entry.budget)
+        warm = lp_solver.solve_location_game(budget_spec, seeds=seeds)
+        mix = [(s.members, w) for s, w in warm.searcher]
+        assert location_certificate(budget_spec, warm.hider, mix, warm.value) is None
+        assert (entry.value, entry.hider) == (warm.value, warm.hider)
+        cold = lp_solver.solve_location_game(budget_spec)
+        ranges = lp_solver.location_uniqueness(budget_spec, cold).ranges
+        unique = all(lo == hi for lo, hi in ranges)
+        assert (entry.value, entry.unique, entry.hider_ranges) == (cold.value, unique, ranges)
+        if entry.hider != cold.hider:
+            assert not unique
+            moved.append(entry.budget)
+        seeds = [s for s, _ in mix]
+    return moved
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_games(), rational_games()), st.data())
+def test_warm_started_sweep_matches_cold_solves(spec, data):
+    steps = data.draw(st.lists(st.integers(0, 24), min_size=2, max_size=5, unique=True))
+    budgets = [sum(spec.times) * F(j, 24) for j in sorted(steps)]
+    moved = assert_warm_sweep_matches_cold(spec, budgets)
+    event("a hider moved" if moved else "every hider as cold")
+
+
+def test_warm_start_can_move_a_hider_that_is_not_unique():
+    # At budget 10, y_4 and y_5 (equal locations) trade 15/43: the cold
+    # solve hides at 5, the warm start from budget 9's support at 4.
+    spec = roadmap_game(28, 8)
+    assert assert_warm_sweep_matches_cold(spec, (8, 9, 10)) == [10]
+    assert sweep_budget(spec.times, spec.captures, (8, 9, 10))[-1].hider == (
+        0, F(7, 43), 0, F(15, 43), 0, F(21, 43), 0, 0
+    )
+
+
 class TestCertifyUnique:
     def test_worked_example_is_certified(self):
         # Rank n: location 2 is covered above the value, and the three
