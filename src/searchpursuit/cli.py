@@ -23,8 +23,9 @@ built on first use, which parsing never changes.
 column generation of ``solve``, the range certificate, and where that
 tells nothing the uniqueness probe on generated sets, never a list of
 the maximal sets. ``--max-subsets`` caps the feasible sets counted
-before each solve and the certificate's knapsack table, ``--max-rows``
-the sets each of those LPs holds; the layer that counts names the flag.
+before each solve and the entries of the Pareto front of the
+certificate's knapsack, ``--max-rows`` the sets each of those LPs
+holds; the layer that counts names the flag.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -45,6 +46,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import closed_forms, game_core, inputs, learning, lp_solver, oracle
+from .oracle import CertificateFailure
 from .rationals import NumberTooLarge, format_decimal, format_rational, parse_rational
 
 EXIT_OK = 0
@@ -56,10 +58,6 @@ EXIT_BROKEN_PIPE = 141
 # The LP cross-checks an expanded two-type game only up to this many
 # feasible sets, maximal or not; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
-
-
-class CertificateFailure(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +430,12 @@ def sweep_budget(
     only grew. A value is the same from any start; where the hider is
     not unique, the one reported may differ from a cold solve's, while
     its ranges do not. The hider's ranges, and with them uniqueness,
-    come from ``oracle.certified_ranges`` on that answer. Where it
-    returns None, ``oracle.location_certificate`` decides: a failure
-    raises ``CertificateFailure``, and otherwise the ranges come from
-    ``lp_solver.location_uniqueness``, whose generated sets ``max_rows``
-    caps. Both give the exact ranges, so the entries do not depend on
-    which one ran. No budget lists the maximal sets.
+    come from ``oracle.certified_ranges`` on that answer, which runs the
+    location certificate once: a failure raises ``CertificateFailure``,
+    and where the certificate holds but the rank test cannot tell, the
+    ranges come from ``lp_solver.location_uniqueness``, whose generated
+    sets ``max_rows`` caps. Both give the exact ranges, so the entries
+    do not depend on which one ran. No budget lists the maximal sets.
 
     The values are checked by ``oracle.check_nondecreasing`` (extra
     search time can never hurt the searcher), which raises
@@ -450,10 +448,13 @@ def sweep_budget(
         spec = game_core.GameSpec(tuple(times), tuple(captures), k)
         sol = _location_lp(spec, max_sets, max_rows, [s for s, _ in mix])
         mix = [(s.members, w) for s, w in sol.searcher]
-        ranges = oracle.certified_ranges(spec, sol.hider, mix, sol.value, max_sets)
+        try:
+            ranges = oracle.certified_ranges(spec, sol.hider, mix, sol.value, max_sets)
+        except CertificateFailure:
+            raise CertificateFailure(
+                f"budget {_text(k)}: LP solution failed its certificate"
+            ) from None
         if ranges is None:
-            if oracle.location_certificate(spec, sol.hider, mix, sol.value, max_sets) is not None:
-                raise CertificateFailure(f"budget {_text(k)}: LP solution failed its certificate")
             ranges = lp_solver.location_uniqueness(spec, sol, max_rows).ranges
         unique = all(lo == hi for lo, hi in ranges)
         entries.append(SweepEntry(k, sol.value, sol.hider, ranges, unique))
@@ -606,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     def max_subsets(p):
         p.add_argument(
             "--max-subsets", type=inputs.set_cap, default=game_core.DEFAULT_MAX_SETS,
-            help="cap on enumerated feasible sets and on the totals of the "
-            "certificate's knapsack",
+            help="cap on enumerated feasible sets and on the entries of the "
+            "Pareto front of the certificate's knapsack",
         )
 
     def max_rows(p):

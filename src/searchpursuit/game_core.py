@@ -16,7 +16,8 @@ before any is built (so an instance over the cap is refused at once),
 and one walk lists the maximal sets, testing maximality as it goes.
 On the same integers ``build_matrix`` checks every row it is given,
 ``is_maximal`` tests one set without a walk, and ``max_payoff`` solves
-the searcher's best reply to a hider mix as a knapsack.
+the searcher's best reply to a hider mix as a knapsack over a Pareto
+front of totals.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .rationals import parse_rational
+from .rationals import parse_rational, parse_rationals
 
 DEFAULT_MAX_SETS = 1 << 22
 
 
 class InstanceTooLarge(RuntimeError):
     """Enumeration refused: the instance exceeds the configured subset cap."""
-
-
-def _rational_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,8 @@ class GameSpec:
     budget: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _rational_tuple(self.times))
-        object.__setattr__(self, "captures", _rational_tuple(self.captures))
+        object.__setattr__(self, "times", parse_rationals(self.times))
+        object.__setattr__(self, "captures", parse_rationals(self.captures))
         object.__setattr__(self, "budget", parse_rational(self.budget))
         if not self.times:
             raise ValueError("at least one location is required")
@@ -84,10 +81,14 @@ class GameSpec:
         return times, self.budget.numerator * (scale // self.budget.denominator)
 
     @cached_property
+    def _time_of(self) -> dict[int, int]:
+        """Each location number's scaled time."""
+        return dict(enumerate(self._scaled[0], start=1))
+
+    @cached_property
     def _by_time(self) -> list[int]:
         """Location numbers in increasing order of search time."""
-        times = self._scaled[0]
-        return sorted(range(1, self.n + 1), key=lambda i: times[i - 1])
+        return sorted(self._time_of, key=self._time_of.__getitem__)
 
 
 @dataclass(frozen=True, order=True)
@@ -116,7 +117,7 @@ class HiderStrategy:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _rational_tuple(self.probs))
+        object.__setattr__(self, "probs", parse_rationals(self.probs))
         if any(p < 0 for p in self.probs):
             raise ValueError("hider probabilities must be nonnegative")
         if sum(self.probs) != 1:
@@ -201,17 +202,17 @@ def is_maximal(spec: GameSpec, members: Sequence[int]) -> bool:
     the members of a set in :func:`maximal_feasible_sets`: they are
     distinct, lie in 1..n and fit the budget, and every location left
     out takes longer than the time that is left."""
-    times, budget = spec._scaled
+    time_of = spec._time_of
     chosen = set(members)
-    if len(chosen) != len(members) or not all(1 <= i <= spec.n for i in chosen):
+    if len(chosen) != len(members) or not chosen <= time_of.keys():
         return False
-    slack = budget - sum(times[i - 1] for i in chosen)
+    slack = spec._scaled[1] - sum(map(time_of.__getitem__, chosen))
     if slack < 0:
         return False
     for i in spec._by_time:
         if i not in chosen:
             # The quickest location left out decides; the rest take longer.
-            return times[i - 1] > slack
+            return time_of[i] > slack
     return True
 
 
@@ -234,36 +235,48 @@ def max_payoff(
     """The most any feasible set pays against the hider mix ``hider``
     (max of sum(p_i * h_i) over sets within budget), and one such set.
 
-    An exact 0/1 knapsack over a dict from each reachable scaled total to
-    the best payoff that reaches it and a bit mask of one set that does,
-    in integers over the payoffs' common denominator. Locations the hider
-    never uses add nothing and are skipped. Each total in the dict
-    belongs to at least one feasible set, so it never outgrows the count
-    :func:`check_size` bounds; it is bounded itself, and raises
-    :class:`InstanceTooLarge` once it holds more than ``max_sets`` totals.
+    An exact 0/1 knapsack over the Pareto front of (scaled total,
+    payoff) pairs (Nemhauser and Ullmann 1969), in integers over the
+    payoffs' common denominator: a total is kept only if it pays
+    strictly more than every smaller total, with a bit mask of one set
+    that reaches it. Each location's shifted copy of the front is merged
+    into it once, in location order. Locations the hider never uses, or
+    that alone overrun the budget, are skipped. The set named is the one
+    of greatest payoff, of least total among those, and of least mask
+    among those: it leaves out the highest-numbered location where two
+    such sets differ. Every entry of the front is a distinct total, so
+    the front never outgrows the count :func:`check_size` bounds; it is
+    bounded itself, and raises :class:`InstanceTooLarge` once it holds
+    more than ``max_sets`` entries.
     """
     times, budget = spec._scaled
     # Each benefit p_i * h_i as an integer pair, left unreduced.
     used = [
         (i, t, p.numerator * h.numerator, p.denominator * h.denominator)
         for i, (t, p, h) in enumerate(zip(times, spec.captures, hider), start=1)
-        if h
+        if h and t <= budget
     ]
     den = math.lcm(*(d for *_, d in used))
-    best = {0: (0, 0)}
+    # (total, -payoff, mask), in increasing total and so decreasing
+    # -payoff. A shifted entry's mask holds bit i, above every bit of the
+    # front's, so at an equal total and payoff the sort puts the front's
+    # entry, the one of lesser mask, first.
+    front = [(0, 0, 0)]
     for i, t, b, d in used:
-        gain = b * (den // d)
-        for total, (payoff, mask) in list(best.items()):
-            reached, reward = total + t, payoff + gain
-            if reached <= budget and (reached not in best or best[reached][0] < reward):
-                best[reached] = reward, mask | 1 << i
-        if len(best) > max_sets:
+        gain, bit, room = b * (den // d), 1 << i, budget - t
+        merged = sorted(front + [(T + t, Q - gain, M | bit) for T, Q, M in front if T <= room])
+        front, least = [], 1
+        for entry in merged:
+            if entry[1] < least:
+                front.append(entry)
+                least = entry[1]
+        if len(front) > max_sets:
             raise InstanceTooLarge(
                 f"more than {max_sets} distinct set totals (--max-subsets); "
                 "instance too large for the knapsack certificate"
             )
-    payoff, mask = max(best.values())
-    return Fraction(payoff, den), tuple(i for i in range(1, spec.n + 1) if mask >> i & 1)
+    _, loss, mask = front[-1]
+    return Fraction(-loss, den), tuple(i for i in range(1, spec.n + 1) if mask >> i & 1)
 
 
 def build_matrix(

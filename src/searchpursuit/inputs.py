@@ -25,6 +25,19 @@ def _json_int(text: str):
         return text
 
 
+def _json(text: str):
+    """The JSON value of ``text``, decimals kept as their literal text.
+    Integers are read by the decoder itself; only a document with one
+    past the digit limit, which the decoder refuses, is read again with
+    each integer through ``_json_int``."""
+    try:
+        return json.loads(text, parse_float=str)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_float=str, parse_int=_json_int)
+
+
 def number(value, where: str) -> Fraction:
     """``parse_rational`` for input read from outside the program, with
     ``where`` named in the ValueError or NumberTooLarge it raises."""
@@ -49,7 +62,7 @@ def _load_object(path: str) -> dict:
     """The JSON object in the file at ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=str, parse_int=_json_int)
+            doc = _json(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -101,6 +114,18 @@ def load_game_file(path: str, modes) -> dict:
     return {**doc, "mode": mode}
 
 
+# The fields of one location, each required.
+_LOCATION_FIELDS = frozenset(("time", "capture"))
+
+
+def _location(loc, where: str) -> tuple[Fraction, Fraction]:
+    """The (time, capture) of one location, each fault named by ``where``."""
+    if not isinstance(loc, dict):
+        raise ValueError(f"{where} must be an object")
+    _reject_unknown(loc, _LOCATION_FIELDS, where)
+    return _rational_field(loc, "time", where), _rational_field(loc, "capture", where)
+
+
 def game_spec_from(doc: dict, path: str, mode: str) -> game_core.GameSpec:
     """The location game of ``doc``, refused if its search times break
     ``mode``'s rule: all 1 for constant-times, 1, 2, ..., n for
@@ -114,12 +139,16 @@ def game_spec_from(doc: dict, path: str, mode: str) -> game_core.GameSpec:
         raise ValueError(f"{path}: 'locations' must be a nonempty list")
     times, captures = [], []
     for idx, loc in enumerate(locations, start=1):
-        where = f"{path}: locations[{idx}]"
-        if not isinstance(loc, dict):
-            raise ValueError(f"{where} must be an object")
-        _reject_unknown(loc, {"time", "capture"}, where)
-        times.append(_rational_field(loc, "time", where))
-        captures.append(_rational_field(loc, "capture", where))
+        # A location with exactly its two fields, both numbers, is read
+        # at once; any other is read again by _location, which names it.
+        try:
+            if type(loc) is not dict or loc.keys() != _LOCATION_FIELDS:
+                raise ValueError
+            time, capture = parse_rational(loc["time"]), parse_rational(loc["capture"])
+        except (ValueError, TypeError):
+            time, capture = _location(loc, f"{path}: locations[{idx}]")
+        times.append(time)
+        captures.append(capture)
     budget = number(doc["budget"], f"{path}: budget")
     spec = checked(path, game_core.GameSpec, tuple(times), tuple(captures), budget)
     if mode == "constant-times" and any(t != 1 for t in spec.times):
@@ -217,7 +246,7 @@ def _set_members(value, where: str) -> tuple[int, ...]:
     location numbers."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: searcher set must be a JSON array of locations")
-    if not all(type(i) is int for i in value):  # not isinstance: true is an int
+    if not set(map(type, value)) <= {int}:  # not isinstance: true is an int
         raise ValueError(f"{where}: searcher set members must be integers")
     return tuple(sorted(value))
 
@@ -236,17 +265,23 @@ def location_solution(game_doc, solution, path: str, where: str):
     pairs; the certificate refuses a set that is no row of the game."""
     # A solution is certified in any game; no mode's rule on times applies.
     spec = game_spec_from(game_doc, path, "general")
-    hider = [number(v, f"{where}: hider") for v in _json_array(solution, "hider", where)]
+    values = _json_array(solution, "hider", where)
+    try:
+        hider = tuple(map(parse_rational, values))
+    except (ValueError, TypeError):
+        hider_where = f"{where}: hider"
+        hider = [number(v, hider_where) for v in values]  # raises at the first fault
     if len(hider) != spec.n:
         raise ValueError(
             f"{where}: hider has {len(hider)} entries, game has {spec.n} locations"
         )
     mix = []
+    probability_where = f"{where}: searcher probability"
     for item in _json_array(solution, "searcher", where):
         if not isinstance(item, dict) or "set" not in item or "probability" not in item:
             raise ValueError(f"{where}: searcher entries need 'set' and 'probability'")
         members = _set_members(item["set"], where)
-        mix.append((members, number(item["probability"], f"{where}: searcher probability")))
+        mix.append((members, number(item["probability"], probability_where)))
     return spec, hider, mix, _claimed_value(solution, where)
 
 

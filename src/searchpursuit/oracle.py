@@ -23,7 +23,9 @@ from one optimal pair, the location certificate and the rank of the
 complementary-slackness system over the played sets, with the same
 elimination: a point at full rank, a segment one below it, whose ends
 a ratio test on the sets ``game_core.max_payoff`` names finds, all
-without a matrix or a list of sets.
+without a matrix or a list of sets. It runs the location certificate
+once and raises ``CertificateFailure`` when it fails, so None means
+only that the rank test cannot tell.
 
 ``check_nondecreasing`` is the value-monotonicity check of every
 sweep, which ``cli`` drives.
@@ -36,10 +38,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import game_core
-from .rationals import parse_matrix, parse_rational
+from .rationals import parse_matrix, parse_rational, parse_rationals
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class CertificateFailure(RuntimeError):
+    """An answer failed its certificate."""
+
 
 class MonotonicityError(RuntimeError):
     """A sweep produced a value that decreased as the budget grew."""
@@ -108,14 +115,17 @@ def location_certificate(
     nonnegative, so the best feasible set, an exact knapsack optimum,
     still pays the most of any row once greedily filled to a maximal
     set: some row pays more than v exactly when it does, and it is the
-    row named. ``max_sets`` caps the knapsack's table of totals, with
+    row named. Of several rows of least slack, the one named is thus
+    fixed by the inputs alone: the set ``game_core.max_payoff`` names
+    (least total, then least bit mask) filled in location order.
+    ``max_sets`` caps the knapsack's Pareto front, with
     ``game_core.InstanceTooLarge``. Column j pays p_j times the weight
     c_j of the listed sets that hold j, which must reach v; the
     comparison is cross-multiplied, and only a failed column's slack is
     built as a Fraction.
     """
     n = spec.n
-    hider = [parse_rational(h) for h in hider_mix]
+    hider = parse_rationals(hider_mix)
     listed = []
     for members, w in searcher_mix:
         members = tuple(sorted(members))
@@ -210,7 +220,11 @@ def _reduce(system: list[list[Fraction]], width: int, nullity: int = 0):
 def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SETS):
     """Exact (min, max) of each coordinate over the optimal hider set of
     a location game, from one optimal pair (``mix`` as for
-    :func:`location_certificate`), or None when this test cannot tell.
+    :func:`location_certificate`), or None when the rank test below
+    cannot tell. A triple that :func:`location_certificate` refuses is
+    no optimal pair, and raises :class:`CertificateFailure` naming the
+    failed row or column; so a caller needs no second certificate to
+    tell the two outcomes apart.
 
     Every optimal hider y meets complementary slackness with an optimal
     searcher mix x: (My)_A = v on each set A that x plays, and y_j = 0 on
@@ -224,13 +238,14 @@ def certified_ranges(spec, hider, mix, value, max_sets=game_core.DEFAULT_MAX_SET
     y >= 0 and My <= v. A ratio test from y >= 0 gives the segment's two
     ends, and each coordinate's range is read off them; while the set
     ``game_core.max_payoff`` names at a candidate end pays more than v,
-    that set, a new one each time, joins the test. With a lower rank, or
-    a failed certificate, the result is None. The rank comes from the
-    elimination above, not from the simplex; no matrix is built.
+    that set, a new one each time, joins the test. With a lower rank the
+    result is None. The rank comes from the elimination above, not from
+    the simplex; no matrix is built.
     """
-    if location_certificate(spec, hider, mix, value, max_sets) is not None:
-        return None
-    y, v = [parse_rational(h) for h in hider], parse_rational(value)
+    failure = location_certificate(spec, hider, mix, value, max_sets)
+    if failure is not None:
+        raise CertificateFailure(f"{failure[0]} {failure[1]}")
+    y, v = parse_rationals(hider), parse_rational(value)
     # Each set as its 0-based indices, and its weight.
     played = [({i - 1 for i in s}, parse_rational(w)) for s, w in mix]
     # y_j = 0 on the over-covered locations: drop them from the system.

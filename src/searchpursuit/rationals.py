@@ -99,14 +99,15 @@ def _written_rational(text: str) -> Fraction | None:
     digits = num[1:] if num[:1] == "-" else num
     if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         return None
-    limit = sys.get_int_max_str_digits()
-    if limit and (len(digits) > limit or len(den) > limit):
+    try:
+        # For ASCII digits, int() refuses only a run past the digit limit.
+        if not slash:
+            return Fraction(int(num))
+        d = int(den)
+        # A zero denominator is left to _parse_text, which names the string.
+        return Fraction(int(num), d) if d else None
+    except ValueError:
         return None
-    if not slash:
-        return Fraction(int(num))
-    d = int(den)
-    # A zero denominator is left to _parse_text, which names the string.
-    return Fraction(int(num), d) if d else None
 
 
 def _parse_text(text: str) -> Fraction:
@@ -118,6 +119,15 @@ def _parse_text(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def parse_rationals(values) -> tuple[Fraction, ...]:
+    """``parse_rational`` of each of ``values``, as a tuple; values that
+    are all Fractions already are taken as they are."""
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(map(parse_rational, values))
 
 
 def parse_matrix(matrix) -> list[list[Fraction]]:

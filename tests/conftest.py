@@ -130,3 +130,37 @@ def roadmap_game(seed: int, n: int):
     times = tuple(rng.randint(1, 6) for _ in range(n))
     captures = tuple(Fraction(rng.randint(1, 20), 20) for _ in range(n))
     return GameSpec(times, captures, sum(times) // 3)
+
+
+def rational_time_game(seed: int, n: int):
+    """A game with rational times: a/b with a in 10..60 and b in 7..13,
+    captures k/20 with k in 10..20, and a budget of a third of the total
+    time, all drawn from ``random.Random(seed)``."""
+    from searchpursuit import GameSpec
+
+    rng = random.Random(seed)
+    times = tuple(Fraction(rng.randint(10, 60), rng.randint(7, 13)) for _ in range(n))
+    captures = tuple(Fraction(rng.randint(10, 20), 20) for _ in range(n))
+    return GameSpec(times, captures, sum(times) / 3)
+
+
+def value_lowered_documents(spec, value):
+    """A game document for ``spec`` and a solution document that claims
+    ``value`` for the uniform hider against one greedily filled set per
+    location, each at weight 1/n."""
+    from searchpursuit.game_core import greedy_fill
+
+    n = spec.n
+    game = {
+        "locations": [{"time": str(t), "capture": str(p)} for t, p in zip(spec.times, spec.captures)],
+        "budget": str(spec.budget),
+    }
+    order = range(1, n + 1)
+    solution = {
+        "value": {"fraction": str(value)},
+        "hider": [f"1/{n}"] * n,
+        "searcher": [
+            {"set": list(greedy_fill(spec, (i,), order)), "probability": f"1/{n}"} for i in order
+        ],
+    }
+    return game, solution

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import searchpursuit
-from conftest import roadmap_game
+from conftest import rational_time_game, roadmap_game, value_lowered_documents
 from searchpursuit import InstanceTooLarge
 from searchpursuit.cli import main, sweep_budget
 
@@ -374,6 +374,16 @@ class TestSolveErrors:
         path.write_text("{not json", encoding="utf-8")
         assert main(["solve", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_invalid_json_after_an_oversized_integer(self, tmp_path, capsys):
+        # The decoder refuses the integer first; the document is read again
+        # with integers kept as text, and the syntax error is what counts.
+        path = tmp_path / "bad.json"
+        path.write_text('{"budget": %s, "locations": [}' % ("1" * 4301), encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON: Expecting value: line 1 column 4329 (char 4328)\n"
+        )
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         doc = dict(EXAMPLE)
@@ -910,6 +920,18 @@ class TestVerify:
         assert main(args) == 0
         capsys.readouterr()
         return game_path, sol_path
+
+    def test_value_lowered_rational_game_names_a_row_fast(self, tmp_path):
+        # Rational times at n = 40: the certificate's knapsack would hold
+        # more than the default --max-subsets of distinct totals, while
+        # its Pareto front stays short.
+        game, solution = value_lowered_documents(rational_time_game(0, 40), F(1, 1000))
+        game_path = write(tmp_path, "g.json", game)
+        sol_path = write(tmp_path, "s.json", solution)
+        code, seconds, err = timed_main_in_child(["verify", game_path, sol_path])
+        assert code == 1
+        assert err.startswith("certificate failure: row {")
+        assert seconds < 2
 
     def test_round_trip_general(self, tmp_path, capsys):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, EXAMPLE, "g")

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game, rational_games
+from conftest import random_game, rational_games, rational_time_game, small_games
 from searchpursuit import GameSpec, InstanceTooLarge
 from searchpursuit.game_core import (
     HiderStrategy,
@@ -232,12 +234,17 @@ class TestBestResponse:
         assert max_payoff(STAIR5, (0, 0, F(2, 11), F(3, 11), F(6, 11)))[0] == F(3, 55)
 
     def test_table_of_totals_is_capped(self):
-        # The equalizing hider uses locations 1, 3 and 4 (times 5, 4 and 7,
-        # budget 7): the table holds the totals 0, 4, 5 and 7.
-        hider = (F(12, 23), 0, F(8, 23), F(3, 23))
-        assert max_payoff(EXAMPLE, hider, max_sets=4)[0] == F(6, 115)
-        with pytest.raises(InstanceTooLarge, match="more than 3 distinct set totals"):
-            max_payoff(EXAMPLE, hider, max_sets=3)
+        # The uniform hider on times 5, 3, 4 and 7, budget 7: locations
+        # 1..4 pay 2/80, 4/80, 3/80 and 8/80. The front (total, payoff)
+        # is (0, 0), (5, 2/80); then (0, 0), (3, 4/80), as 5 pays less
+        # than 3; then (0, 0), (3, 4/80), (7, 7/80), as 4 pays less than
+        # 3; and last (0, 0), (3, 4/80), (7, 8/80). Its longest is 3
+        # entries, where the table of every total held 5.
+        hider = (F(1, 4),) * 4
+        assert max_payoff(EXAMPLE, hider, max_sets=3) == (F(1, 10), (4,))
+        with pytest.raises(InstanceTooLarge, match="more than 2 distinct set totals"):
+            max_payoff(EXAMPLE, hider, max_sets=2)
+        assert table_knapsack(EXAMPLE, hider)[2] == 5
 
     def test_single_location_probe_lower_bound(self):
         rng = random.Random(16)
@@ -311,6 +318,91 @@ def test_knapsack_is_the_best_feasible_set(spec, data):
         for combo in brute_feasible(spec)
     )
     assert max_payoff(spec, hider)[0] == best
+
+
+def table_knapsack(spec, hider):
+    """The reference knapsack: a dict from every reachable scaled total to
+    the best payoff reaching it and a bit mask of a set that does. Returns
+    the best payoff, that set, and the number of totals the dict held."""
+    times, budget = spec._scaled
+    used = [
+        (i, t, p.numerator * h.numerator, p.denominator * h.denominator)
+        for i, (t, p, h) in enumerate(zip(times, spec.captures, hider), start=1)
+        if h
+    ]
+    den = math.lcm(*(d for *_, d in used))
+    best = {0: (0, 0)}
+    for i, t, b, d in used:
+        gain = b * (den // d)
+        for total, (payoff, mask) in list(best.items()):
+            reached, reward = total + t, payoff + gain
+            if reached <= budget and (reached not in best or best[reached][0] < reward):
+                best[reached] = reward, mask | 1 << i
+    payoff, mask = max(best.values())
+    chosen = tuple(i for i in range(1, spec.n + 1) if mask >> i & 1)
+    return F(payoff, den), chosen, len(best)
+
+
+def random_hider(data, n):
+    """A hider mix of n weights drawn from 0..5, uniform when all are 0."""
+    weights = [data.draw(st.integers(0, 5)) for _ in range(n)]
+    total = sum(weights)
+    return [F(w, total) if total else F(1, n) for w in weights]
+
+
+def assert_front_matches_the_table(spec, hider):
+    """The front's maximum is the table's, its set fits the budget and
+    pays it, and a cap of the table's size never refuses the front,
+    whose entries are distinct totals too."""
+    payoff, chosen = max_payoff(spec, hider)
+    best, _, table = table_knapsack(spec, hider)
+    assert payoff == best
+    assert chosen == tuple(sorted(set(chosen)))
+    assert sum((spec.times[i - 1] for i in chosen), F(0)) <= spec.budget
+    assert sum((spec.captures[i - 1] * hider[i - 1] for i in chosen), F(0)) == payoff
+    assert max_payoff(spec, hider, max_sets=table) == (payoff, chosen)
+
+
+@settings(max_examples=150)
+@given(small_games(), st.data())
+def test_front_matches_the_table_on_integer_times(spec, data):
+    assert_front_matches_the_table(spec, random_hider(data, spec.n))
+
+
+@settings(max_examples=150)
+@given(rational_games(), st.data())
+def test_front_matches_the_table_on_rational_times(spec, data):
+    assert_front_matches_the_table(spec, random_hider(data, spec.n))
+
+
+@settings(max_examples=100)
+@given(rational_games(), st.data())
+def test_knapsack_names_the_least_total_then_least_mask(spec, data):
+    # The documented tie rule, against every feasible set: greatest
+    # payoff, then least total time, then the set that leaves out the
+    # highest-numbered location where two differ (the least bit mask).
+    hider = random_hider(data, spec.n)
+
+    def rank(combo):
+        payoff = sum((spec.captures[i - 1] * hider[i - 1] for i in combo), F(0))
+        total = sum((spec.times[i - 1] for i in combo), F(0))
+        return -payoff, total, sum(1 << i for i in combo)
+
+    expected = min(brute_feasible(spec), key=rank)
+    assert max_payoff(spec, hider)[1] == expected
+
+
+def test_front_is_fast_on_rational_times():
+    # At n = 80 the table of every total would hold millions of entries.
+    spec = rational_time_game(1, 80)
+    rng = random.Random(2)
+    weights = [rng.randint(0, 100) for _ in range(spec.n)]
+    hider = [F(w, sum(weights)) for w in weights]
+    started = time.perf_counter()
+    payoff, chosen = max_payoff(spec, hider)
+    assert time.perf_counter() - started < 0.1
+    assert sum((spec.times[i - 1] for i in chosen), F(0)) <= spec.budget
+    assert sum((spec.captures[i - 1] * hider[i - 1] for i in chosen), F(0)) == payoff
 
 
 def test_check_size_is_the_enumeration_cap():

@@ -26,6 +26,7 @@ from searchpursuit.closed_forms import (
 from searchpursuit.game_core import build_matrix, maximal_feasible_sets
 from searchpursuit.lp_solver import hider_uniqueness, solve_zero_sum
 from searchpursuit.oracle import (
+    CertificateFailure,
     MonotonicityError,
     certified_ranges,
     check_nondecreasing,
@@ -509,12 +510,19 @@ class TestCertifyUnique:
         assert unique(EXAMPLE_SPEC, ("12/23", 0, "8/23", "3/23"), mix, "6/115")
 
     def test_failed_equilibrium_proves_nothing(self):
-        for value in (F(7, 115), F(5, 115)):
-            assert certified_ranges(EXAMPLE_SPEC, EXAMPLE_HIDER, EXAMPLE_MIX, value) is None
-        assert certified_ranges(EXAMPLE_SPEC, (F(1, 4),) * 4, EXAMPLE_MIX, F(6, 115)) is None
-        # An optimal hider with a searcher mix that is not optimal.
+        # A failed certificate raises, naming what failed, so that it is
+        # told apart from a rank the test cannot settle (None).
+        # An optimal hider with a searcher mix that is not optimal, last.
         mix = [((1,), F(1, 3)), ((4,), F(1, 3)), ((2, 3), F(1, 3))]
-        assert certified_ranges(EXAMPLE_SPEC, EXAMPLE_HIDER, mix, F(6, 115)) is None
+        for hider, searcher, value, failed in (
+            (EXAMPLE_HIDER, EXAMPLE_MIX, F(7, 115), "column 1"),
+            (EXAMPLE_HIDER, EXAMPLE_MIX, F(5, 115), "row {2,3}"),
+            ((F(1, 4),) * 4, EXAMPLE_MIX, F(6, 115), "row {4}"),
+            (EXAMPLE_HIDER, mix, F(6, 115), "column 1"),
+        ):
+            with pytest.raises(CertificateFailure) as failure:
+                certified_ranges(EXAMPLE_SPEC, hider, searcher, value)
+            assert str(failure.value) == failed
 
     def test_rank_deficient_system_proves_nothing(self):
         # One set holds all three locations at equal captures: every
@@ -878,9 +886,9 @@ def test_location_certificate_lists_no_rows(monkeypatch):
     mix = [((1,), F(12, 23)), ((4,), F(3, 23)), ((2, 3), F(8, 23))]
     assert location_certificate(spec, EXAMPLE_HIDER, mix, F(6, 115)) is None
     # Every row pays 6/115, so each one fails a lower claim by 1/1000;
-    # the knapsack's set names one.
+    # the knapsack's set of least total, {3}, filled to {2,3}, names one.
     assert outcome(location_certificate, spec, EXAMPLE_HIDER, mix, F(6, 115) - F(1, 1000)) == (
-        "row", "{4}", -F(1, 1000)
+        "row", "{2,3}", -F(1, 1000)
     )
     # Every row holds, so the first failure is a column: {1} alone leaves
     # location 2 uncovered.
