@@ -22,10 +22,10 @@ built on first use, which parsing never changes.
 ``sweep_budget`` drives the location-list sweep: per budget the
 column generation of ``solve``, the range certificate, and where that
 tells nothing the uniqueness probe on generated sets, never a list of
-the maximal sets. ``--max-subsets`` caps the feasible sets counted
-before each solve and the entries of the Pareto front of the
-certificate's knapsack, ``--max-rows`` the sets each of those LPs
-holds; the layer that counts names the flag.
+the maximal sets. ``--max-subsets`` caps the feasible sets, counted
+once per command before any solve (a sweep's at its largest budget),
+and the Pareto front of the certificate's knapsack, ``--max-rows`` the
+sets each of those LPs holds; the layer that counts names the flag.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -56,7 +56,8 @@ EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
 
 # The LP cross-checks an expanded two-type game only up to this many
-# feasible sets, maximal or not; past that the closed form stands alone.
+# feasible sets, maximal or not, and never expands a block that shows
+# more; past that the closed form stands alone.
 TWO_TYPE_CROSSCHECK_SETS = 2048
 
 
@@ -136,14 +137,9 @@ def _location_document(spec: game_core.GameSpec) -> list[dict]:
     ]
 
 
-def _location_lp(spec: game_core.GameSpec, max_sets: int, max_rows: int, seeds=()):
-    """Column generation, once the feasible sets pass ``--max-subsets``."""
-    game_core.check_size(spec, max_sets)
-    return lp_solver.solve_location_game(spec, max_rows, seeds)
-
-
 def _general(spec: game_core.GameSpec, path: str, args):
-    sol = _location_lp(spec, args.max_subsets, args.max_rows)
+    game_core.check_size(spec, args.max_subsets)
+    sol = lp_solver.solve_location_game(spec, args.max_rows)
 
     def details():
         return None, [f"game: {spec.n} locations, budget {_text(spec.budget)}"]
@@ -267,24 +263,30 @@ def _two_type_claim(spec, closed):
     return spec, hider, closed.searcher_mix, closed.value
 
 
+def _expanded_lp_value(spec: closed_forms.TwoTypeSpec, cap: int):
+    """The LP value of the expanded game, or None if it has more than
+    ``cap`` feasible sets. It has at least 1 + a + b, the empty set and
+    each location alone: the closed form holds only where tau <= k."""
+    if 1 + spec.type1_count + spec.type2_count > cap:
+        return None
+    expanded = closed_forms.expand_two_type(spec)
+    try:
+        sets = game_core.maximal_feasible_sets(expanded, cap)
+    except game_core.InstanceTooLarge:
+        return None
+    return lp_solver.solve_zero_sum(game_core.build_matrix(expanded, sets)).value
+
+
 def _solve_two_type(doc, path, args, mode):
     spec = inputs.two_type_spec_from(doc, path)
     closed = inputs.checked(path, closed_forms.solve_two_type, spec)
     claim = _two_type_claim(spec, closed)
-    cap = min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS)
-    try:
-        expanded = closed_forms.expand_two_type(spec)
-        matrix = game_core.build_matrix(expanded, game_core.maximal_feasible_sets(expanded, cap))
-    except game_core.InstanceTooLarge:
-        provenance = "closed-form"
-    else:
-        lp_value = lp_solver.solve_zero_sum(matrix).value
-        if lp_value != closed.value:
-            raise CertificateFailure(
-                f"closed form value {closed.value} disagrees with expanded "
-                f"LP value {lp_value}"
-            )
-        provenance = "both"
+    lp_value = _expanded_lp_value(spec, min(args.max_subsets, TWO_TYPE_CROSSCHECK_SETS))
+    if lp_value is not None and lp_value != closed.value:
+        raise CertificateFailure(
+            f"closed form value {closed.value} disagrees with expanded LP value {lp_value}"
+        )
+    provenance = "closed-form" if lp_value is None else "both"
 
     def render():
         quick, slow = (_text(mass) for mass in claim[1])
@@ -423,41 +425,37 @@ def sweep_budget(
 ) -> list[SweepEntry]:
     """Solve one game per budget; report value and hider uniqueness.
 
-    Each budget is capped and solved like ``solve`` in general mode, by
-    column generation. Budgets are solved in ascending order, and each
-    after the first warm-starts its master LP from the previous budget's
-    searcher support (``seeds``): those sets still fit, since the budget
-    only grew. A value is the same from any start; where the hider is
-    not unique, the one reported may differ from a cold solve's, while
-    its ranges do not. The hider's ranges, and with them uniqueness,
-    come from ``oracle.certified_ranges`` on that answer, which runs the
-    location certificate once: a failure raises ``CertificateFailure``,
-    and where the certificate holds but the rank test cannot tell, the
-    ranges come from ``lp_solver.location_uniqueness``, whose generated
-    sets ``max_rows`` caps. Both give the exact ranges, so the entries
-    do not depend on which one ran. No budget lists the maximal sets.
-
-    The values are checked by ``oracle.check_nondecreasing`` (extra
-    search time can never hurt the searcher), which raises
-    ``oracle.MonotonicityError``.
+    The feasible sets only grow with the budget, so ``solve``'s size
+    check runs once, at the largest budget, before any solve. Budgets are
+    then solved by column generation in ascending order, each after the
+    first warm-started from the previous one's support (``seeds``), whose
+    sets still fit; where the hider is not unique, the one reported may
+    differ from a cold solve's, but its value and ranges do not. The
+    ranges come from ``oracle.certified_ranges``, which runs the location
+    certificate once (a failure raises ``CertificateFailure``), or, where
+    its rank test cannot tell, from ``lp_solver.location_uniqueness``,
+    whose generated sets ``max_rows`` caps. ``oracle.check_nondecreasing``
+    checks the values (more search time never hurts the searcher) and
+    raises ``oracle.MonotonicityError``. No budget lists the maximal sets.
     """
     ks = sorted(set(parse_rational(k) for k in budgets))
-    entries = []
-    mix = []
-    for k in ks:
-        spec = game_core.GameSpec(tuple(times), tuple(captures), k)
-        sol = _location_lp(spec, max_sets, max_rows, [s for s, _ in mix])
+    specs = [game_core.GameSpec(tuple(times), tuple(captures), k) for k in ks]
+    if specs:
+        game_core.check_size(specs[-1], max_sets)
+    entries, mix = [], []
+    for spec in specs:
+        sol = lp_solver.solve_location_game(spec, max_rows, [s for s, _ in mix])
         mix = [(s.members, w) for s, w in sol.searcher]
         try:
             ranges = oracle.certified_ranges(spec, sol.hider, mix, sol.value, max_sets)
         except CertificateFailure:
             raise CertificateFailure(
-                f"budget {_text(k)}: LP solution failed its certificate"
+                f"budget {_text(spec.budget)}: LP solution failed its certificate"
             ) from None
         if ranges is None:
             ranges = lp_solver.location_uniqueness(spec, sol, max_rows).ranges
         unique = all(lo == hi for lo, hi in ranges)
-        entries.append(SweepEntry(k, sol.value, sol.hider, ranges, unique))
+        entries.append(SweepEntry(spec.budget, sol.value, sol.hider, ranges, unique))
     oracle.check_nondecreasing(ks, [e.value for e in entries])
     return entries
 

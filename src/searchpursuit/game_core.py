@@ -15,9 +15,10 @@ their common denominator, the feasible sets are counted by total
 before any is built (so an instance over the cap is refused at once),
 and one walk lists the maximal sets, testing maximality as it goes.
 On the same integers ``build_matrix`` checks every row it is given,
-``is_maximal`` tests one set without a walk, and ``max_payoff`` solves
-the searcher's best reply to a hider mix as a knapsack over a Pareto
-front of totals.
+``is_maximal`` tests one set without a walk, ``greedy_fill`` fills one
+up, and ``max_payoff`` solves the searcher's best reply to a hider mix
+as a knapsack over a Pareto front of totals; ``lp_solver`` reads them
+too, so only this module knows how a game is scaled.
 """
 
 from __future__ import annotations
@@ -220,12 +221,13 @@ def greedy_fill(spec: GameSpec, members, order) -> tuple[int, ...]:
     """``members`` with each location of ``order`` added in turn while it
     fits: a maximal set, since a location passed over took longer than
     the time then left, which only shrinks."""
-    room = spec.budget - sum(spec.times[i - 1] for i in members)
+    times, budget = spec._scaled
+    room = budget - sum(times[i - 1] for i in members)
     out = set(members)
     for i in order:
-        if i not in out and spec.times[i - 1] <= room:
+        if i not in out and times[i - 1] <= room:
             out.add(i)
-            room -= spec.times[i - 1]
+            room -= times[i - 1]
     return tuple(sorted(out))
 
 

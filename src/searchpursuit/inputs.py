@@ -190,8 +190,8 @@ def budget_range(k_from: str, k_to: str, max_sets: int) -> list[Fraction]:
     if lo > hi:
         raise ValueError("--k-from must not exceed --k-to")
     count = int(hi - lo) + 1
-    # Every budget's size check counts at least one feasible set, the
-    # empty one, so the set cap bounds the number of budgets too.
+    # Each budget has at least one feasible set, the empty one, so the
+    # set cap bounds the number of budgets too, before their list is built.
     if count > max_sets:
         raise game_core.InstanceTooLarge(
             f"--k-from..--k-to spans {count} budgets, more than "

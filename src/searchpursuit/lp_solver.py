@@ -320,21 +320,20 @@ def _best_set(spec: game_core.GameSpec, benefits) -> tuple[Fraction, tuple[int, 
     location) over a set within budget, and the members of one set that
     reaches it.
 
-    An exact 0/1 knapsack by depth-first branch and bound, in integers
-    over common denominators: the locations that can add something are
-    taken in decreasing benefit per unit of time, each node tries taking
-    its location before skipping it, and a node is dropped once its
-    fractional (Dantzig) bound cannot beat the best set found so far.
+    An exact 0/1 knapsack by depth-first branch and bound, in integers:
+    the game's scaled times and budget (``GameSpec._scaled``), the
+    benefits over their common denominator. The locations that can add
+    something are taken in decreasing benefit per unit of time, each node
+    tries taking its location before skipping it, and a node is dropped
+    once its fractional (Dantzig) bound cannot beat the best set found.
     The certificate's knapsack, ``game_core.max_payoff``, is a different
     routine, so a set this one misses is not certified as optimal by the
     same mistake.
     """
-    scale = math.lcm(spec.budget.denominator, *(t.denominator for t in spec.times))
-    budget = spec.budget.numerator * (scale // spec.budget.denominator)
+    times, budget = spec._scaled
     den = math.lcm(*(b.denominator for b in benefits))
     items = []
-    for i, (t, b) in enumerate(zip(spec.times, benefits), start=1):
-        time = t.numerator * (scale // t.denominator)
+    for i, (time, b) in enumerate(zip(times, benefits), start=1):
         if b > 0 and time <= budget:
             items.append((time, b.numerator * (den // b.denominator), i))
     items.sort(key=lambda item: (Fraction(-item[1], item[0]), item[2]))
@@ -429,13 +428,12 @@ def solve_location_game(
         obj[-2] += 1
         sets.append(members)
 
+    times, budget = spec._scaled
     if not seeds:
-        seeds = [(i,) if spec.times[i - 1] <= spec.budget else () for i in range(1, n + 1)]
+        seeds = [(i,) if times[i - 1] <= budget else () for i in range(1, n + 1)]
     for seed in seeds:
         members = tuple(sorted(set(seed)))
-        if not all(1 <= i <= n for i in members) or (
-            sum(spec.times[i - 1] for i in members) > spec.budget
-        ):
+        if not all(1 <= i <= n for i in members) or sum(times[i - 1] for i in members) > budget:
             raise ValueError(f"seed {list(members)} is not a feasible set of the game")
         filled = game_core.greedy_fill(spec, members, order)
         if filled not in sets:

@@ -707,6 +707,29 @@ class TestRowCap:
         code, doc = run_json(capsys, ["solve", path, "--max-rows", "1", "--format", "json"])
         assert (code, doc["provenance"]) == (0, "both")
 
+    def test_two_type_cross_check_runs_up_to_its_cap(self, tmp_path, capsys):
+        # At budget 1 no two locations fit together, so the block's
+        # 1 + a + b = 7 sets are all the feasible sets.
+        doc = {"mode": "two-type", "two_type": dict(TWO_TYPE["two_type"], tau=1, k=1)}
+        path = write(tmp_path, "t.json", doc)
+        for cap, provenance in (("7", "both"), ("6", "closed-form")):
+            code, solution = run_json(
+                capsys, ["solve", path, "--format", "json", "--max-subsets", cap]
+            )
+            assert (code, solution["provenance"]) == (0, provenance)
+
+    def test_two_type_block_past_the_cap_is_not_expanded(self, tmp_path):
+        # 3 * 10**7 quick locations are more feasible sets than the
+        # cross-check takes; expanding the game to find that out takes
+        # seconds.
+        doc = {"mode": "two-type", "two_type": dict(TWO_TYPE["two_type"], a=30_000_000)}
+        path, out = write(tmp_path, "t.json", doc), tmp_path / "s.json"
+        code, seconds, err = timed_main_in_child(["solve", path, "--output", str(out)])
+        assert (code, err) == (0, "")
+        assert seconds < 1
+        solution = json.loads(out.read_text(encoding="utf-8"))
+        assert (solution["provenance"], solution["certificate"]) == ("closed-form", {"ok": True})
+
     def test_closed_forms_and_verify_run_no_lp(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", STAIRCASE_80)
         assert main(["solve", path, "--max-rows", "1", "--format", "json"]) == 0
@@ -851,6 +874,18 @@ class TestSweep:
         assert code == 3
         assert seconds < 0.25
         assert "--k-from..--k-to spans 100000001 budgets" in err
+
+    @pytest.mark.parametrize("n, k_to", [(26, "31"), (30, "25")])
+    def test_sweep_past_the_cap_is_refused_before_any_solve(self, tmp_path, n, k_to):
+        # Only the last budget is over the cap, so a check at each budget
+        # would solve all the others, for seconds, before refusing.
+        path = write(tmp_path, "g.json", roadmap_doc(0, n))
+        code, seconds, err = timed_main_in_child(["sweep", path, "--k-from", "0", "--k-to", k_to])
+        assert (code, err) == (3, (
+            "error: more than 4194304 feasible sets (--max-subsets); "
+            "instance too large for exhaustive enumeration\n"
+        ))
+        assert seconds < 1
 
     def test_budget_range_up_to_the_cap_is_accepted(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", EXAMPLE)

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_games
-from searchpursuit import GameSpec
-from searchpursuit.cli import main
+from searchpursuit import GameSpec, InstanceTooLarge
+from searchpursuit.cli import main, sweep_budget
 from searchpursuit.closed_forms import (
     RegimeError,
     TwoTypeSpec,
@@ -22,7 +23,7 @@ from searchpursuit.closed_forms import (
     solve_constant_times,
     solve_two_type,
 )
-from searchpursuit.game_core import build_matrix, maximal_feasible_sets
+from searchpursuit.game_core import build_matrix, check_size, maximal_feasible_sets
 from searchpursuit.lp_solver import solve_zero_sum
 from searchpursuit.oracle import certified_ranges, verify_equilibrium
 from searchpursuit.rationals import format_rational
@@ -237,3 +238,46 @@ def test_verify_fails_a_changed_probability(spec, side, data, delta):
     code, out = solve_and_alter(spec, change)
     assert code != 0
     assert "certificate: ok" not in out
+
+
+def refusal(call):
+    """The text of the ``InstanceTooLarge`` that ``call()`` raises, or None."""
+    try:
+        call()
+    except InstanceTooLarge as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60)
+@given(small_games(), st.lists(st.integers(0, 12), min_size=1, max_size=4), st.integers(1, 8))
+def test_sweep_is_refused_iff_some_budget_is_over_the_cap(spec, budgets, cap):
+    """The sweep's one size check, at its largest budget, refuses exactly
+    the sweeps that a check at every budget refuses, in the same words."""
+    checks = [refusal(lambda: check_size(replace(spec, budget=k), cap)) for k in budgets]
+    expected = next((text for text in checks if text), None)
+    assert refusal(lambda: sweep_budget(spec.times, spec.captures, budgets, cap)) == expected
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 10), st.integers(1, 6), st.integers(1, 3),
+    st.integers(1, 20), st.integers(1, 20), st.integers(1, 10), st.integers(1, 400),
+)
+def test_two_type_cross_check_is_skipped_iff_enumeration_refuses(a, b, tau, p, q, k, cap):
+    """``solve`` reads the block for a lower bound on the feasible sets
+    before it expands the game; that bound never skips a cross-check
+    that the enumeration of the expanded game would run."""
+    spec = TwoTypeSpec(a, b, tau, F(p, 20), F(q, 20), k)
+    try:
+        solve_two_type(spec)
+    except RegimeError:
+        assume(False)
+    block = {"a": a, "b": b, "tau": tau, "p": f"{p}/20", "q": f"{q}/20", "k": k}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "game.json")
+        path.write_text(json.dumps({"mode": "two-type", "two_type": block}), encoding="utf-8")
+        code, out = run_main(["solve", str(path), "--format", "json", "--max-subsets", str(cap)])
+    assert code == 0
+    refused = refusal(lambda: maximal_feasible_sets(expand_two_type(spec), cap))
+    assert json.loads(out)["provenance"] == ("closed-form" if refused else "both")

@@ -1,5 +1,7 @@
 import ast
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -323,6 +325,25 @@ class TestSweep:
     def test_single_location_family(self):
         entries = sweep_budget((1,), ("0.4",), (0, 1))
         assert [e.value for e in entries] == [F(0), F(2, 5)]
+
+    @pytest.mark.parametrize("n, k_to", [(26, 31), (30, 25)])
+    def test_oversized_sweep_is_refused_before_any_solve(self, monkeypatch, n, k_to):
+        # Only the last budget is over the default cap, so a check at each
+        # budget would solve every smaller one first.
+        def refuse(*args):
+            raise AssertionError("a budget was solved")
+
+        monkeypatch.setattr(lp_solver, "solve_location_game", refuse)
+        spec = roadmap_game(0, n)
+        started = time.perf_counter()
+        with pytest.raises(game_core.InstanceTooLarge) as exc:
+            sweep_budget(spec.times, spec.captures, range(k_to + 1))
+        assert time.perf_counter() - started < 1
+        assert str(exc.value) == (
+            "more than 4194304 feasible sets (--max-subsets); "
+            "instance too large for exhaustive enumeration"
+        )
+        game_core.check_size(replace(spec, budget=k_to - 1))
 
     def test_budgets_are_sorted_and_deduplicated(self):
         entries = sweep_budget((1, 2), ("0.5", "0.25"), (3, 0, 3, 1))
