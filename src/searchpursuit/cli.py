@@ -10,8 +10,9 @@ from the closed form and neither enumerate nor run an LP. Each solver
 returns its claim as the mode's verify reader would, and its rendering,
 not yet run. ``solve`` and ``learning`` end in ``_answer``: the mode's
 certificate (for location lists ``oracle.location_certificate``, which
-needs no matrix, for two-type and learning games their small matrices)
-runs on the claim, then the rendering, then the writing.
+needs no matrix, for learning its 2x2 matrix, for two-type games the
+type-level rows 0 and floor(k / tau), which bound the others) runs on
+the claim, then the rendering, then the writing.
 
 Results go out as a table, a JSON document or both, in one layout for
 every mode; ``--output`` writes the document to a file in every
@@ -247,15 +248,31 @@ def _matrix_failure(matrix, hider, searcher, value, row_names, col_names):
 
 
 def _two_type_failure(args, spec, hider, pairs, value):
-    """The certificate of a two-type solution on the type-level matrix,
+    """The certificate of a two-type solution on the type-level game,
     from (slow locations inspected, weight) pairs; a count listed more
-    than once carries the sum."""
-    matrix = closed_forms.two_type_matrix(spec)
-    searcher = [Fraction(0)] * len(matrix)
+    than once carries the sum. Every payoff is affine in j, so rows 0
+    and m = floor(k / tau) decide: weight mean(j) / m on row m and the
+    rest on row 0 pays each column what the mix pays, and the first row
+    past v lies where the line through rows 0 and m crosses v. The rows
+    are the game's maximal sets only where a >= k and b >= m, as
+    ``solve_two_type`` requires and the verify reader checks."""
+    weights: dict[int, Fraction] = {}
     for j, w in pairs:
-        searcher[j] += w
-    rows = [f"j={j}" for j in range(len(matrix))]
-    return _matrix_failure(matrix, hider, searcher, value, rows, ["quick-type", "slow-type"])
+        weights[j] = weights.get(j, 0) + w
+    oracle.require_distribution(hider, 1, "hider")
+    oracle.require_distribution(weights.values(), 1, "searcher")
+    m = spec.budget // spec.type2_time
+    high = sum(j * w for j, w in weights.items()) / m if m else 0
+    matrix = [[closed_forms.two_type_payoff(spec, j, y) for y in (1, 0)] for j in (0, m)]
+    rows, columns = ("j=0", f"j={m}"), ("quick-type", "slow-type")
+    failure = _matrix_failure(matrix, hider, (1 - high, high), value, rows, columns)
+    if failure is None or failure[1] != rows[1] or not m:
+        return failure
+    # Row 0 holds and row m does not: the slack falls by ``drop`` a row.
+    slack = value - sum(h * x for h, x in zip(hider, matrix[0]))
+    drop = (slack - failure[2]) / m
+    j = slack // drop + 1
+    return "row", f"j={j}", slack - j * drop
 
 
 def _two_type_claim(spec, closed):

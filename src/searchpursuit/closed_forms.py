@@ -20,8 +20,8 @@ tests still compare them with the LP). The constant-times mix comes
 from systematic sampling of the searcher's coverage. The staircase
 solver also records in ``verified`` that its output passed that
 certificate, since its even-n variant rests on a direct construction.
-``two_type_matrix`` is the two-type game's payoff matrix at the level
-of types, which that game's solutions are certified on.
+``two_type_payoff`` is the two-type game's payoff at the level of
+types, affine in the number of slow locations inspected.
 """
 
 from __future__ import annotations
@@ -313,16 +313,14 @@ def solve_two_type(spec: TwoTypeSpec) -> TwoTypeSolution:
     exceed the feasible maximum; outside that regime the formula is
     provably wrong and :class:`RegimeError` is raised.
     """
-    a, b = Fraction(spec.type1_count), Fraction(spec.type2_count)
-    tau = Fraction(spec.type2_time)
+    a, b, tau, k = spec.type1_count, spec.type2_count, spec.type2_time, spec.budget
     p, q = spec.type1_capture, spec.type2_capture
-    k = Fraction(spec.budget)
     if a < k or b * tau < k:
         raise RegimeError(
             "the searcher cannot spend the whole budget within one location "
             "type; use the general solver"
         )
-    m = spec.budget // spec.type2_time
+    m = k // tau
     denom = a * q + b * p * tau
     type1_mass = a * q / denom
     j_mean = p * b * k / denom
@@ -332,37 +330,18 @@ def solve_two_type(spec: TwoTypeSpec) -> TwoTypeSolution:
             "inspections attains the equalizing mean; use the general solver"
         )
     value = p * q * k / denom
-    if j_mean.denominator == 1:
-        mix: tuple[tuple[int, Fraction], ...] = ((int(j_mean), ONE),)
-    else:
-        low = j_mean.numerator // j_mean.denominator
-        hi_weight = j_mean - low
-        mix = ((low, ONE - hi_weight), (low + 1, hi_weight))
+    low = math.floor(j_mean)
+    high = j_mean - low
+    mix = ((low, ONE),) if not high else ((low, ONE - high), (low + 1, high))
     return TwoTypeSolution(type1_mass, j_mean, m, value, mix)
 
 
 def two_type_payoff(spec: TwoTypeSpec, j, type1_mass) -> Fraction:
     """Searcher win probability when j slow locations are inspected and
     the hider puts ``type1_mass`` on a random quick location."""
-    y = parse_rational(type1_mass)
-    jq = parse_rational(j)
-    a, b = Fraction(spec.type1_count), Fraction(spec.type2_count)
-    tau = Fraction(spec.type2_time)
-    k = Fraction(spec.budget)
-    return (
-        y * spec.type1_capture * (k - tau * jq) / a
-        + (1 - y) * spec.type2_capture * jq / b
-    )
-
-
-def two_type_matrix(spec: TwoTypeSpec) -> list[list[Fraction]]:
-    """Type-level payoff matrix: row j inspects j = 0..floor(budget /
-    type2_time) slow locations, and the columns hide at a random quick
-    location and at a random slow one."""
-    return [
-        [two_type_payoff(spec, j, ONE), two_type_payoff(spec, j, ZERO)]
-        for j in range(spec.budget // spec.type2_time + 1)
-    ]
+    y, j = parse_rational(type1_mass), parse_rational(j)
+    quick = spec.type1_capture * (spec.budget - spec.type2_time * j) / spec.type1_count
+    return y * quick + (1 - y) * spec.type2_capture * j / spec.type2_count
 
 
 def expand_two_type(spec: TwoTypeSpec) -> GameSpec:

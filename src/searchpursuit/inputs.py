@@ -290,6 +290,9 @@ def two_type_solution(game_doc, solution, path: str, where: str):
     mass), the mix holds (slow locations inspected, probability) pairs."""
     spec = two_type_spec_from(game_doc, path)
     m = spec.budget // spec.type2_time  # the most slow locations inspected
+    if spec.type1_count < spec.budget or spec.type2_count < m:
+        raise ValueError(f"{path}: the type-level certificate needs a >= k and "
+                         "b >= floor(k / tau); use the general solver")
     hider_block = solution.get("hider")
     if not isinstance(hider_block, dict) or "type1_mass" not in hider_block:
         raise ValueError(f"{where}: two-type solutions carry hider.type1_mass")

@@ -136,14 +136,14 @@ def location_certificate(
         raise ValueError("hider mix length does not match the game")
     # Each mix as integers over its common denominator.
     hider_den = math.lcm(*(h.denominator for h in hider))
-    _require_distribution(
+    require_distribution(
         [h.numerator * (hider_den // h.denominator) for h in hider], hider_den, "hider"
     )
     den = math.lcm(*(w.denominator for _, w in listed))
     weights: dict[tuple[int, ...], int] = {}
     for members, w in listed:
         weights[members] = weights.get(members, 0) + w.numerator * (den // w.denominator)
-    _require_distribution(weights.values(), den, "searcher")
+    require_distribution(weights.values(), den, "searcher")
     v = parse_rational(claimed_value)
     payoff, best = game_core.max_payoff(spec, hider, max_sets)
     if payoff > v:
@@ -161,9 +161,9 @@ def location_certificate(
     return None
 
 
-def _require_distribution(weights, den: int, side: str) -> None:
-    """The ValueError ``verify_equilibrium`` raises unless the integer
-    ``weights``, read over ``den``, are nonnegative and sum to 1."""
+def require_distribution(weights, den: int, side: str) -> None:
+    """The ValueError ``verify_equilibrium`` raises unless ``weights``,
+    read over ``den``, are nonnegative and sum to 1."""
     if any(w < 0 for w in weights) or sum(weights) != den:
         raise ValueError(f"{side} mix is not a probability distribution")
 

@@ -164,3 +164,17 @@ def value_lowered_documents(spec, value):
         ],
     }
     return game, solution
+
+
+def two_type_matrix(spec):
+    """The two-type game's whole type-level payoff matrix: row j inspects
+    j = 0..floor(budget / type2_time) slow locations, and the columns
+    hide at a random quick location and at a random slow one. The
+    reference for the CLI's certificate, which reads only rows 0 and
+    floor(budget / type2_time)."""
+    from searchpursuit.closed_forms import two_type_payoff
+
+    return [
+        [two_type_payoff(spec, j, 1), two_type_payoff(spec, j, 0)]
+        for j in range(spec.budget // spec.type2_time + 1)
+    ]

@@ -38,6 +38,9 @@ TWO_TYPE = {
     "two_type": {"a": 4, "b": 2, "tau": 2, "p": "3/10", "q": "1/5", "k": 4},
 }
 
+# a < k: the type-level rows are not this game's sets.
+A_BELOW_K = {"a": 1, "b": 10, "tau": 1, "p": "1/10", "q": "1", "k": 5}
+
 LEARNING = {"mode": "learning", "learning": {"low": "1/3", "high": "2/3"}}
 
 # Per case: a game with its mode, the solver the CLI calls for it
@@ -1018,6 +1021,74 @@ class TestVerify:
         assert code == 2
         assert out.err.startswith(f"error: {tmp_path / 'x-sol.json'}: hider.type2_mass: ")
 
+    @staticmethod
+    def two_type_verify(tmp_path, capsys, block, hider, mix, value):
+        """Exit code and captured output of ``verify`` on a hand-written
+        two-type claim: hider (quick, slow) masses, mix of (j, weight)."""
+        game_path = write(tmp_path, "t.json", {"mode": "two-type", "two_type": block})
+        claim = {
+            "mode": "two-type",
+            "value": {"fraction": value},
+            "hider": {"type1_mass": hider[0], "type2_mass": hider[1]},
+            "searcher": [{"type2_searched": j, "probability": w} for j, w in mix],
+        }
+        sol_path = write(tmp_path, "t-sol.json", claim)
+        return game_path, main(["verify", game_path, sol_path]), capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "block, mix",
+        [
+            # a < k: one quick location, so the type-level rows j = 0..5
+            # are not sets of this game; they hold this claim of 1/4.
+            (A_BELOW_K, [(2, "1/2"), (3, "1/2")]),
+            # tau > k with a < k: no slow location fits, and two quick
+            # locations do not fill the budget.
+            ({"a": 2, "b": 1, "tau": 4, "p": "1/2", "q": "1/2", "k": 3}, [(0, "1")]),
+        ],
+        ids=["a-below-k", "tau-above-k"],
+    )
+    def test_two_type_rows_that_are_not_the_games_sets_are_refused(
+        self, tmp_path, capsys, block, mix
+    ):
+        game_path, code, out = self.two_type_verify(
+            tmp_path, capsys, block, ("1/2", "1/2"), mix, "1/4"
+        )
+        assert code == 2
+        assert out.out == ""
+        assert out.err == (
+            f"error: {game_path}: the type-level certificate needs a >= k and "
+            "b >= floor(k / tau); use the general solver\n"
+        )
+
+    def test_two_type_game_below_k_quick_locations_is_worth_less(self, tmp_path, capsys):
+        # The same 11 locations as A_BELOW_K, listed: worth 1/10, not 1/4.
+        general = {
+            "locations": [{"time": 1, "capture": "1/10"}] + [{"time": 1, "capture": 1}] * 10,
+            "budget": 5,
+        }
+        code, doc = run_json(capsys, ["solve", write(tmp_path, "g.json", general), "--format", "json"])
+        assert code == 0
+        assert doc["value"]["fraction"] == "1/10"
+
+    def test_two_type_rows_are_the_sets_where_b_covers_floor_k_over_tau(
+        self, tmp_path, capsys
+    ):
+        # b * tau = 4 < k = 5, so the closed form refuses this game, but
+        # b = 2 >= floor(5 / 2): the rows j = 0, 1, 2 are its maximal
+        # sets, and the equilibrium over them is certified.
+        block = {"a": 5, "b": 2, "tau": 2, "p": "1/2", "q": "1/2", "k": 5}
+        _, code, out = self.two_type_verify(
+            tmp_path, capsys, block, ("5/9", "4/9"), [(1, "8/9"), (2, "1/9")], "5/18"
+        )
+        assert (code, out.out) == (0, "certificate: ok\n")
+        general = {
+            "locations": [{"time": 1, "capture": "1/2"}] * 5 + [{"time": 2, "capture": "1/2"}] * 2,
+            "budget": 5,
+        }
+        code, doc = run_json(capsys, ["solve", write(tmp_path, "g.json", general), "--format", "json"])
+        assert code == 0
+        assert doc["value"]["fraction"] == "5/18"
+
     @pytest.mark.parametrize("key", ["stay_probability", "switch_probability"])
     def test_learning_missing_probability_is_named(self, tmp_path, capsys, key):
         code, out = self.altered_solution(
@@ -1300,23 +1371,26 @@ def test_module_entry_point(tmp_path):
 
 
 def test_closed_stdout_exits_141_without_traceback(tmp_path):
-    # The output is larger than a 64 KiB pipe buffer, so writing it always
-    # meets the closed pipe.
+    # The child's standard output is a pipe whose read end is closed
+    # before the child starts, so its first write always meets a closed
+    # pipe, however much the kernel would buffer.
     path = write(
         tmp_path,
         "g.json",
         {"locations": [{"time": 1, "capture": "1/2"}, {"time": 2, "capture": "1/4"}],
          "budget": 1},
     )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "searchpursuit", "sweep", path,
-         "--k-from", "0", "--k-to", "600", "--format", "both"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "searchpursuit", "sweep", path,
+             "--k-from", "0", "--k-to", "600", "--format", "both"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
     assert err == b""

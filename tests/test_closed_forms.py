@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import unit_fraction
+from conftest import two_type_matrix, unit_fraction
 from searchpursuit import GameSpec
 from searchpursuit.closed_forms import (
     RegimeError,
@@ -13,7 +13,6 @@ from searchpursuit.closed_forms import (
     solve_arithmetic_times,
     solve_constant_times,
     solve_two_type,
-    two_type_matrix,
     two_type_payoff,
 )
 from searchpursuit.game_core import build_matrix, maximal_feasible_sets

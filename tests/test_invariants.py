@@ -12,9 +12,9 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_games
+from conftest import small_games, two_type_matrix
 from searchpursuit import GameSpec, InstanceTooLarge
-from searchpursuit.cli import main, sweep_budget
+from searchpursuit.cli import _two_type_failure, main, sweep_budget
 from searchpursuit.closed_forms import (
     RegimeError,
     TwoTypeSpec,
@@ -178,6 +178,69 @@ def test_two_type_closed_form_is_the_lp_value(a, b, tau, p, q, k):
     except RegimeError:
         assume(False)
     assert closed.value == game_value(expand_two_type(spec))
+
+
+@st.composite
+def two_type_claims(draw):
+    """An in-regime two-type game with k <= 12 and tau <= 5, and a claim
+    near its closed-form answer: the value moved by at most 1/200, the
+    quick-type mass by at most 1/50, and either the closed form's mix, a
+    small arbitrary one, one with a negative weight, or one whose weights
+    do not sum to 1."""
+    k, tau = draw(st.integers(1, 12), label="k"), draw(st.integers(1, 5), label="tau")
+    a = k + draw(st.integers(0, 3), label="a - k")
+    b = -(-k // tau) + draw(st.integers(0, 3), label="b - ceil(k / tau)")
+    p, q = (F(draw(st.integers(1, 20), label=name), 20) for name in ("p", "q"))
+    spec = TwoTypeSpec(a, b, tau, p, q, k)
+    try:
+        closed = solve_two_type(spec)
+    except RegimeError:
+        assume(False)
+    value = closed.value + draw(st.fractions(F(-1, 200), F(1, 200), max_denominator=400))
+    mass = closed.type1_mass + draw(st.fractions(F(-1, 50), F(1, 50), max_denominator=100))
+    m = closed.max_type2_searches
+    mix = list(closed.searcher_mix)
+    kind = draw(st.sampled_from(["closed", "arbitrary", "negative", "unnormalised"]))
+    if kind == "arbitrary":
+        raw = draw(st.lists(st.tuples(st.integers(0, m), st.integers(1, 5)), min_size=1, max_size=3))
+        mix = [(j, F(w, sum(w for _, w in raw))) for j, w in raw]
+    elif kind == "negative":
+        # Paid back at another count, or at the same one, where the two cancel.
+        w = F(1, draw(st.integers(1, 10)))
+        mix += [(draw(st.integers(0, m)), -w), (draw(st.integers(0, m)), w)]
+    elif kind == "unnormalised":
+        c = draw(st.fractions(F(1, 2), F(3, 2), max_denominator=10).filter(lambda c: c != 1))
+        mix = [(j, c * w) for j, w in mix]
+    return spec, (mass, 1 - mass), mix, value
+
+
+def whole_matrix_failure(args, spec, hider, pairs, value):
+    """The two-type certificate on the whole type-level matrix under
+    ``verify_equilibrium``: the first negative slack, rows first."""
+    matrix = two_type_matrix(spec)
+    searcher = [F(0)] * len(matrix)
+    for j, w in pairs:
+        searcher[j] += w
+    cert = verify_equilibrium(matrix, hider, searcher, value)
+    failures = [("row", f"j={j}", s) for j, s in enumerate(cert.hider_slack)]
+    columns = zip(("quick-type", "slow-type"), cert.searcher_slack)
+    failures += [("column", name, s) for name, s in columns]
+    return next((failure for failure in failures if failure[2] < 0), None)
+
+
+@settings(max_examples=400)
+@given(two_type_claims())
+def test_two_type_certificate_on_two_rows_is_the_whole_matrix_certificate(claim):
+    """Rows 0 and floor(k / tau) give the same ValueError, or the same
+    failed (kind, name, slack), as every row of the type-level game."""
+
+    def outcome(certificate):
+        try:
+            return certificate(None, *claim)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(_two_type_failure) == outcome(whole_matrix_failure)
 
 
 def run_main(argv):
