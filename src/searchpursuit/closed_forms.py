@@ -20,12 +20,17 @@ tests still compare them with the LP). The constant-times mix comes
 from systematic sampling of the searcher's coverage. The staircase
 solver also records in ``verified`` that its output passed that
 certificate, since its even-n variant rests on a direct construction.
-``two_type_payoff`` is the two-type game's payoff at the level of
+Both compute in integers over one common denominator: with each
+capture p = a/b and L the lcm of the numerators a, 1/p = t/L for the
+integer t = b * (L / a), so sums, comparisons and the coverage are
+integer arithmetic, and a ``Fraction`` is built only for each number
+returned. ``two_type_payoff`` is the two-type game's payoff at the level of
 types, affine in the number of slow locations inspected.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +82,11 @@ def solve_constant_times(captures, budget) -> ConstantTimeSolution:
     sums to k; in the corner regime c_i starts at p_min / p_i and entries
     are raised toward 1, in index order, until they sum to k.
     :func:`_systematic_sets` splits that coverage into k-sets.
+
+    With 1/p_i = t_i / L and S the sum of the t_i, lambda is S / L, the
+    regime test is k * L * b_min <= a_min * S for p_min = a_min / b_min,
+    and the coverage is held as integers over S (interior: k * t_i) or
+    over b_min * L (corner: a_min * t_i, then raised).
     """
     captures = tuple(captures)
     spec = GameSpec((ONE,) * len(captures), captures, budget)
@@ -88,53 +98,74 @@ def solve_constant_times(captures, budget) -> ConstantTimeSolution:
             "budget must be between 1 and the location count; "
             "use the general solver outside that range"
         )
-    lam = sum(ONE / p for p in ps)
-    interior_value = k / lam
-    min_idx = min(range(n), key=lambda i: ps[i])
+    k = k.numerator
+    # Over L, the lcm of the captures' numerators, 1 / p_i = t_i / L for
+    # an integer t_i, so lambda = S / L with S the sum of the t_i.
+    lcm = math.lcm(*(p.numerator for p in ps))
+    t = [p.denominator * (lcm // p.numerator) for p in ps]
+    total = sum(t)
+    # The first lowest capture is the first largest t_i.
+    min_idx = max(range(n), key=t.__getitem__)
     p_min = ps[min_idx]
-    if interior_value <= p_min:
-        regime, value = "interior", interior_value
-        probs = tuple((ONE / p) / lam for p in ps)
-        coverage = [value / p for p in ps]
+    # k / lambda <= p_min, cross-multiplied.
+    if k * lcm * p_min.denominator <= p_min.numerator * total:
+        regime, value = "interior", Fraction(k * lcm, total)
+        probs = tuple(Fraction(x, total) for x in t)
+        # c_i = value / p_i = k t_i / S.
+        scale, coverage = total, [k * x for x in t]
     else:
         regime, value = "corner", p_min
         probs = tuple(ONE if i == min_idx else ZERO for i in range(n))
-        coverage = [p_min / p for p in ps]
-        short = k - sum(coverage)
+        # c_i = p_min / p_i = a_min t_i / (b_min L), raised in index order.
+        scale = p_min.denominator * lcm
+        coverage = [p_min.numerator * x for x in t]
+        short = k * scale - sum(coverage)
         for i, c in enumerate(coverage):
-            raised = min(ONE - c, short)
+            raised = min(scale - c, short)
             coverage[i] += raised
             short -= raised
-    mix = _systematic_sets(coverage)
-    return ConstantTimeSolution(lam, regime, HiderStrategy(probs), mix, value)
+    mix = _systematic_sets(coverage, scale)
+    return ConstantTimeSolution(Fraction(total, lcm), regime, HiderStrategy(probs), mix, value)
 
 
-def _systematic_sets(coverage: list[Fraction]) -> tuple[tuple[SearchSet, Fraction], ...]:
-    """Systematic sampling (Madow 1949): split coverages c_i in [0, 1]
-    with an integer sum k into weighted k-sets that hold each location i
-    exactly c_i of the time.
+def _systematic_sets(coverage: list[int], scale: int) -> tuple[tuple[SearchSet, Fraction], ...]:
+    """Systematic sampling (Madow 1949): split coverages c_i / D in
+    [0, 1], given as integers c_i over the common denominator D =
+    ``scale`` and with an integer sum k, into weighted k-sets that hold
+    each location i exactly c_i / D of the time.
 
     Lay the intervals [C_{i-1}, C_i) of the cumulative sums end to end
-    on [0, k) and pick the points u + m, m = 0..k-1: each interval is at
-    most 1 long, so it holds at most one of them, and it holds one for a
-    share c_i of the u in [0, 1). The picked set changes only where u
-    passes the fractional part of some C_i, so the gaps between those
-    parts give at most n sets, each weighted by its gap's length; sets
-    that come out equal are merged. The sets are listed in member order.
+    on [0, kD) and pick the points u + mD, m = 0..k-1: each interval is
+    at most D long, so it holds at most one of them, and it holds one
+    for a share c_i / D of the u in [0, D). Location i is picked at u
+    exactly when (u - C_{i-1}) mod D < c_i, which holds from
+    C_{i-1} mod D up to C_i mod D, around the circle. So the picked set
+    changes only where u passes some C_i mod D: a sweep over those
+    residues, from the set at u = 0, flips the locations that start or
+    end there, and the gaps between residues give at most n sets, each
+    weighted by its gap's length over D; sets that come out equal are
+    merged. The sets are listed in member order.
     """
-    cumulative = [ZERO]
-    for c in coverage:
-        cumulative.append(cumulative[-1] + c)
-    cuts = sorted({c - math.floor(c) for c in cumulative[:-1]} | {ONE})
-    weights: dict[tuple[int, ...], Fraction] = {}
+    starts = list(itertools.accumulate(coverage, initial=0))
+    picked = bytearray((-lo) % scale < c for lo, c in zip(starts, coverage))
+    flips: dict[int, list[tuple[int, int]]] = {}
+    for i, (lo, c) in enumerate(zip(starts, coverage)):
+        # Coverage 0 or D is never or always picked.
+        if 0 < c < scale:
+            flips.setdefault(lo % scale, []).append((i, 1))
+            flips.setdefault((lo + c) % scale, []).append((i, 0))
+    cuts = sorted({c % scale for c in starts[:-1]} | {scale})
+    # A tuple, so that compress hands out its ints instead of new ones.
+    locations = tuple(range(1, len(coverage) + 1))
+    widths: dict[tuple[int, ...], int] = {}
     for u, end in zip(cuts, cuts[1:]):
-        members = tuple(
-            i
-            for i, (lo, hi) in enumerate(zip(cumulative, cumulative[1:]), start=1)
-            if math.ceil(lo - u) < hi - u
-        )
-        weights[members] = weights.get(members, ZERO) + end - u
-    return tuple((SearchSet(members), w) for members, w in sorted(weights.items()))
+        for i, bit in flips.get(u, ()):
+            picked[i] = bit
+        members = tuple(itertools.compress(locations, picked))
+        widths[members] = widths.get(members, 0) + end - u
+    return tuple(
+        (SearchSet(members), Fraction(w, scale)) for members, w in sorted(widths.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +209,49 @@ def solve_arithmetic_times(captures, certify: bool = True) -> ArithmeticTimesSol
     sets, with no row enumerated; ``certify=False`` skips it
     (``verified`` is then False), for callers that certify the solution
     themselves.
+
+    Over L, the lcm of the support's capture numerators, the support's
+    1/p_j are integers t_j over L with sum S: the inverse-capture sum is
+    S / L, the value L / S, and t_j / S is location j's hider weight and
+    its set's weight in the mix alike. Monotonicity and strictness are
+    checked in one pass of cross-multiplied neighbours.
     """
     captures = tuple(captures)
     spec = GameSpec(tuple(range(1, len(captures) + 1)), captures, len(captures))
-    ps, n = spec.captures, spec.n
-    for i in range(1, n):
-        if ps[i] > ps[i - 1]:
+    n = spec.n
+    # p_j = a_j / b_j.
+    nums = [p.numerator for p in spec.captures]
+    dens = [p.denominator for p in spec.captures]
+    strict = True
+    for a0, b0, a1, b1 in zip(nums, dens, nums[1:], dens[1:]):
+        if a1 * b0 > a0 * b1:
             raise ValueError(
                 "capture probabilities must not increase with the location index"
             )
-    strict = all(ps[i] < ps[i - 1] for i in range(1, n))
+        strict = strict and a1 * b0 < a0 * b1
     half = n // 2
     support_start = n - half
-    inv_sum = sum(ONE / ps[j - 1] for j in range(support_start, n + 1))
-    value = 1 / inv_sum
-    probs = tuple(
-        (ONE / ps[j - 1]) / inv_sum if j >= support_start else ZERO
-        for j in range(1, n + 1)
-    )
+    lcm = math.lcm(*nums[support_start - 1:])
+    t = [b * (lcm // a) for a, b in zip(nums[support_start - 1:], dens[support_start - 1:])]
+    total = sum(t)
+    weights = [Fraction(x, total) for x in t]
+    probs = (ZERO,) * (support_start - 1) + tuple(weights)
     mix: list[tuple[SearchSet, Fraction]] = []
-    for j in range(support_start, n + 1):
-        weight = (ONE / ps[j - 1]) / inv_sum
+    for j, weight in enumerate(weights, start=support_start):
         if j > half:
             partner = n - j
             members = (j,) if partner == 0 else (partner, j)
         else:
             # Even n, j == n/2: pack small locations around it while they fit.
             members = game_core.greedy_fill(spec, (j,), range(1, n + 1))
-        mix.append((game_core.search_set(spec, members), weight))
+        mix.append((SearchSet(members), weight))
     # Every set of the mix fills the budget or is filled greedily, so each
     # one is a maximal feasible set, hence a row.
+    value = Fraction(lcm, total)
     pairs = [(s.members, w) for s, w in mix]
     verified = certify and location_certificate(spec, probs, pairs, value) is None
     return ArithmeticTimesSolution(
-        n, support_start, inv_sum, HiderStrategy(probs), tuple(mix), value,
+        n, support_start, Fraction(total, lcm), HiderStrategy(probs), tuple(mix), value,
         verified, strict,
     )
 

@@ -118,10 +118,13 @@ class HiderStrategy:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", parse_rationals(self.probs))
-        if any(p < 0 for p in self.probs):
+        probs = parse_rationals(self.probs)
+        object.__setattr__(self, "probs", probs)
+        if any(p.numerator < 0 for p in probs):
             raise ValueError("hider probabilities must be nonnegative")
-        if sum(self.probs) != 1:
+        # The sum over the common denominator D is D exactly when it is 1.
+        den = math.lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (den // p.denominator) for p in probs) != den:
             raise ValueError("hider probabilities must sum to exactly 1")
 
 

@@ -4,6 +4,7 @@ into the terminal summary."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -178,3 +179,98 @@ def two_type_matrix(spec):
         [two_type_payoff(spec, j, 1), two_type_payoff(spec, j, 0)]
         for j in range(spec.budget // spec.type2_time + 1)
     ]
+
+
+# The closed forms' Fraction formulas, one Fraction operation at a time:
+# the references the integer kernels of ``closed_forms`` are checked
+# against, field by field and in mix order.
+
+
+def systematic_sets_reference(coverage):
+    """Systematic sampling of Fraction coverages c_i in [0, 1] with an
+    integer sum: at each cut u (a fractional part of a cumulative sum),
+    location i is picked when the first point u + m at or past C_{i-1}
+    falls below C_i."""
+    from searchpursuit.game_core import SearchSet
+
+    cumulative = [Fraction(0)]
+    for c in coverage:
+        cumulative.append(cumulative[-1] + c)
+    cuts = sorted({c - math.floor(c) for c in cumulative[:-1]} | {Fraction(1)})
+    weights = {}
+    for u, end in zip(cuts, cuts[1:]):
+        members = tuple(
+            i
+            for i, (lo, hi) in enumerate(zip(cumulative, cumulative[1:]), start=1)
+            if math.ceil(lo - u) < hi - u
+        )
+        weights[members] = weights.get(members, Fraction(0)) + end - u
+    return tuple((SearchSet(members), w) for members, w in sorted(weights.items()))
+
+
+def constant_times_reference(captures, budget):
+    """``closed_forms.solve_constant_times`` in Fractions, for a valid
+    integer budget."""
+    from searchpursuit import GameSpec
+    from searchpursuit.closed_forms import ConstantTimeSolution
+    from searchpursuit.game_core import HiderStrategy
+
+    one = Fraction(1)
+    spec = GameSpec((one,) * len(captures), captures, budget)
+    ps, n, k = spec.captures, spec.n, spec.budget
+    lam = sum(one / p for p in ps)
+    interior_value = k / lam
+    min_idx = min(range(n), key=lambda i: ps[i])
+    p_min = ps[min_idx]
+    if interior_value <= p_min:
+        regime, value = "interior", interior_value
+        probs = tuple((one / p) / lam for p in ps)
+        coverage = [value / p for p in ps]
+    else:
+        regime, value = "corner", p_min
+        probs = tuple(one if i == min_idx else Fraction(0) for i in range(n))
+        coverage = [p_min / p for p in ps]
+        short = k - sum(coverage)
+        for i, c in enumerate(coverage):
+            raised = min(one - c, short)
+            coverage[i] += raised
+            short -= raised
+    mix = systematic_sets_reference(coverage)
+    return ConstantTimeSolution(lam, regime, HiderStrategy(probs), mix, value)
+
+
+def staircase_reference(captures, certify=True):
+    """``closed_forms.solve_arithmetic_times`` in Fractions, for
+    non-increasing captures."""
+    from searchpursuit import GameSpec, game_core
+    from searchpursuit.closed_forms import ArithmeticTimesSolution
+    from searchpursuit.game_core import HiderStrategy
+    from searchpursuit.oracle import location_certificate
+
+    one = Fraction(1)
+    spec = GameSpec(tuple(range(1, len(captures) + 1)), captures, len(captures))
+    ps, n = spec.captures, spec.n
+    strict = all(ps[i] < ps[i - 1] for i in range(1, n))
+    half = n // 2
+    support_start = n - half
+    inv_sum = sum(one / ps[j - 1] for j in range(support_start, n + 1))
+    value = 1 / inv_sum
+    probs = tuple(
+        (one / ps[j - 1]) / inv_sum if j >= support_start else Fraction(0)
+        for j in range(1, n + 1)
+    )
+    mix = []
+    for j in range(support_start, n + 1):
+        weight = (one / ps[j - 1]) / inv_sum
+        if j > half:
+            partner = n - j
+            members = (j,) if partner == 0 else (partner, j)
+        else:
+            members = game_core.greedy_fill(spec, (j,), range(1, n + 1))
+        mix.append((game_core.search_set(spec, members), weight))
+    pairs = [(s.members, w) for s, w in mix]
+    verified = certify and location_certificate(spec, probs, pairs, value) is None
+    return ArithmeticTimesSolution(
+        n, support_start, inv_sum, HiderStrategy(probs), tuple(mix), value,
+        verified, strict,
+    )

@@ -990,6 +990,34 @@ class TestVerify:
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, LEARNING, "l")
         assert main(["verify", game_path, str(sol_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "budget, regime", [(30, "interior"), (150, "corner")], ids=["interior", "corner"]
+    )
+    def test_round_trip_unit_time_300(self, tmp_path, capsys, budget, regime):
+        rng = random.Random(300)
+        game = {
+            "mode": "constant-times",
+            "locations": [{"time": 1, "capture": f"{rng.randint(1, 20)}/20"} for _ in range(300)],
+            "budget": budget,
+        }
+        game_path, sol_path = self.solve_to_file(tmp_path, capsys, game, "u")
+        doc = json.loads(sol_path.read_text(encoding="utf-8"))
+        assert doc["constant_times"]["regime"] == regime
+        assert main(["verify", game_path, str(sol_path)]) == 0
+        assert capsys.readouterr().out == "certificate: ok\n"
+        # Half the heaviest hider weight moved to a best-captured location:
+        # a set holding that location and not the other pays more than v.
+        hider = [F(h) for h in doc["hider"]]
+        source = max(range(300), key=hider.__getitem__)
+        target = max(range(300), key=lambda i: F(game["locations"][i]["capture"]))
+        moved = hider[source] / 2
+        hider[source] -= moved
+        hider[target] += moved
+        doc["hider"] = [str(h) for h in hider]
+        sol_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", game_path, str(sol_path)]) == 1
+        assert capsys.readouterr().err.startswith("certificate failure: row {")
+
     def altered_solution(self, tmp_path, capsys, game, change):
         game_path, sol_path = self.solve_to_file(tmp_path, capsys, game, "x")
         doc = json.loads(sol_path.read_text(encoding="utf-8"))

@@ -2,12 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import two_type_matrix, unit_fraction
+from conftest import (
+    constant_times_reference,
+    staircase_reference,
+    systematic_sets_reference,
+    two_type_matrix,
+    unit_fraction,
+)
 from searchpursuit import GameSpec
 from searchpursuit.closed_forms import (
     RegimeError,
     TwoTypeSpec,
+    _systematic_sets,
     check_value_floor,
     expand_two_type,
     solve_arithmetic_times,
@@ -163,6 +172,91 @@ class TestArithmeticTimes:
         sol = solve_arithmetic_times(("0.5", "0.4", "0.3"), certify=False)
         assert not sol.verified
         assert sol.value == 1 / (F(10, 3) + F(10, 4))
+
+
+@st.composite
+def capture(draw, max_den=60):
+    den = draw(st.integers(1, max_den))
+    return F(draw(st.integers(1, den)), den)
+
+
+@st.composite
+def staircase_captures(draw):
+    """n = 1..40 non-increasing captures with denominators up to 60:
+    distinct values, or each value repeated one to three times."""
+    if draw(st.booleans()):
+        values = draw(st.lists(capture(), min_size=1, max_size=40, unique=True))
+    else:
+        n = draw(st.integers(1, 40))
+        values = []
+        while len(values) < n:
+            values += [draw(capture())] * draw(st.integers(1, 3))
+        del values[n:]
+    return tuple(sorted(values, reverse=True))
+
+
+@st.composite
+def unit_time_games(draw):
+    """(captures, k) with n = 1..14 and k = 1..n; a third of the games
+    have all captures equal."""
+    n = draw(st.integers(1, 14))
+    if draw(st.integers(0, 2)) == 0:
+        captures = (draw(capture()),) * n
+    else:
+        captures = tuple(draw(capture()) for _ in range(n))
+    return captures, draw(st.integers(1, n))
+
+
+@st.composite
+def integer_coverages(draw):
+    """(c, D): integers c_i in 0..D, zeros and D's among them, with a
+    sum that is a multiple of D."""
+    scale = draw(st.integers(1, 60))
+    coverage = draw(
+        st.lists(
+            st.one_of(st.just(0), st.just(scale), st.integers(0, scale)),
+            min_size=1, max_size=20,
+        )
+    )
+    excess = sum(coverage) % scale
+    for i, c in enumerate(coverage):
+        cut = min(c, excess)
+        coverage[i] -= cut
+        excess -= cut
+    return coverage, scale
+
+
+class TestIntegerKernels:
+    """The closed forms, computed over one common integer denominator,
+    return exactly what their Fraction formulas return: every field, each
+    Fraction's type and the mix's order (``repr`` shows all three)."""
+
+    @settings(max_examples=300)
+    @given(staircase_captures(), st.booleans())
+    @example((F(1, 2), F(1, 2), F(1, 2), F(1, 2)), True)
+    def test_staircase_matches_its_fraction_formula(self, captures, certify):
+        got = solve_arithmetic_times(captures, certify=certify)
+        assert repr(got) == repr(staircase_reference(captures, certify=certify))
+
+    @settings(max_examples=400)
+    @given(unit_time_games())
+    @example(((F(1, 5), F(3, 10), F(1, 2)), 1))  # interior
+    @example(((F(1, 5), F(3, 10), F(1, 2)), 3))  # corner
+    @example(((F(2, 7),) * 6, 6))  # all equal at k = n: the regimes tie
+    @example(((F(1, 2), F(1, 5), F(1, 5), F(1, 3)), 3))  # corner, tied lowest
+    def test_constant_times_matches_its_fraction_formula(self, game):
+        captures, k = game
+        got = solve_constant_times(captures, k)
+        assert repr(got) == repr(constant_times_reference(captures, k))
+
+    @settings(max_examples=400)
+    @given(integer_coverages())
+    @example(([0, 3, 3, 0], 3))
+    @example(([1, 1, 1], 1))
+    def test_systematic_sets_match_the_fraction_scan(self, coverages):
+        coverage, scale = coverages
+        want = systematic_sets_reference([F(c, scale) for c in coverage])
+        assert repr(_systematic_sets(coverage, scale)) == repr(want)
 
 
 class TestValueFloor:

@@ -281,6 +281,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             HiderStrategy((F(3, 2), F(-1, 2)))
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 12), st.integers(1, 12)), min_size=0, max_size=8
+        ),
+        st.booleans(),
+    )
+    def test_hider_strategy_checks_as_fractions_do(self, pairs, normalize):
+        # Each check runs on integers over the common denominator; the
+        # verdict and the message are those of Fraction arithmetic.
+        probs = [F(a, b) for a, b in pairs]
+        if normalize and sum(probs) > 0:
+            probs = [p / sum(probs) for p in probs]
+        if any(p < 0 for p in probs):
+            message = "nonnegative"
+        elif sum(probs) != 1:
+            message = "sum to exactly 1"
+        else:
+            assert HiderStrategy(tuple(probs)).probs == tuple(probs)
+            return
+        with pytest.raises(ValueError, match=message):
+            HiderStrategy(tuple(probs))
+
     def test_search_set_validates_indices(self):
         with pytest.raises(ValueError):
             search_set(EXAMPLE, (0,))
