@@ -24,8 +24,8 @@ Both compute in integers over one common denominator: with each
 capture p = a/b and L the lcm of the numerators a, 1/p = t/L for the
 integer t = b * (L / a), so sums, comparisons and the coverage are
 integer arithmetic, and a ``Fraction`` is built only for each number
-returned. ``two_type_payoff`` is the two-type game's payoff at the level of
-types, affine in the number of slow locations inspected.
+returned. ``two_type_payoff`` is the two-type game's payoff at the
+level of types, affine in the number of slow locations inspected.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rationals import parse_rational, parse_rationals
 
@@ -100,15 +100,6 @@ class SearchSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.members) + "}"
-
-
-def search_set(spec: GameSpec, members: Iterable[int]) -> SearchSet:
-    """Build a :class:`SearchSet` for ``members``, validating indices."""
-    ordered = tuple(sorted(set(members)))
-    for i in ordered:
-        if not 1 <= i <= spec.n:
-            raise ValueError(f"location index {i} out of range 1..{spec.n}")
-    return SearchSet(ordered)
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,7 @@ def staircase_reference(captures, certify=True):
     non-increasing captures."""
     from searchpursuit import GameSpec, game_core
     from searchpursuit.closed_forms import ArithmeticTimesSolution
-    from searchpursuit.game_core import HiderStrategy
+    from searchpursuit.game_core import HiderStrategy, SearchSet
     from searchpursuit.oracle import location_certificate
 
     one = Fraction(1)
@@ -267,7 +267,7 @@ def staircase_reference(captures, certify=True):
             members = (j,) if partner == 0 else (partner, j)
         else:
             members = game_core.greedy_fill(spec, (j,), range(1, n + 1))
-        mix.append((game_core.search_set(spec, members), weight))
+        mix.append((SearchSet(members), weight))
     pairs = [(s.members, w) for s, w in mix]
     verified = certify and location_certificate(spec, probs, pairs, value) is None
     return ArithmeticTimesSolution(

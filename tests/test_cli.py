@@ -284,7 +284,7 @@ class TestSolve:
             sol = real(captures, certify=certify)
             spec = game_core.GameSpec(range(1, 6), captures, 5)
             (_, weight), *rest = sol.searcher_mix
-            moved = ((game_core.search_set(spec, (1,)), weight), *rest)
+            moved = ((game_core.SearchSet((1,)), weight), *rest)
             return replace(sol, searcher_mix=moved)
 
         monkeypatch.setattr(closed_forms, "solve_arithmetic_times", off_matrix)

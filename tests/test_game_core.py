@@ -18,7 +18,6 @@ from searchpursuit.game_core import (
     is_maximal,
     max_payoff,
     maximal_feasible_sets,
-    search_set,
 )
 from searchpursuit.lp_solver import solve_zero_sum
 
@@ -173,7 +172,7 @@ class TestPayoffMatrix:
         )
 
     def test_empty_row_is_all_zero(self):
-        rows = [search_set(EXAMPLE, ())]
+        rows = [SearchSet(())]
         matrix = build_matrix(EXAMPLE, rows)
         assert matrix == ((F(0),) * 4,)
 
@@ -201,9 +200,9 @@ class TestPayoffMatrix:
     def test_infeasible_row_rejected(self):
         # {1,4} takes 12 time units against a budget of 7, whatever row
         # comes with it.
-        too_big = search_set(EXAMPLE, (1, 4))
+        too_big = SearchSet((1, 4))
         with pytest.raises(ValueError, match="infeasible"):
-            build_matrix(EXAMPLE, [too_big, search_set(EXAMPLE, (2, 3))])
+            build_matrix(EXAMPLE, [too_big, SearchSet((2, 3))])
 
     @pytest.mark.parametrize("row", [(0,), (-1,), (5,), (1, 9)])
     def test_member_outside_the_game_rejected(self, row):
@@ -303,13 +302,6 @@ class TestValidation:
             return
         with pytest.raises(ValueError, match=message):
             HiderStrategy(tuple(probs))
-
-    def test_search_set_validates_indices(self):
-        with pytest.raises(ValueError):
-            search_set(EXAMPLE, (0,))
-        with pytest.raises(ValueError):
-            search_set(EXAMPLE, (5,))
-        assert search_set(EXAMPLE, (3, 2)).members == (2, 3)
 
 
 @settings(max_examples=150)
