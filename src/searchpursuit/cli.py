@@ -9,10 +9,12 @@ only; the constant-times and arithmetic-times modes take their answer
 from the closed form and neither enumerate nor run an LP. Each solver
 returns its claim as the mode's verify reader would, and its rendering,
 not yet run. ``solve`` and ``learning`` end in ``_answer``: the mode's
-certificate (for location lists ``oracle.location_certificate``, which
-needs no matrix, for learning its 2x2 matrix, for two-type games the
-type-level rows 0 and floor(k / tau), which bound the others) runs on
-the claim, then the rendering, then the writing.
+certificate, the one check of the answer, runs on the claim, then the
+rendering, then the writing. For location lists it is
+``oracle.location_certificate``, which needs no matrix; for learning,
+``oracle.verify_equilibrium`` on its 2x2 matrix; for two-type games the
+slacks of the type-level rows 0 and floor(k / tau), which bound the
+others, read off ``closed_forms.two_type_payoff`` with no matrix.
 
 Results go out as a table, a JSON document or both, in one layout for
 every mode; ``--output`` writes the document to a file in every
@@ -25,8 +27,10 @@ column generation of ``solve``, the range certificate, and where that
 tells nothing the uniqueness probe on generated sets, never a list of
 the maximal sets. ``--max-subsets`` caps the feasible sets, counted
 once per command before any solve (a sweep's at its largest budget),
-and the Pareto front of the certificate's knapsack, ``--max-rows`` the
-sets each of those LPs holds; the layer that counts names the flag.
+the Pareto front of the certificate's knapsack, the number of sweep
+budgets (``inputs.budget_range``) and the two-type cross-check, at
+``min(cap, TWO_TYPE_CROSSCHECK_SETS)``; ``--max-rows`` caps the sets
+each of those LPs holds. The layer that counts names the flag.
 
 Exit codes: 0 success, 1 failed certificate or internal inconsistency,
 2 invalid input (any ValueError, among them usage errors such as
@@ -238,41 +242,31 @@ def _two_type_block(spec: closed_forms.TwoTypeSpec) -> dict:
     }
 
 
-def _matrix_failure(matrix, hider, searcher, value, row_names, col_names):
-    """The first negative slack of the equilibrium certificate on an
-    explicit matrix, as (kind, name, slack), or None."""
-    cert = oracle.verify_equilibrium(matrix, hider, searcher, value)
-    failures = [("row", name, s) for name, s in zip(row_names, cert.hider_slack)]
-    failures += [("column", name, s) for name, s in zip(col_names, cert.searcher_slack)]
-    return next((failure for failure in failures if failure[2] < 0), None)
-
-
 def _two_type_failure(args, spec, hider, pairs, value):
     """The certificate of a two-type solution on the type-level game,
     from (slow locations inspected, weight) pairs; a count listed more
-    than once carries the sum. Every payoff is affine in j, so rows 0
-    and m = floor(k / tau) decide: weight mean(j) / m on row m and the
-    rest on row 0 pays each column what the mix pays, and the first row
-    past v lies where the line through rows 0 and m crosses v. The rows
-    are the game's maximal sets only where a >= k and b >= m, as
-    ``solve_two_type`` requires and the verify reader checks."""
+    than once carries the sum. Every payoff (``two_type_payoff``) is
+    affine in j, so rows 0 and m = floor(k / tau) decide which row fails
+    first, and each column pays at the mix's mean j what the mix pays.
+    The rows are the game's maximal sets only where a >= k and b >= m,
+    as ``solve_two_type`` requires and the verify reader checks."""
     weights: dict[int, Fraction] = {}
     for j, w in pairs:
         weights[j] = weights.get(j, 0) + w
     oracle.require_distribution(hider, 1, "hider")
     oracle.require_distribution(weights.values(), 1, "searcher")
     m = spec.budget // spec.type2_time
-    high = sum(j * w for j, w in weights.items()) / m if m else 0
-    matrix = [[closed_forms.two_type_payoff(spec, j, y) for y in (1, 0)] for j in (0, m)]
-    rows, columns = ("j=0", f"j={m}"), ("quick-type", "slow-type")
-    failure = _matrix_failure(matrix, hider, (1 - high, high), value, rows, columns)
-    if failure is None or failure[1] != rows[1] or not m:
-        return failure
-    # Row 0 holds and row m does not: the slack falls by ``drop`` a row.
-    slack = value - sum(h * x for h, x in zip(hider, matrix[0]))
-    drop = (slack - failure[2]) / m
-    j = slack // drop + 1
-    return "row", f"j={j}", slack - j * drop
+    # The hider sums to 1, so its quick-type mass alone gives each payoff.
+    slack, last = (value - closed_forms.two_type_payoff(spec, j, hider[0]) for j in (0, m))
+    if min(slack, last) < 0:
+        # The first row past v: row 0, or where the slack line crosses 0.
+        j = 0 if slack < 0 else slack * m // (slack - last) + 1
+        return "row", f"j={j}", value - closed_forms.two_type_payoff(spec, j, hider[0])
+    mean = sum(j * w for j, w in pairs)
+    for name, quick_mass in (("quick-type", 1), ("slow-type", 0)):
+        if (short := closed_forms.two_type_payoff(spec, mean, quick_mass) - value) < 0:
+            return "column", name, short
+    return None
 
 
 def _two_type_claim(spec, closed):
@@ -558,8 +552,11 @@ def _locations_failure(args, spec, hider, mix, value):
 
 
 def _learning_failure(args, spec, hider, searcher, value):
-    names = ["stay", "switch"]
-    return _matrix_failure(learning.payoff_matrix(spec), hider, searcher, value, names, names)
+    """The certificate on the learning game's 2x2 matrix, rows first."""
+    cert = oracle.verify_equilibrium(learning.payoff_matrix(spec), hider, searcher, value)
+    failures = [("row", name, s) for name, s in zip(("stay", "switch"), cert.hider_slack)]
+    failures += [("column", name, s) for name, s in zip(("stay", "switch"), cert.searcher_slack)]
+    return next((failure for failure in failures if failure[2] < 0), None)
 
 
 # Every mode's solver, which returns its claim and a function that
@@ -622,8 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     def max_subsets(p):
         p.add_argument(
             "--max-subsets", type=inputs.set_cap, default=game_core.DEFAULT_MAX_SETS,
-            help="cap on enumerated feasible sets and on the entries of the "
-            "Pareto front of the certificate's knapsack",
+            help="cap on enumerated feasible sets, on the entries of the "
+            "Pareto front of the certificate's knapsack, on the budgets of a "
+            "sweep, and on the feasible sets of the two-type LP cross-check "
+            f"(never above {TWO_TYPE_CROSSCHECK_SETS})",
         )
 
     def max_rows(p):

@@ -15,8 +15,10 @@ solution, the check ``verify_equilibrium`` makes on its matrix, made
 without the matrix or a list of its rows: the hider side is one exact
 knapsack optimum from ``game_core``, whose set, filled to a maximal one,
 names a failed row; the searcher side is a sum over the listed sets
-only. ``verify_equilibrium`` itself certifies the games whose matrix is
-explicit and small, and stays the reference the tests compare with.
+only. ``verify_equilibrium`` itself certifies the learning game, whose
+2x2 matrix is explicit, and stays the reference the tests and the
+benchmark's gate compare with. Every certificate checks its mixes with
+``require_distribution`` first.
 
 ``certified_ranges`` bounds every optimal hider of a location game
 from one optimal pair, the location certificate and the rank of the
@@ -75,9 +77,8 @@ def verify_equilibrium(matrix, hider_mix, searcher_mix, claimed_value) -> Certif
     searcher = [parse_rational(v) for v in searcher_mix]
     if len(hider) != n or len(searcher) != m:
         raise ValueError("strategy dimensions do not match the matrix")
-    for probs, side in ((hider, "hider"), (searcher, "searcher")):
-        if any(p < 0 for p in probs) or sum(probs) != 1:
-            raise ValueError(f"{side} mix is not a probability distribution")
+    require_distribution(hider, 1, "hider")
+    require_distribution(searcher, 1, "searcher")
     v = parse_rational(claimed_value)
     # Zero weights and zero entries add nothing to a payoff, so each sum
     # runs over the other player's support and the nonzero entries only.
@@ -162,8 +163,8 @@ def location_certificate(
 
 
 def require_distribution(weights, den: int, side: str) -> None:
-    """The ValueError ``verify_equilibrium`` raises unless ``weights``,
-    read over ``den``, are nonnegative and sum to 1."""
+    """The ValueError of every certificate unless ``weights``, read over
+    ``den``, are nonnegative and sum to 1."""
     if any(w < 0 for w in weights) or sum(weights) != den:
         raise ValueError(f"{side} mix is not a probability distribution")
 

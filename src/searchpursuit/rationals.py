@@ -154,6 +154,7 @@ def format_rational(q: Fraction) -> str:
         raise NumberTooLarge() from None
 
 
-def format_decimal(q: Fraction, digits: int = 6) -> str:
-    """Decimal rendering for display only; never parsed back."""
-    return f"{q.numerator / q.denominator:.{digits}g}"
+def format_decimal(q: Fraction) -> str:
+    """Decimal rendering to 6 significant digits, for display only;
+    never parsed back."""
+    return f"{q.numerator / q.denominator:.6g}"

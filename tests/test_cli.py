@@ -949,6 +949,39 @@ class TestLearning:
             monkeypatch.undo()
 
 
+def count_certificate_calls(monkeypatch):
+    """Count the calls of ``oracle.verify_equilibrium`` through every
+    package module that binds it; returns the list they are added to."""
+    real, calls = searchpursuit.oracle.verify_equilibrium, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("searchpursuit.") and getattr(module, "verify_equilibrium", None) is real:
+            monkeypatch.setattr(module, "verify_equilibrium", counted)
+    return calls
+
+
+class TestCertificateCalls:
+    """Each answer is certified once: learning's on its 2x2 matrix, the
+    two-type game's straight from its payoffs, with no matrix at all."""
+
+    def test_learning_command_certifies_once(self, capsys, monkeypatch):
+        calls = count_certificate_calls(monkeypatch)
+        assert main(["learning", "--low", "1/3", "--high", "2/3"]) == 0
+        assert len(calls) == 1
+
+    def test_two_type_solve_and_verify_build_no_matrix(self, tmp_path, capsys, monkeypatch):
+        calls = count_certificate_calls(monkeypatch)
+        game_path, sol_path = write(tmp_path, "t.json", TWO_TYPE), tmp_path / "t-sol.json"
+        assert main(["solve", game_path, "--format", "json", "--output", str(sol_path)]) == 0
+        assert calls == []
+        assert main(["verify", game_path, str(sol_path)]) == 0
+        assert calls == []
+
+
 class TestVerify:
     def solve_to_file(self, tmp_path, capsys, game, name, extra=()):
         game_path = write(tmp_path, f"{name}.json", game)
@@ -1321,11 +1354,6 @@ class TestInternalErrors:
             # The pricer names {1}, already in the master, as improving.
             "lp_solver", "_best_set", lambda real: lambda spec, benefits: (F(1), (1,)),
             "solve", "column generation postcondition violated",
-        ),
-        "learning-certificate": (
-            "learning", "verify_equilibrium",
-            lambda real: lambda *args: replace(real(*args), ok=False),
-            "learning", "learning solution failed its equilibrium certificate",
         ),
         "monotonicity": (
             "oracle", "check_nondecreasing", lambda real: _decreasing,

@@ -260,6 +260,10 @@ class TestCheckersImportNoSolver:
     def test_no_solver_is_imported(self, path):
         assert package_imports(path).isdisjoint({"lp_solver", "closed_forms"})
 
+    def test_learning_imports_only_rationals(self):
+        # Its answers are certified once, by the CLI, not by learning itself.
+        assert package_imports(SOURCES / "learning.py") == {"rationals"}
+
     def test_the_walk_finds_the_solver(self):
         assert {"lp_solver", "closed_forms", "oracle"} <= package_imports(SOURCES / "cli.py")
         assert "lp_solver" in package_imports(Path(__file__).with_name("test_lp_solver.py"))
